@@ -39,6 +39,8 @@ def main():
                  include_dashboard=False, log_to_driver=False)
 
     report = {'multiplier': mult, 'num_cpus': bench.NUM_CPUS, 'ops': {}}
+    # one generator for every synthetic input, so any SF1_OPS subset runs
+    rng = np.random.RandomState(5)
     want = set(os.environ.get('SF1_OPS',
                               'headline,comention,tri,minhash,ivf')
                .split(','))
@@ -122,7 +124,6 @@ def main():
     if 'minhash' in want:
         from yargy_ray.stages.dedup import minhash_near_dups
 
-        rng = np.random.RandomState(5)
         vocab = np.array([f'w{i:04d}' for i in range(5000)])
         n_docs = 5000 * mult
         mat = rng.randint(0, len(vocab), (n_docs, 40))

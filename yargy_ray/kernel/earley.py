@@ -1,9 +1,9 @@
 """Earley chart parser + deterministic match resolution.
 
-Behavioral contract: /root/reference/yargy/parser.py, tree/ — an Earley
-chart over the token stream with per-column state dedup, token-lookahead
-pruning for gazetteer rules, deterministic parse-tree ranking (rank-
-lexicographic, tree/constructors.py:114-134) and maximum-coverage
+Behavioral contract: the reference yargy ``parser.py`` and ``tree/`` — an
+Earley chart over the token stream with per-column state dedup, token-
+lookahead pruning for gazetteer rules, deterministic parse-tree ranking
+(rank-lexicographic, tree/constructors.py:114-134) and maximum-coverage
 non-overlapping span selection for ``findall``. Determinism is what makes
 distributed extraction equal serial extraction, so the ordering rules are
 replicated exactly.
@@ -16,6 +16,17 @@ Additions over the reference:
   conversation stall a partition, so the cap is built in: parsing raises
   :class:`StateOverflow`, which the extraction stage records as a capped
   row instead of failing the job.
+* Compiled prediction. Work that depends only on the grammar is done
+  once per :class:`Parser` (``_build_first``): every distinct FIRST
+  matcher gets a bit, each token gets the mask of the matchers it
+  satisfies (memoized by token features), and each rule a plan of
+  ``(rank, production, first_bits)``. Prediction keeps the productions
+  whose bits meet the lookahead's mask, cached per (rule, mask); the
+  start-rule pre-scan is one AND on the union of the masks. No state is
+  ever derived twice, so columns keep no per-state dedup keys (see
+  ``_predict``). Each column holds the same states, in the same order,
+  as plain Earley prediction with per-state dedup would push: the state
+  budget and tree tie-breaking count on that.
 """
 
 from __future__ import annotations
@@ -28,6 +39,10 @@ from .records import best_nonoverlapping, tokens_span
 from .relations import AgreementGraph
 from .tagging import PassTagger
 from .tokenizer import MorphTokenizer, Tokenizer
+
+
+# token-feature -> mask memo entries kept per parser (cleared when full)
+MASK_MEMO_SIZE = 1 << 14
 
 
 class StateOverflow(Exception):
@@ -219,42 +234,27 @@ class EarleyState:
             self.completed = False
             self.next_term = terms[dot]
 
-    def signature(self):
-        return (
-            id(self.rule), id(self.production), self.dot,
-            self.origin.index, self.column.index,
-            tuple(map(id, self.node.children)),
-        )
-
 
 class EarleyColumn:
-    __slots__ = ('index', 'token', 'states', 'seen', 'waiting',
-                 'predicted', 'first_memo')
+    __slots__ = ('index', 'token', 'mask', 'states', 'waiting', 'predicted')
 
-    def __init__(self, index, token):
+    def __init__(self, index, token, mask):
         self.index = index
         self.token = token
+        # FIRST-matcher bits of ``token`` (see Parser._build_first)
+        self.mask = mask
         self.states = []
-        self.seen = set()
         # waiting[id(rule)] -> states whose dot is before that rule
         self.waiting = {}
         # rules already expanded at this column (predictions are a pure
         # function of (rule, column), so re-predicting is wasted work)
         self.predicted = set()
-        # id(first-matcher) -> bool for THIS column's token when it is
-        # the lookahead; shared across every rule predicted here
-        self.first_memo = {}
 
     def push(self, state):
-        sig = state.signature()
-        if sig in self.seen:
-            return False
-        self.seen.add(sig)
         self.states.append(state)
         term = state.next_term
         if term is not None and term.is_rule:
             self.waiting.setdefault(id(term), []).append(state)
-        return True
 
 
 class Match:
@@ -316,142 +316,161 @@ class Parser:
         self._build_first()
 
     def _build_first(self):
-        """Precompute nullability + FIRST sets for scan-pruned prediction.
+        """Compile prediction once per parser: FIRST bits, plans, start bits.
 
-        ``self._first[id(prod)]`` is the list of terminal matchers
-        (predicates, plus gazetteer rules used atomically via their
-        token index) that can begin a derivation of that production;
-        ``self._prod_nullable`` holds ids of productions deriving the
-        empty string. ``_predict`` skips a production when the lookahead
-        token matches none of its FIRST matchers and it is not nullable
-        — such a state could never scan nor complete, so pruning it is
-        exact. Ranks keep their un-pruned indices, so deterministic
-        tree ordering (and therefore P/R vs the reference) is unchanged.
+        FIRST of a production is the set of terminal matchers (predicates,
+        plus gazetteer rules used atomically via their token index) that
+        can begin a derivation of it. Every distinct matcher gets one bit;
+        bit 0 is set in every token mask and in the bits of each nullable
+        production, so a nullable production survives any lookahead.
+
+        * ``self._matchers`` — ``(bit, matcher, is_gazetteer)``; a token's
+          mask (``_masks``) is the OR of the bits it satisfies.
+        * ``self._plan[id(rule)]`` — ``(rank, production, first_bits)``
+          per production of a BNF rule. ``_predict`` keeps those whose
+          bits meet the lookahead's mask, cached per ``(id(rule), mask)``:
+          a dropped production could never scan nor complete, so pruning
+          is exact, and ranks keep their un-pruned indices.
+        * ``self._start_bits`` — the start rule's FIRST bits (its own bit
+          for a gazetteer start rule). Unless the start rule is nullable,
+          a token stream none of whose masks meets them needs no chart
+          (the common case for a multi-grammar extractor), and a column
+          whose lookahead misses them predicts no start state.
         """
+        # gazetteer rules are atomic matchers, not expanded here
         rules = []
         seen = set()
-        stack = [self.rule]
+        stack = [self.rule] if type(self.rule) is BNFRuleType else []
         while stack:
             r = stack.pop()
             if id(r) in seen:
                 continue
             seen.add(id(r))
             rules.append(r)
-            if type(r) is not BNFRuleType:
-                continue  # gazetteer rules are atomic first-matchers
             for prod in r.productions:
                 for term in prod.terms:
-                    if is_bnf_rule(term):
+                    if type(term) is BNFRuleType:
                         stack.append(term)
 
+        bits = {}
+        self._matchers = []
+
+        def bit(matcher):
+            if id(matcher) not in bits:
+                bits[id(matcher)] = 2 << len(bits)
+                self._matchers.append(
+                    (bits[id(matcher)], matcher, is_bnf_rule(matcher)))
+            return bits[id(matcher)]
+
+        rule_bits = {id(r): 0 for r in rules}
         nullable = set()
+
+        def first_bits(prod):
+            # FIRST bits of prod, plus bit 0 when prod derives nothing
+            out = 0
+            for term in prod.terms:
+                if type(term) is not BNFRuleType:
+                    return out | bit(term)
+                out |= rule_bits[id(term)]
+                if id(term) not in nullable:
+                    return out
+            return out | 1
+
         changed = True
         while changed:
             changed = False
             for r in rules:
-                if type(r) is not BNFRuleType or id(r) in nullable:
-                    continue
                 for prod in r.productions:
-                    if all(is_bnf_rule(t) and id(t) in nullable
-                           for t in prod.terms):
+                    first = first_bits(prod)
+                    if first & 1 and id(r) not in nullable:
                         nullable.add(id(r))
                         changed = True
-                        break
-
-        rule_first = {id(r): {} for r in rules}
-        prod_first = {}
-        prod_nullable = set()
-        changed = True
-        while changed:
-            changed = False
-            for r in rules:
-                if type(r) is not BNFRuleType:
-                    continue
-                rf = rule_first[id(r)]
-                for prod in r.productions:
-                    pf = prod_first.setdefault(id(prod), {})
-                    before = len(pf)
-                    fully_nullable = True
-                    for term in prod.terms:
-                        if is_bnf_rule(term):
-                            if type(term) is BNFRuleType:
-                                pf.update(rule_first[id(term)])
-                            else:
-                                pf[id(term)] = term
-                            if id(term) in nullable:
-                                continue
-                            fully_nullable = False
-                        else:
-                            pf[id(term)] = term
-                            fully_nullable = False
-                        break
-                    else:
-                        if fully_nullable:
-                            prod_nullable.add(id(prod))
-                    if len(pf) != before:
+                    if first & ~1 & ~rule_bits[id(r)]:
+                        rule_bits[id(r)] |= first & ~1
                         changed = True
-                    before = len(rf)
-                    rf.update(pf)
-                    if len(rf) != before:
-                        changed = True
-        self._first = {k: list(v.values()) for k, v in prod_first.items()}
-        self._prod_nullable = prod_nullable
 
-        # start-rule FIRST union for the zero-allocation pre-scan: a
-        # token stream where no token can begin the start rule needs no
-        # chart at all (the common case for a multi-grammar extractor)
+        self._plan = {}
+        for r in rules:
+            plan = self._plan[id(r)] = []
+            listed = set()
+            for rank, prod in enumerate(r.productions):
+                if id(prod) not in listed:  # a repeat is predicted once
+                    listed.add(id(prod))
+                    plan.append((rank, prod, first_bits(prod)))
         if type(self.rule) is BNFRuleType:
-            union = {}
-            for prod in self.rule.productions:
-                for m in self._first[id(prod)]:
-                    union[id(m)] = m
-            self._start_first = list(union.values())
-            self._fast_path = not any(
-                id(p) in prod_nullable for p in self.rule.productions)
+            start = 0
+            for _, _, first in self._plan[id(self.rule)]:
+                start |= first
+            self._start_bits = start
         else:
-            self._start_first = [self.rule]
-            self._fast_path = True
+            self._start_bits = bit(self.rule)
+        self._mask_memo = {}
+        self._pairs = {}
 
-    def _any_start(self, tokens):
-        matchers = self._start_first
+    def _masks(self, tokens):
+        """FIRST mask per token, and their union; memoized by token features.
+
+        Predicates read only a token's class, value, type, tag and forms.
+        Forms lists come from the analyzer's LRU, so an entry keeps the
+        list it was computed for and a hit counts only on that very
+        object: a constrained or re-analyzed token gets its own mask.
+        """
+        memo = self._mask_memo
+        masks = []
+        union = 0
         for token in tokens:
-            for m in matchers:
-                if (len(m.predict(token)) > 0 if is_bnf_rule(m)
-                        else m(token)):
-                    return True
-        return False
+            forms = token.forms
+            key = (type(token), token.value, token.type,
+                   getattr(token, 'tag', None))
+            entry = memo.get(key)
+            if entry is None or entry[0] is not forms:
+                mask = 1
+                for bit, matcher, gazetteer in self._matchers:
+                    if (len(matcher.predict(token)) > 0 if gazetteer
+                            else matcher(token)):
+                        mask |= bit
+                if len(memo) >= MASK_MEMO_SIZE:
+                    memo.clear()
+                entry = memo[key] = (forms, mask)
+            masks.append(entry[1])
+            union |= entry[1]
+        return masks, union
 
     # -- chart construction --------------------------------------------------
 
     def _chart(self, text, everywhere=True):
-        tokens = list(self.tagger(self.tokenizer(text)))
-        return self._chart_tokens(tokens, everywhere)
+        return self._chart_tokens(self.tokenize(text), everywhere)
 
     def _chart_tokens(self, tokens, everywhere=True):
-        if everywhere and self._fast_path and not self._any_start(tokens):
+        masks, union = self._masks(tokens)
+        start_bits = self._start_bits
+        if everywhere and not start_bits & 1 and not union & start_bits:
             return []
-        columns = [EarleyColumn(0, None)]
-        for i, token in enumerate(tokens, 1):
-            columns.append(EarleyColumn(i, token))
+        columns = [EarleyColumn(0, None, 0)]
+        for i, token in enumerate(tokens):
+            columns.append(EarleyColumn(i + 1, token, masks[i]))
 
         budget = self.max_states
-        total = 0
+        done = 0  # states in the columns already processed
         n = len(columns)
         start_rule = self.rule
         for ci in range(n):
             column = columns[ci]
             predicted = column.predicted
             lookahead = columns[ci + 1] if ci + 1 < n else None
+            # states go only to this column and the next one
+            ahead = lookahead.states if lookahead is not None else ()
             if ci == 0 or everywhere:
                 predicted.add(id(start_rule))
-                total += self._predict(column, lookahead, start_rule)
+                if lookahead is None or lookahead.mask & start_bits:
+                    self._predict(column, lookahead, start_rule)
             si = 0
             states = column.states
             while si < len(states):
                 state = states[si]
                 si += 1
                 if state.completed:
-                    total += self._complete(column, state)
+                    self._complete(column, state)
                 else:
                     term = state.next_term
                     if term.is_rule:
@@ -460,88 +479,71 @@ class Parser:
                         tid = id(term)
                         if tid not in predicted:
                             predicted.add(tid)
-                            total += self._predict(column, lookahead, term)
+                            self._predict(column, lookahead, term)
                     elif lookahead is not None:
-                        total += self._scan(lookahead, term, state)
-                if budget is not None and total > budget:
-                    raise StateOverflow(total)
+                        self._scan(lookahead, term, state)
+                if budget is not None and (
+                        done + len(states) + len(ahead) > budget):
+                    raise StateOverflow(done + len(states) + len(ahead))
+            done += len(states)
         return columns
 
+    # No state is ever derived twice, so the chart keeps no dedup set: a
+    # rule is predicted once per column from a duplicate-free plan, a
+    # scan attaches a fresh leaf, and each completed state meets each
+    # waiting parent once. Distinct (parent, child) pairs give distinct
+    # (rule, production, dot, origin, children) states, so the chart is
+    # the one a per-state signature dedup builds.
+
     def _predict(self, column, lookahead, rule):
-        # callers own the column.predicted memo (checked inline)
-        if lookahead is None:
-            pairs = enumerate(rule.productions)
-        elif type(rule) is BNFRuleType:
-            # scan-pruning: drop productions whose FIRST set rejects the
-            # lookahead token (they could never scan nor complete);
-            # ranks keep their original indices for stable tree order
-            token = lookahead.token
-            memo = lookahead.first_memo
-            first = self._first
-            nullable = self._prod_nullable
-            pairs = []
-            for rank, production in enumerate(rule.productions):
-                pid = id(production)
-                if pid in nullable or self._first_matches(
-                        first[pid], token, memo):
-                    pairs.append((rank, production))
-        else:
+        if type(rule) is not BNFRuleType:
             # gazetteer rules prune via their own token index
-            pairs = enumerate(rule.predict(lookahead.token))
-        added = 0
+            pairs = enumerate(rule.productions if lookahead is None
+                              else rule.predict(lookahead.token))
+        elif lookahead is None:
+            pairs = [(rank, prod) for rank, prod, _ in self._plan[id(rule)]]
+        else:
+            key = (id(rule), lookahead.mask)
+            pairs = self._pairs.get(key)
+            if pairs is None:
+                mask = lookahead.mask
+                pairs = self._pairs[key] = [
+                    (rank, production)
+                    for rank, production, first_bits in self._plan[id(rule)]
+                    if first_bits & mask]
         for rank, production in pairs:
             node = ParseNode(rule, production, rank, [])
-            added += column.push(EarleyState(
-                rule, production, 0, column, column, node))
-        return added
-
-    @staticmethod
-    def _first_matches(matchers, token, memo):
-        for matcher in matchers:
-            mid = id(matcher)
-            hit = memo.get(mid)
-            if hit is None:
-                if is_bnf_rule(matcher):
-                    hit = len(matcher.predict(token)) > 0
-                else:
-                    hit = bool(matcher(token))
-                memo[mid] = hit
-            if hit:
-                return True
-        return False
+            column.push(EarleyState(rule, production, 0, column, column, node))
 
     def _scan(self, lookahead, predicate, state):
-        # NOTE: memoizing the predicate bool in first_memo here was
-        # measured SLOWER (dict get/put beats an eq-compare predicate);
-        # scan predicates are mostly cheap, so call them directly
+        # scan predicates are mostly cheap eq-compares: calling them
+        # directly was measured faster than memoizing their result
         token = lookahead.token
-        if not predicate(token):
-            return 0
-        leaf = ParseLeaf(predicate, predicate.constrain(token))
-        return lookahead.push(EarleyState(
-            state.rule, state.production, state.dot + 1,
-            state.origin, lookahead, state.node.attach(leaf)))
+        if predicate(token):
+            leaf = ParseLeaf(predicate, predicate.constrain(token))
+            lookahead.push(EarleyState(
+                state.rule, state.production, state.dot + 1,
+                state.origin, lookahead, state.node.attach(leaf)))
 
     def _complete(self, column, completed):
         waiting = completed.origin.waiting.get(id(completed.rule))
         if not waiting:
-            return 0
-        added = 0
+            return
+        child = completed.node
         wi = 0
         while wi < len(waiting):
             state = waiting[wi]
             wi += 1
-            added += column.push(EarleyState(
+            column.push(EarleyState(
                 state.rule, state.production, state.dot + 1,
-                state.origin, column, state.node.attach(completed.node)))
-        return added
+                state.origin, column, state.node.attach(child)))
 
-    def _final_states(self, columns, everywhere=True):
+    def _final_trees(self, columns, everywhere=True):
         search = columns if everywhere else columns[-1:]
         for column in search:
-            for state in column.states:
-                if state.completed and id(state.rule) == id(self.rule):
-                    yield state
+            for s in column.states:
+                if s.completed and id(s.rule) == id(self.rule):
+                    yield ParseTree(s.node, (s.origin.index, s.column.index))
 
     # -- public API ----------------------------------------------------------
 
@@ -555,22 +557,16 @@ class Parser:
         Lets an extraction actor running N grammars tokenize (and run
         morphology) once per document instead of once per grammar.
         """
-        columns = self._chart_tokens(tokens)
-        return self._resolve(columns)
+        return self._resolve(self._chart_tokens(tokens))
 
     def findall(self, text):
         """All non-overlapping matches, maximum-coverage, span order."""
-        columns = self._chart(text)
-        return self._resolve(columns)
+        return self._resolve(self._chart(text))
 
     def _resolve(self, columns):
-        trees = sorted(
-            ParseTree(s.node, (s.origin.index, s.column.index))
-            for s in self._final_states(columns)
-        )
         spans = []
         by_span = {}
-        for tree in trees:
+        for tree in sorted(self._final_trees(columns)):
             span = tree.range
             if span in by_span:
                 continue
@@ -589,11 +585,7 @@ class Parser:
     def trees(self, text):
         """All final parse trees, deterministic order (debug aid;
         feeds ``kernel.dot.tree_as_dot``)."""
-        columns = self._chart(text)
-        return sorted(
-            ParseTree(s.node, (s.origin.index, s.column.index))
-            for s in self._final_states(columns)
-        )
+        return sorted(self._final_trees(self._chart(text)))
 
     def explain(self, text):
         """Chart dump as text — the reference's chart pretty-printing
@@ -606,11 +598,7 @@ class Parser:
     def match(self, text):
         """Whole-string parse; best tree only."""
         columns = self._chart(text, everywhere=False)
-        trees = sorted(
-            ParseTree(s.node, (s.origin.index, s.column.index))
-            for s in self._final_states(columns, everywhere=False)
-        )
-        for tree in trees:
+        for tree in sorted(self._final_trees(columns, everywhere=False)):
             m = _prepare_match(tree)
             if m is not None:
                 return m
@@ -618,9 +606,7 @@ class Parser:
 
     def extract(self, text):
         """Every (possibly overlapping) match — debug mode."""
-        columns = self._chart(text)
-        for state in self._final_states(columns):
-            tree = ParseTree(state.node, (state.origin.index, state.column.index))
+        for tree in self._final_trees(self._chart(text)):
             m = _prepare_match(tree)
             if m is not None:
                 yield m

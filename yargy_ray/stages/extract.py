@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import OrderedDict
 
 import pyarrow as pa
 
@@ -57,6 +58,9 @@ TRIPLE_SCHEMA = pa.schema([
 ])
 
 CAPPED_RULE = '_capped'
+
+# texts whose extraction rows each actor keeps (LRU)
+RESULT_CACHE_SIZE = 4096
 
 
 def fact_payload(value):
@@ -89,38 +93,23 @@ class MentionExtractor:
             )
             gate = re.compile(spec.gate) if spec.gate else None
             self.parsers.append((spec, parser, gate))
-        self._token_cache = {}
-        self._result_cache = {}
-
-    def _tokenize(self, text):
-        """Per-turn token list with a small LRU.
-
-        Transcript turns repeat heavily (acknowledgements, tool
-        banter), and token lists are treated read-only by the parser
-        (scan attaches CONSTRAINED COPIES to leaves, never mutating the
-        source tokens), so caching whole turns is safe and mirrors the
-        reference's per-word morph LRU one level up.
-        """
-        cached = self._token_cache.get(text)
-        if cached is None:
-            cached = list(self.tokenizer(text))
-            if len(self._token_cache) >= 4096:
-                self._token_cache.clear()
-            self._token_cache[text] = cached
-        return cached
+        self._result_cache = OrderedDict()
 
     def _extract_text(self, text):
         """All (rule, start, stop, tokens, fact_json) rows for one text.
 
-        Memoized per actor: extraction output is TEXT-INTRINSIC (spans,
-        rules and facts carry no conv/turn identity), and transcript
-        turns repeat heavily (~48% duplicate turns on the synthetic
-        corpus; acknowledgement/tool banter dominates real ones), so a
-        small LRU halves chart work — the reference's morph-LRU
-        philosophy applied one level up.
+        Memoized per actor in an LRU of ``RESULT_CACHE_SIZE`` texts:
+        extraction output is TEXT-INTRINSIC (spans, rules and facts carry
+        no conv/turn identity), and transcript turns repeat (about a
+        third of the generated corpus's turn texts repeat an earlier
+        turn; acknowledgement/tool banter dominates real ones). A hit
+        skips tokenize, morph, Earley and interpretation alike — the
+        reference's morph-LRU philosophy applied one level up.
         """
-        cached = self._result_cache.get(text)
+        cache = self._result_cache
+        cached = cache.get(text)
         if cached is not None:
+            cache.move_to_end(text)
             return cached
         rows = []
         tokens = None
@@ -128,7 +117,7 @@ class MentionExtractor:
             if gate is not None and gate.search(text) is None:
                 continue
             if tokens is None:
-                tokens = self._tokenize(text)
+                tokens = list(self.tokenizer(text))
             try:
                 matches = list(parser.findall_tokens(tokens))
             except StateOverflow:
@@ -146,9 +135,9 @@ class MentionExtractor:
                     [t.value for t in match.tokens],
                     json.dumps(payload, ensure_ascii=False, sort_keys=True),
                 ))
-        if len(self._result_cache) >= 4096:
-            self._result_cache.clear()
-        self._result_cache[text] = rows
+        cache[text] = rows
+        if len(cache) > RESULT_CACHE_SIZE:
+            cache.popitem(last=False)
         return rows
 
     def extract_turn(self, conv_id, turn_idx, text, out):

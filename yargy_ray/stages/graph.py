@@ -243,9 +243,9 @@ def triangle_counts(edges_ds, a='src', b='dst', num_partitions=64,
        count row per corner, pre-combined map-side;
     3. count rows co-partition on ``hash(node)`` for the global sum.
 
-    NOTE: ``edges_ds`` is consumed TWICE (wedge generation and the
-    close join's edge side) — materialize it upstream when it is the
-    output of an expensive pipeline.
+    NOTE: ``edges_ds`` is consumed THREE times (the degree-rank pass,
+    wedge generation and the close join's edge side) — materialize it
+    upstream when it is the output of an expensive pipeline.
 
     Orientation is DEGREE-ORDERED (each edge points from its
     lower-(degree, id) endpoint to the higher; wedges generate at the
