@@ -516,35 +516,22 @@ def q_hopping_window(sf_dir):
     return out.map_batches(finalize, batch_format='pyarrow')
 
 
-def _sum_by_user_ts(ds, out_name, num_partitions=64):
-    """Per-(user_id, ts) value sum via partitioned_reduce: Ray's native
-    groupby degenerates when nearly every group is unique (1.3M groups
-    over 1.3M rows measured 20.6s vs 2s for one hash exchange + a
-    pandas in-partition groupby)."""
-    from yargy_ray.stages.exchange import partitioned_reduce
-
-    def reduce_fn(table: pa.Table) -> pa.Table:
-        df = table.select(['user_id', 'ts', 'value']).to_pandas()
-        agg = df.groupby(['user_id', 'ts'], sort=False, as_index=False)[
-            'value'].sum()
-        return pa.Table.from_pandas(
-            agg.rename(columns={'value': out_name}), preserve_index=False)
-
-    return partitioned_reduce(ds, 'user_id', reduce_fn, num_partitions,
-                              coalesce='auto')
-
-
 def q_asof_purchase(sf_dir):
     """As-of join: each click event annotated with the same user's
     latest prior (or simultaneous) purchase value — one co-partitioning
-    exchange + vectorized per-partition merge (stages/joins.py)."""
+    exchange + vectorized per-partition merge (stages/joins.py); the
+    right side sums same-(user, ts) purchases first (sum_by: nearly
+    every group is unique, where Ray's native groupby degenerates)."""
+    from yargy_ray.stages.exchange import sum_by
     from yargy_ray.stages.joins import asof_join
     events = _read(sf_dir, 'events')
     clicks = (events.filter(expr="event_type == 'click'")
               .select_columns(['event_id', 'user_id', 'ts']))
-    purchases = _sum_by_user_ts(
+    purchases = sum_by(
         events.filter(expr="event_type == 'purchase'")
-        .select_columns(['user_id', 'ts', 'value']), 'purchase_value')
+        .select_columns(['user_id', 'ts', 'value'])
+        .rename_columns({'value': 'purchase_value'}),
+        ['user_id', 'ts'], 'purchase_value')
     return asof_join(clicks, purchases, by='user_id', on='ts', suffix='')
 
 
@@ -623,8 +610,7 @@ def q_dup_survivors(sf_dir):
                 out['n_members'].to_numpy(dtype=np.int64)),
         })
 
-    return partitioned_reduce(joined, 'component', pick, 16,
-                              coalesce='auto')
+    return partitioned_reduce(joined, 'component', pick, 16)
 
 
 def q_rolling_fingerprint(sf_dir):
@@ -799,19 +785,13 @@ def q_cust_totals_left(sf_dir):
             [('total_cents', 'sum')]).rename_columns(
             ['c_custkey', 'total_cents'])
 
-    from yargy_ray.stages.exchange import partitioned_reduce
+    from yargy_ray.stages.exchange import sum_by
 
-    def sum_fn(table: pa.Table) -> pa.Table:
-        df = table.select(['c_custkey', 'total_cents']).to_pandas()
-        agg = df.groupby('c_custkey', sort=False,
-                         as_index=False)['total_cents'].sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    totals = partitioned_reduce(
+    totals = sum_by(
         _read(sf_dir, 'orders').select_columns(
             ['o_custkey', 'o_totalprice']).map_batches(
             prep, batch_format='pyarrow'),
-        'c_custkey', sum_fn, num_partitions=16, coalesce='auto')
+        'c_custkey', 'total_cents', num_partitions=16)
     customer = _read(sf_dir, 'customer').select_columns(
         ['c_custkey', 'c_name'])
     return hash_join(customer, totals, on='c_custkey', how='left')
@@ -842,10 +822,9 @@ def q_kg_triangles(sf_dir):
 def q_kg_top_neighbors(sf_dir):
     """Top-3 co-mention neighbors per entity by (weight desc, dst asc):
     the symmetrized edge table through topk_per_group's single-exchange
-    partitioned reduce (grouping on the entity STRING; the hash column
-    only routes)."""
+    partitioned reduce, routed on the entity id string)."""
     import ray.data
-    from yargy_ray.pipelines.kg import _hash64, co_mention_edges
+    from yargy_ray.pipelines.kg import co_mention_edges
     from yargy_ray.stages.extract import extract_mentions, project_triples
     from yargy_ray.stages.sampling import topk_per_group
     tpath = _transcripts_for(sf_dir)
@@ -860,13 +839,10 @@ def q_kg_top_neighbors(sf_dir):
         dst = pa.concat_arrays([t.column('dst').combine_chunks(),
                                 t.column('src').combine_chunks()])
         w = pa.concat_arrays([t.column('weight').combine_chunks()] * 2)
-        out = pa.table({'src': src, 'dst': dst, 'weight': w})
-        return out.append_column('nkey', _hash64(out.column('src')))
+        return pa.table({'src': src, 'dst': dst, 'weight': w})
 
-    top = topk_per_group(
-        edges.map_batches(sym, batch_format='pyarrow'),
-        ['nkey', 'src'], 'weight', k=3, tiebreak='dst')
-    return top.drop_columns(['nkey'])
+    return topk_per_group(edges.map_batches(sym, batch_format='pyarrow'),
+                          'src', 'weight', k=3, tiebreak='dst')
 
 
 def q_kg_entity_stats(sf_dir):
@@ -1254,13 +1230,13 @@ def q_doc_reconstruct(sf_dir):
     from yargy_ray.pipelines.documents import reconstruct_documents
     tpath = _transcripts_for(sf_dir)
     turns = ray.data.read_parquet(tpath)
-    return reconstruct_documents(turns, window=64).select_columns(
+    return reconstruct_documents(turns).select_columns(
         ['conv_id', 'n_turns', 'checksum'])
 
 
 def q_kg_mentions_docscope(sf_dir):
-    """Reference-native document-scope extraction: groupby(conv_id)
-    reconstruction (salted) then findall over whole documents.
+    """Reference-native document-scope extraction: conv_id-keyed
+    reconstruction then findall over whole documents.
 
     Projection notes for the value-hash compare: tokens joined to one
     string (list columns hash differently between pandas/DuckDB) and
@@ -1274,7 +1250,7 @@ def q_kg_mentions_docscope(sf_dir):
     )
     tpath = _transcripts_for(sf_dir)
     turns = ray.data.read_parquet(tpath)
-    docs = reconstruct_documents(turns, window=64)
+    docs = reconstruct_documents(turns)
     mentions = extract_document_mentions(docs, concurrency=_pool())
 
     def project(batch: pa.Table) -> pa.Table:
@@ -1303,20 +1279,12 @@ def q_kg_mention_counts(sf_dir):
     import ray.data
     tpath = _transcripts_for(sf_dir)
     turns = ray.data.read_parquet(tpath)
-    docs = reconstruct_documents(turns, window=64)
+    docs = reconstruct_documents(turns)
     mentions = extract_document_mentions(docs, concurrency=_pool())
 
     # one group per (conv, rule) — near-unique keys at scale, so route
     # through the hash exchange instead of Ray's native groupby
-    from yargy_ray.pipelines.kg import _hash64
     from yargy_ray.stages.exchange import partitioned_reduce
-
-    def keyed(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            'conv_id': batch.column('conv_id'),
-            'rule': batch.column('rule'),
-            'ckey': _hash64(batch.column('conv_id')),
-        })
 
     def reduce_fn(table: pa.Table) -> pa.Table:
         df = table.select(['conv_id', 'rule']).to_pandas()
@@ -1326,8 +1294,8 @@ def q_kg_mention_counts(sf_dir):
         return pa.Table.from_pandas(agg, preserve_index=False)
 
     return partitioned_reduce(
-        mentions.map_batches(keyed, batch_format='pyarrow'),
-        'ckey', reduce_fn, 64, coalesce='auto')
+        mentions.select_columns(['conv_id', 'rule']), 'conv_id',
+        reduce_fn, 64)
 
 
 def q_multimodal_features(sf_dir):

@@ -61,6 +61,7 @@ def main():
 
     from yargy_ray.pipelines.documents import reconstruct_documents
     from yargy_ray.pipelines.kg import co_mention_edges
+    from yargy_ray.stages.exchange import sum_by
     from yargy_ray.stages.graph import connected_components, two_hop_counts
     from yargy_ray.stages.joins import asof_join
     from yargy_ray.stages.windows import hopping_window
@@ -74,12 +75,11 @@ def main():
     events = ray.data.from_arrow(make_events(n)).repartition(
         128).materialize()
 
-    import __ray_entry__ as entrymod
     left = events.select_columns(['event_id', 'user_id', 'ts'])
-    right = entrymod._sum_by_user_ts(
+    right = sum_by(
         events.filter(expr="event_type == 'purchase'")
-        .select_columns(['user_id', 'ts', 'value']), 'pv',
-        num_partitions=128).materialize()
+        .select_columns(['user_id', 'ts', 'value']), ['user_id', 'ts'],
+        'value', num_partitions=128).materialize()
 
     k = 100_000
     a = np.concatenate([np.arange(k) * 4, np.arange(k) * 4 + 1,
@@ -159,7 +159,7 @@ def main():
         return {'edges': m, 'nodes_out': n_nodes, 'per_sec_of': m}
 
     def op_doc_skew():
-        docs = reconstruct_documents(turns, window=256)
+        docs = reconstruct_documents(turns)
         n_docs = docs.count()
         assert n_docs == n_small + 1, n_docs
         return {'turns': n_turns, 'docs': n_docs,

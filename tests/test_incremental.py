@@ -174,6 +174,13 @@ def test_run_kg_pipeline_rejects_non_power_of_two(tmp_path):
         run_kg_pipeline('unused', str(tmp_path / 'kg'), num_partitions=6)
 
 
+def test_run_comention_pipeline_rejects_non_power_of_two(tmp_path):
+    from yargy_ray.pipelines.incremental import run_comention_pipeline
+    with pytest.raises(ValueError, match='power of two'):
+        run_comention_pipeline('unused', str(tmp_path / 'cm'),
+                               num_partitions=12)
+
+
 def test_chained_merge_equals_full_rebuild(split_corpus, tmp_path):
     """Delta-on-delta: merging into an ALREADY-MERGED root stays
     bit-identical to a full rebuild, and manifests compose (the merged

@@ -65,7 +65,7 @@ def test_document_invariant(corpus):
         verify_documents,
     )
     turns = ray.data.read_parquet(corpus)
-    docs = reconstruct_documents(turns, window=16)  # force multi-window
+    docs = reconstruct_documents(turns)
     assert verify_documents(turns, docs) == 0
     # giant conversation present and reconstructed
     n_turns = {r['conv_id']: r['n_turns'] for r in docs.iter_rows()}
@@ -122,7 +122,7 @@ def test_docscope_extraction(corpus, ray_session):
     from yargy_ray.stages.extract import extract_mentions
 
     turns = ray.data.read_parquet(corpus)
-    docs = reconstruct_documents(turns, window=32)
+    docs = reconstruct_documents(turns)
     doc_mentions = {
         (r['conv_id'], r['rule'], r['span_start'], r['span_stop'],
          r['fact_json'])

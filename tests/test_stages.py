@@ -832,6 +832,22 @@ def test_triangle_counts(ray_session):
         'a': 2, 'b': 2, 'c': 1, 'd': 1}
 
 
+def test_triangle_rank_rejects_unknown_nodes():
+    """The degree-rank lookup must name a node missing from the rank
+    table, not read a neighbour's rank (inside the table's range) or
+    index past its end (after its last entry)."""
+    from yargy_ray.stages.graph import _rank
+
+    nodes_idx = np.array(['a', 'c', 'e'])
+    ranks = np.array([2, 0, 1])
+    assert _rank(pa.array(['e', 'a', 'c']), nodes_idx, ranks).tolist() \
+        == [1, 2, 0]
+    with pytest.raises(ValueError, match="'b'"):
+        _rank(pa.array(['a', 'b']), nodes_idx, ranks)
+    with pytest.raises(ValueError, match="'z'"):
+        _rank(pa.array(['z']), nodes_idx, ranks)
+
+
 def test_triangle_counts_wedge_cap(ray_session):
     """Degree-ordered orientation: a fan hub stays EXACT under a tiny
     wedge cap (the hub is the max-rank corner, so it never generates

@@ -92,20 +92,14 @@ def _concat_partition(table: pa.Table) -> pa.Table:
     })
 
 
-def reconstruct_documents(turns_ds, window=None, num_partitions=64):
+def reconstruct_documents(turns_ds, num_partitions=64):
     """turns Dataset -> documents Dataset (one exchange, vectorized
-    per-partition reduce). ``window`` is accepted for API compatibility
-    with the retired two-level salted design and ignored."""
-    from yargy_ray.pipelines.kg import _hash64
+    per-partition reduce)."""
     from yargy_ray.stages.exchange import partitioned_reduce
 
-    def keyed(batch: pa.Table) -> pa.Table:
-        batch = _with_turn_hash(batch)
-        return batch.append_column('ckey', _hash64(batch.column('conv_id')))
-
-    hashed = turns_ds.map_batches(keyed, batch_format='pyarrow')
-    return partitioned_reduce(hashed, 'ckey', _concat_partition,
-                              num_partitions, coalesce='auto')
+    hashed = turns_ds.map_batches(_with_turn_hash, batch_format='pyarrow')
+    return partitioned_reduce(hashed, 'conv_id', _concat_partition,
+                              num_partitions)
 
 
 def _raw_checksums(batch: pa.Table) -> pa.Table:
@@ -134,7 +128,6 @@ def verify_documents(turns_ds, docs_ds, num_partitions=64):
     each partition emits a single violation count — the driver sees
     only P tiny rows (never one row per conversation).
     """
-    from yargy_ray.pipelines.kg import _hash64
     from yargy_ray.stages.exchange import partitioned_reduce
 
     def tag(side):
@@ -149,7 +142,6 @@ def verify_documents(turns_ds, docs_ds, num_partitions=64):
                 'checksum': batch.column('checksum'),
                 'n_turns': batch.column('n_turns'),
                 'side': pa.array(np.full(n, side, dtype=np.int8)),
-                'ckey': _hash64(batch.column('conv_id')),
             })
         return fn
 
@@ -171,8 +163,7 @@ def verify_documents(turns_ds, docs_ds, num_partitions=64):
         ).sum())
         return pa.table({'bad': pa.array([bad], type=pa.int64())})
 
-    counts = partitioned_reduce(tagged, 'ckey', check, num_partitions,
-                                coalesce='auto')
+    counts = partitioned_reduce(tagged, 'conv_id', check, num_partitions)
     return int(counts.sum('bad') or 0)
 
 

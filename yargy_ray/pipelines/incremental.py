@@ -46,9 +46,14 @@ from yargy_ray.grammars import DEFAULT_FACTORIES
 from yargy_ray.pipelines.kg import (
     _emit_edge_counts,
     _emit_node_counts,
-    _hash64,
     dedup_triples,
     extract_triples,
+)
+from yargy_ray.stages.exchange import (
+    check_layout,
+    layout_partition,
+    partitioned_reduce,
+    sum_by,
 )
 from yargy_ray.state import storage
 from yargy_ray.state.manifests import (
@@ -57,13 +62,6 @@ from yargy_ray.state.manifests import (
     run_stage,
     stage_is_complete,
 )
-
-
-def _part_of(column, num_partitions):
-    """Layout partition id for a string key column (matches
-    ``kg._add_partition``: hash64 & (P-1))."""
-    return pc.cast(pc.bit_wise_and(_hash64(column), num_partitions - 1),
-                   pa.int32())
 
 
 def _part_dirs(root):
@@ -92,20 +90,20 @@ def _rows_per_partition(out_dir):
 
 
 def _merge_sum(base_dir, delta_partials, key_cols, sum_col, out_dir,
-               num_partitions, part_key):
+               num_partitions):
     """Shared node/edge merge: sum ``sum_col`` over base rows + delta
     partial rows per key, rewriting ONLY partitions the delta touches.
+    The layout key is ``key_cols[0]``; the sum routes on it too, so
+    each reduce sees whole layout partitions.
 
     ``delta_partials`` must be small-side-safe (pre-aggregated per
     batch); the exchange it feeds is delta-sized. Returns manifest rows.
     """
     import ray.data
 
-    from yargy_ray.stages.exchange import partitioned_reduce
-
     def keyed(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            'mpart', _part_of(batch.column(part_key), num_partitions))
+        return batch.append_column('mpart', layout_partition(
+            batch.column(key_cols[0]), num_partitions))
 
     delta_keyed = delta_partials.map_batches(keyed, batch_format='pyarrow')
     # the partition ids the delta hashes into = the only base
@@ -120,13 +118,6 @@ def _merge_sum(base_dir, delta_partials, key_cols, sum_col, out_dir,
     _carry_partitions(base_dir, out_dir, carried)
 
     cols = list(key_cols) + [sum_col]
-
-    def reduce_fn(table: pa.Table) -> pa.Table:
-        df = table.select(cols + ['mpart']).to_pandas()
-        agg = df.groupby(list(key_cols) + ['mpart'], sort=False,
-                         as_index=False)[sum_col].sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
     sides = [delta_keyed]
     touched_with_base = [p for p in touched if p in base_parts]
     if touched_with_base:
@@ -137,10 +128,9 @@ def _merge_sum(base_dir, delta_partials, key_cols, sum_col, out_dir,
         # columns and recompute mpart so schemas align with the delta
         sides.append(base_ds.map_batches(
             lambda b: keyed(b.select(cols)), batch_format='pyarrow'))
-    merged = partitioned_reduce(
+    merged = sum_by(
         sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0],
-        'mpart', reduce_fn, num_partitions, drop_part=True,
-        coalesce='auto')
+        list(key_cols) + ['mpart'], sum_col, num_partitions)
     merged = merged.map_batches(
         lambda b: b.rename_columns(
             [('part' if c == 'mpart' else c) for c in b.column_names]),
@@ -168,29 +158,18 @@ def new_only(table: pa.Table) -> pa.Table:
     return out.drop_columns(['side'])
 
 
-def _validate_layout(base_root, num_partitions):
+def _validate_layout(base_dir, num_partitions):
     """Refuse a merge whose partition layout disagrees with the base
-    build: the anti-join's 'same subj => same partition' invariant only
-    holds when both use the SAME P, and ``_part_of`` uses
-    ``hash & (P-1)`` so P must be a power of two. The base P comes from
-    its stage manifests (recorded by ``run_kg_pipeline``); a pre-layout
-    base without the field is checked against its part-dir ids."""
-    if num_partitions & (num_partitions - 1) or num_partitions <= 0:
-        raise ValueError(
-            f'num_partitions must be a positive power of two, '
-            f'got {num_partitions}')
-    manifest = load_manifest(storage.join(base_root, 'triples'))
-    base_p = (manifest or {}).get('num_partitions')
-    if base_p is not None:
-        if base_p != num_partitions:
-            raise ValueError(
-                f'merge num_partitions={num_partitions} disagrees with '
-                f'the base build layout num_partitions={base_p} '
-                f'({base_root}/triples/_MANIFEST.json) — the same-subj '
-                f'co-partitioning invariant would silently break')
-    else:
-        max_part = max(_part_dirs(storage.join(base_root, 'triples')),
-                       default=-1)
+    stage in ``base_dir``: same-key co-partitioning (the anti-join's
+    'same subj => same partition', the per-key sums) only holds when
+    both use the SAME P (:func:`~yargy_ray.stages.exchange
+    .check_layout`). The base P comes from its stage manifest (recorded
+    by the build); a pre-layout base without the field is checked
+    against its part-dir ids."""
+    base_p = (load_manifest(base_dir) or {}).get('num_partitions')
+    check_layout(num_partitions, base_p, base_dir)
+    if base_p is None:
+        max_part = max(_part_dirs(base_dir), default=-1)
         if max_part >= num_partitions:
             raise ValueError(
                 f'base build has part={max_part} dirs but merge uses '
@@ -216,9 +195,7 @@ def merge_kg_delta(base_root, delta_transcripts_path, out_root,
     """
     import ray.data
 
-    from yargy_ray.stages.exchange import partitioned_reduce
-
-    _validate_layout(base_root, num_partitions)
+    _validate_layout(storage.join(base_root, 'triples'), num_partitions)
     fp = fingerprint('kg-merge', base_root, delta_transcripts_path,
                      tuple(factory_paths), num_partitions)
     layout = {'num_partitions': num_partitions}
@@ -239,8 +216,8 @@ def merge_kg_delta(base_root, delta_transcripts_path, out_root,
         prededuped=True)
 
     def keyed(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            'mpart', _part_of(batch.column('subj'), num_partitions))
+        return batch.append_column('mpart', layout_partition(
+            batch.column('subj'), num_partitions))
 
     def tag(side):
         def fn(batch: pa.Table) -> pa.Table:
@@ -275,8 +252,7 @@ def merge_kg_delta(base_root, delta_transcripts_path, out_root,
         sides.append(base_ds.map_batches(tag(0), batch_format='pyarrow'))
     new_triples = partitioned_reduce(
         sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0],
-        'mpart', new_only, num_partitions, drop_part=True,
-        coalesce='auto')
+        'mpart', new_only, num_partitions)
     # materialize: consumed three times (write + node/edge deltas), and
     # delta-sized — the one intentionally small working set
     new_triples = new_triples.materialize()
@@ -314,7 +290,7 @@ def merge_kg_delta(base_root, delta_transcripts_path, out_root,
             plain.map_batches(_emit_node_counts, batch_format='pyarrow',
                               batch_size=8192),
             ('node_id', 'kind', 'norm'), 'degree',
-            out_dir, num_partitions, 'node_id')
+            out_dir, num_partitions)
         return parts, dict(layout, merged_partitions=touched,
                            carried_partitions=carried)
 
@@ -331,7 +307,7 @@ def merge_kg_delta(base_root, delta_transcripts_path, out_root,
                 lambda b: b.select(['src', 'dst', 'pred', 'weight']),
                 batch_format='pyarrow'),
             ('src', 'dst', 'pred'), 'weight',
-            out_dir, num_partitions, 'src')
+            out_dir, num_partitions)
         return parts, dict(layout, merged_partitions=touched,
                            carried_partitions=carried)
 
@@ -353,10 +329,7 @@ def run_comention_pipeline(transcripts_path, out_root,
     from yargy_ray.pipelines.kg import _write_partitioned, co_mention_edges
     from yargy_ray.stages.extract import extract_mentions, project_triples
 
-    if num_partitions & (num_partitions - 1) or num_partitions <= 0:
-        raise ValueError(
-            f'num_partitions must be a positive power of two, '
-            f'got {num_partitions}')
+    check_layout(num_partitions)
     fp = fingerprint('comention', transcripts_path, tuple(factory_paths),
                      num_partitions)
     out_dir = storage.join(out_root, 'comention')
@@ -398,16 +371,7 @@ def merge_comention_delta(base_root, delta_transcripts_path, out_root,
     from yargy_ray.stages.extract import extract_mentions, project_triples
 
     base_dir = storage.join(base_root, 'comention')
-    if num_partitions & (num_partitions - 1) or num_partitions <= 0:
-        raise ValueError(
-            f'num_partitions must be a positive power of two, '
-            f'got {num_partitions}')
-    manifest = load_manifest(base_dir)
-    base_p = (manifest or {}).get('num_partitions')
-    if base_p is not None and base_p != num_partitions:
-        raise ValueError(
-            f'merge num_partitions={num_partitions} disagrees with the '
-            f'base co-mention layout num_partitions={base_p}')
+    _validate_layout(base_dir, num_partitions)
 
     fp = fingerprint('comention-merge', base_root,
                      delta_transcripts_path, tuple(factory_paths),
@@ -425,7 +389,7 @@ def merge_comention_delta(base_root, delta_transcripts_path, out_root,
         delta_edges = co_mention_edges(triples)
         parts, touched, carried = _merge_sum(
             base_dir, delta_edges, ('src', 'dst'), 'weight',
-            d, num_partitions, 'src')
+            d, num_partitions)
         return parts, {'num_partitions': num_partitions,
                        'merged_partitions': touched,
                        'carried_partitions': carried}

@@ -16,10 +16,12 @@ Scale notes (BASELINE.json north_rule):
   number of DISTINCT triples/nodes/edges per block, not to raw row
   count.
 * Giant conversations don't matter to extraction (per-turn); document
-  reconstruction (documents.py) uses salted two-level concat for them.
-* All outputs carry a ``part`` column (hash of the natural key, mod P)
-  and are written with ``partition_cols=['part']`` so a resumed run can
-  skip finished partitions and downstream readers can prune.
+  reconstruction (documents.py) hashes every conversation to one
+  partition and reduces it in one vectorized pass, giants included.
+* All outputs carry a ``part`` column (the layout partition of the
+  natural key, ``stages/exchange.py``) and are written with
+  ``partition_cols=['part']`` so a resumed run can skip finished
+  partitions and downstream readers can prune.
 """
 
 from __future__ import annotations
@@ -30,33 +32,20 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from yargy_ray.grammars import DEFAULT_FACTORIES
+from yargy_ray.stages.exchange import (
+    _hash64,
+    check_layout,
+    layout_partition,
+    partitioned_reduce,
+    sum_by,
+)
 from yargy_ray.stages.extract import (
     CAPPED_RULE,
     extract_mentions,
     project_triples,
 )
 from yargy_ray.state import storage
-from yargy_ray.state.manifests import fingerprint, run_stage, write_manifest
-
-
-def _hash64(arr: pa.ChunkedArray) -> pa.ChunkedArray:
-    """Deterministic 64-bit hash of a string column, fully vectorized.
-
-    polars' seeded xxhash: process-independent (unlike Python's
-    ``hash()``) and 17x faster than a per-row sha1 loop. Used ONLY for
-    shuffle keys (``tkey``/``part``), where within-run determinism is
-    what matters; content-addressed NODE ids stay md5
-    (:func:`node_id_of`) so graph identity survives library upgrades.
-    A polars version bump could reassign partitions between runs —
-    harmless, because resume reruns stages wholesale (old part files
-    are cleared, never mixed).
-    """
-    import numpy as np
-    import polars as pl
-    chunked = (arr if isinstance(arr, pa.ChunkedArray)
-               else pa.chunked_array([arr]))
-    h = pl.from_arrow(chunked).hash(seed=0).to_numpy()
-    return pa.array((h >> np.uint64(1)).astype(np.int64), type=pa.int64())
+from yargy_ray.state.manifests import fingerprint, run_stage
 
 
 def node_id_of(norm: str) -> str:
@@ -139,7 +128,6 @@ def dedup_triples(triples_ds, num_partitions=64, prededuped=False,
     batch-deduped (e.g. it came from :class:`TripleExtractor`), so only
     the exchange + reduce remain.
     """
-    from yargy_ray.stages.exchange import partitioned_reduce
     if prededuped:
         combined = triples_ds
     else:
@@ -251,25 +239,10 @@ def canonicalize_nodes(triples_ds, num_partitions=64):
     exchange + in-partition pandas sum — one group per distinct node
     is the near-unique regime where Ray's native sort-aggregate
     degenerates (BASELINE stress notes)."""
-    from yargy_ray.stages.exchange import partitioned_reduce
-
     partial = triples_ds.map_batches(
         _emit_node_counts, batch_format='pyarrow', batch_size=8192)
-
-    def keyed(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            'nkey', _hash64(batch.column('node_id')))
-
-    def reduce_fn(table: pa.Table) -> pa.Table:
-        df = table.select(['node_id', 'kind', 'norm',
-                           'degree']).to_pandas()
-        agg = df.groupby(['node_id', 'kind', 'norm'], sort=False,
-                         as_index=False)['degree'].sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    return partitioned_reduce(
-        partial.map_batches(keyed, batch_format='pyarrow'),
-        'nkey', reduce_fn, num_partitions, coalesce='auto')
+    return sum_by(partial, ['node_id', 'kind', 'norm'], 'degree',
+                  num_partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -304,41 +277,19 @@ def _emit_edge_counts(batch: pa.Table) -> pa.Table:
 def aggregate_edges(triples_ds, num_partitions=64):
     """Distinct edges with weights — same hash-exchange shape as
     :func:`canonicalize_nodes` (one group per distinct edge)."""
-    from yargy_ray.stages.exchange import partitioned_reduce
-
     partial = triples_ds.map_batches(
         _emit_edge_counts, batch_format='pyarrow', batch_size=8192)
-
-    def keyed(batch: pa.Table) -> pa.Table:
-        return batch.append_column('ekey', _hash64(batch.column('src')))
-
-    def reduce_fn(table: pa.Table) -> pa.Table:
-        df = table.select(['src', 'dst', 'pred', 'weight']).to_pandas()
-        agg = df.groupby(['src', 'dst', 'pred'], sort=False,
-                         as_index=False)['weight'].sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    return partitioned_reduce(
-        partial.map_batches(keyed, batch_format='pyarrow'),
-        'ekey', reduce_fn, num_partitions, coalesce='auto')
+    return sum_by(partial, ['src', 'dst', 'pred'], 'weight',
+                  num_partitions)
 
 
 # ---------------------------------------------------------------------------
 # Orchestration
 # ---------------------------------------------------------------------------
 
-def _add_partition(ds, key_column, num_partitions):
-    def add_part(batch: pa.Table) -> pa.Table:
-        part = pc.cast(
-            pc.bit_wise_and(_hash64(batch.column(key_column)),
-                            num_partitions - 1),
-            pa.int32())
-        return batch.append_column('part', part)
-    return ds.map_batches(add_part, batch_format='pyarrow')
-
-
 def _write_partitioned(ds, out_dir, key_column, num_partitions=16):
-    """Hash-partitioned parquet write; returns manifest partition rows.
+    """Parquet write in the layout partitions of ``key_column``; returns
+    manifest partition rows.
 
     Row counts come from the written files' parquet FOOTERS (metadata
     only, no data read) — counting via a second ``ds.groupby`` would
@@ -346,9 +297,11 @@ def _write_partitioned(ds, out_dir, key_column, num_partitions=16):
     runs through the storage seam (``state/storage.py``), so
     ``out_dir`` may be a shared-storage URI.
     """
-    from yargy_ray.state import storage
+    def add_part(batch: pa.Table) -> pa.Table:
+        return batch.append_column('part', layout_partition(
+            batch.column(key_column), num_partitions))
 
-    ds = _add_partition(ds, key_column, num_partitions)
+    ds = ds.map_batches(add_part, batch_format='pyarrow')
     ds.write_parquet(out_dir, partition_cols=['part'])
     return [{'partition_id': pid, 'rows': storage.dir_rows(d)}
             for pid, d in sorted(storage.part_dirs(out_dir).items())]
@@ -360,17 +313,15 @@ def run_kg_pipeline(transcripts_path, out_root,
                     num_partitions=16, resume=True):
     """Full KG build: returns dict of stage -> manifest.
 
-    ``num_partitions`` must be a power of two (the partition function is
-    ``hash & (P-1)``); it is recorded in every stage manifest so that
+    ``num_partitions`` must be a power of two (the layout is
+    ``hash64 & (P-1)``, ``stages/exchange.py``); it is recorded in every
+    stage manifest so that
     :func:`~yargy_ray.pipelines.incremental.merge_kg_delta` can refuse a
     merge whose layout disagrees with the base build.
     """
     import ray.data
 
-    if num_partitions & (num_partitions - 1) or num_partitions <= 0:
-        raise ValueError(
-            f'num_partitions must be a positive power of two, '
-            f'got {num_partitions}')
+    check_layout(num_partitions)
     fp = fingerprint('kg', transcripts_path, tuple(factory_paths),
                      num_partitions)
     layout = {'num_partitions': num_partitions}
@@ -452,8 +403,6 @@ def entity_mention_stats(triples_ds, num_partitions=64):
     """
     import numpy as np
 
-    from yargy_ray.stages.exchange import partitioned_reduce
-
     def partials(batch: pa.Table) -> pa.Table:
         keep = batch.filter(
             pc.not_equal(batch.column('pred'), 'has_position'))
@@ -466,11 +415,6 @@ def entity_mention_stats(triples_ds, num_partitions=64):
                               ).aggregate([([], 'count_all')])
         return agg.rename_columns(['kind', 'norm', 'conv_id',
                                    'mentions'])
-
-    def keyed(batch: pa.Table) -> pa.Table:
-        ent = pc.binary_join_element_wise(
-            batch.column('kind'), batch.column('norm'), ':')
-        return batch.append_column('ekey', _hash64(ent))
 
     def reduce_fn(table: pa.Table) -> pa.Table:
         df = table.select(['kind', 'norm', 'conv_id',
@@ -490,9 +434,8 @@ def entity_mention_stats(triples_ds, num_partitions=64):
 
     partial = triples_ds.map_batches(partials, batch_format='pyarrow',
                                      batch_size=8192)
-    return partitioned_reduce(
-        partial.map_batches(keyed, batch_format='pyarrow'),
-        'ekey', reduce_fn, num_partitions, coalesce='auto')
+    return partitioned_reduce(partial, ['kind', 'norm'], reduce_fn,
+                              num_partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -527,15 +470,8 @@ def entity_conv_counts(triples_ds, num_partitions=64):
     id. Map-side distinct incidences, ONE entity-keyed exchange with
     exact distinct counting (every entity's incidences co-locate).
     """
-    from yargy_ray.stages.exchange import partitioned_reduce
-
     incid = triples_ds.map_batches(
         _emit_conv_entities, batch_format='pyarrow', batch_size=8192)
-
-    def keyed(batch: pa.Table) -> pa.Table:
-        ent = pc.binary_join_element_wise(
-            batch.column('kind'), batch.column('norm'), ':')
-        return batch.append_column('ekey', _hash64(ent))
 
     def reduce_fn(table: pa.Table) -> pa.Table:
         df = table.select(['conv_id', 'kind', 'norm']).to_pandas()
@@ -548,9 +484,8 @@ def entity_conv_counts(triples_ds, num_partitions=64):
             'convs': pa.array(counts.to_numpy(), type=pa.int64()),
         })
 
-    return partitioned_reduce(
-        incid.map_batches(keyed, batch_format='pyarrow'),
-        'ekey', reduce_fn, num_partitions, coalesce='auto')
+    return partitioned_reduce(incid, ['kind', 'norm'], reduce_fn,
+                              num_partitions)
 
 
 MAX_CONV_ENTITIES = 4096  # bounded-work cap: a conversation mentioning
@@ -588,14 +523,8 @@ def co_mention_edges(triples_ds, num_partitions=64,
     """
     import numpy as np
 
-    from yargy_ray.stages.exchange import partitioned_reduce
-
     incid = triples_ds.map_batches(
         _emit_conv_entities, batch_format='pyarrow', batch_size=8192)
-
-    def keyed(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            'ckey', _hash64(batch.column('conv_id')))
 
     def pairs_fn(table: pa.Table) -> pa.Table:
         df = table.select(['conv_id', 'kind', 'norm']).to_pandas()
@@ -641,22 +570,8 @@ def co_mention_edges(triples_ds, num_partitions=64,
                                             [n_capped], pa.int64())})])
         return agg
 
-    pairs = partitioned_reduce(
-        incid.map_batches(keyed, batch_format='pyarrow'),
-        'ckey', pairs_fn, num_partitions, coalesce='auto')
-
-    def pair_keyed(batch: pa.Table) -> pa.Table:
-        return batch.append_column('pkey', _hash64(batch.column('a')))
-
-    def sum_fn(table: pa.Table) -> pa.Table:
-        df = table.select(['a', 'b', 'weight']).to_pandas()
-        agg = df.groupby(['a', 'b'], sort=False,
-                         as_index=False)['weight'].sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    summed = partitioned_reduce(
-        pairs.map_batches(pair_keyed, batch_format='pyarrow'),
-        'pkey', sum_fn, num_partitions, coalesce='auto')
+    pairs = partitioned_reduce(incid, 'conv_id', pairs_fn, num_partitions)
+    summed = sum_by(pairs, ['a', 'b'], 'weight', num_partitions)
 
     def to_ids(batch: pa.Table) -> pa.Table:
         is_stat = pc.equal(batch.column('a'), _CAPPED_SENTINEL)

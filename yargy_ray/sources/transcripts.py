@@ -10,8 +10,8 @@ worker independently — the generator scales horizontally as a
 ``ray.data.range(n) -> map_batches`` pipeline with no coordination.
 
 Skew is built in on purpose: every ``giant_every``-th conversation is
-``giant_factor``× longer than the median, to exercise the salted
-repartitioning path. Turn rows are emitted in a deterministically
+``giant_factor``× longer than the median, to exercise partition skew
+in the conversation exchanges. Turn rows are emitted in a deterministically
 shuffled order — consumers must restore stable turn order by sorting on
 ``turn_idx`` (the per-row invariant the driver checks).
 """

@@ -79,7 +79,7 @@ def benchmark_ngram_set(bench_ds, n=3):
 def _gram_index(grams: pa.Array):
     """(sorted int64 xxhashes, sorted fixed-width strings) of the gram
     set — the two-tier exact-membership index."""
-    from yargy_ray.pipelines.kg import _hash64
+    from yargy_ray.stages.exchange import _hash64
     if not len(grams):
         return (np.array([], dtype=np.int64), np.array([], dtype='U1'))
     hashes = np.sort(_hash64(grams).to_numpy(zero_copy_only=False))
@@ -119,7 +119,7 @@ class ContaminationCounter:
         xxhash index (8B/entry — an order of magnitude less memory
         traffic than string binary search), then exact string verify
         of ONLY the hash candidates (true hits + ~1e-5 collisions)."""
-        from yargy_ray.pipelines.kg import _hash64
+        from yargy_ray.stages.exchange import _hash64
         hit = np.zeros(len(grams), dtype=bool)
         if not len(self._hashes):
             return hit

@@ -62,7 +62,8 @@ def exact_dedup_groups(docs_ds, num_partitions=64):
             'n_dups': pa.array(agg['count'].to_numpy(), type=pa.int64()),
         })
 
-    return partitioned_reduce(keyed, 'fpk', reduce_fn, num_partitions)
+    return partitioned_reduce(keyed, 'fpk', reduce_fn, num_partitions,
+                              coalesce=None)
 
 
 def exact_dedup(docs_ds, num_partitions=64):
@@ -78,8 +79,8 @@ def exact_dedup(docs_ds, num_partitions=64):
             schema=table.schema)
 
     out = partitioned_reduce(keyed, 'fpk', reduce_fn, num_partitions,
-                             drop_part=False)
-    return out.drop_columns(['fpk', 'part'])
+                             coalesce=None)
+    return out.drop_columns(['fpk'])
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +222,7 @@ def _pair_agg(found, value_col, how, num_partitions=64):
             value_col].agg(how)
         return pa.Table.from_pandas(agg, preserve_index=False)
 
-    return partitioned_reduce(found, 'a', reduce_fn, num_partitions,
-                              coalesce='auto')
+    return partitioned_reduce(found, 'a', reduce_fn, num_partitions)
 
 
 MAX_BUCKET = 256  # hot-bucket cap: boilerplate shingles otherwise O(n^2)
@@ -293,7 +293,8 @@ def minhash_near_dups(docs_ds, num_perm=64, bands=16, k=5, threshold=0.7,
         return _per_bucket(
             table, lambda g: _minhash_bucket_pairs(g, num_perm, threshold))
 
-    pairs = partitioned_reduce(banded, 'bucket', reduce_fn, num_partitions)
+    pairs = partitioned_reduce(banded, 'bucket', reduce_fn, num_partitions,
+                               coalesce=None)
     return _pair_agg(pairs, 'sim', 'max')
 
 
@@ -363,7 +364,8 @@ def ngram_jaccard_dups(docs_ds, n=3, threshold=0.5, length_bucket=32):
     def reduce_fn(table):
         return _per_bucket(table, pairs_fn)
 
-    return partitioned_reduce(bucketed, 'bucket', reduce_fn, 16)
+    return partitioned_reduce(bucketed, 'bucket', reduce_fn, 16,
+                              coalesce=None)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +460,8 @@ def simhash_near_dups(docs_ds, max_hamming=3):
     def reduce_fn(table):
         return _per_bucket(table, pairs)
 
-    found = partitioned_reduce(bucketed, 'bucket', reduce_fn, 64)
+    found = partitioned_reduce(bucketed, 'bucket', reduce_fn, 64,
+                               coalesce=None)
     return _pair_agg(found, 'hamming', 'min')
 
 
@@ -548,7 +551,8 @@ def embedding_near_dups(emb_ds, dim, threshold=0.95, planes=12, tables=4):
     def reduce_fn(table):
         return _per_bucket(table, pairs)
 
-    found = partitioned_reduce(bucketed, 'bucket', reduce_fn, 64)
+    found = partitioned_reduce(bucketed, 'bucket', reduce_fn, 64,
+                               coalesce=None)
     return _pair_agg(found, 'cosine', 'max')
 
 

@@ -1,12 +1,34 @@
-"""Partition-wise reduce: the engine's scalable exchange pattern.
+"""The exchange: the one module that knows how rows are routed.
 
 ``groupby(key).map_groups(fn)`` degenerates when groups are tiny: one
 Python UDF call + one output block PER GROUP (an exact dedup of N
 distinct rows = N calls and N single-row blocks). The fix used across
-the engine: bucket keys into ``num_partitions`` coarse partitions
-(``hash(key) % P``), shuffle ONCE on the partition id, then run ONE
-vectorized reduce per partition — every key's full group is guaranteed
-to be inside exactly one partition.
+the engine: bucket keys into ``num_partitions`` coarse partitions,
+shuffle ONCE on the partition id, then run ONE vectorized reduce per
+partition — every key's full group is guaranteed to be inside exactly
+one partition.
+
+Routing rules (``P`` = ``num_partitions``):
+
+* an INTEGER key column routes by ``key mod P`` (the mathematical
+  modulus, so negative keys land in ``[0, P)`` too);
+* any other key column — in practice a string — routes by
+  ``hash64(key) mod P``;
+* a LIST of key columns routes by ``hash64`` of the values cast to
+  strings and ``'\\x1f'``-joined, so equal key tuples share a partition;
+* the key type is read from each batch inside the map function, never
+  probed on the driver (``ds.schema()`` would execute the upstream
+  pipeline one extra time).
+
+``hash64`` only ROUTES: reduces decide equality on the values
+themselves, so a 64-bit collision co-locates two keys but never merges
+them.
+
+The on-disk layout of partitioned outputs is ``hash64(col) & (P-1)``
+with P a power of two (:func:`layout_partition`, checked by
+:func:`check_layout`). It equals the string routing above, because
+``hash64`` is non-negative and ``x mod P == x & (P-1)`` for such P — so a
+reduce routed on the layout key sees whole layout partitions.
 
 P scales with the cluster (set it ~2-4x total cores); per-partition
 reduces stay pandas/numpy-vectorized regardless of group count.
@@ -18,26 +40,91 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def with_partition(ds, key_column, num_partitions, out='part'):
-    """Append ``part = key mod P`` in [0, P) for any integer key
-    (negative keys — e.g. planted duplicate vec_ids — normalize to the
-    mathematical modulus, so equal keys always share a partition)."""
+def _hash64(arr) -> pa.Array:
+    """Deterministic non-negative 64-bit hash of a column, vectorized.
+
+    polars' seeded xxhash: process-independent (unlike Python's
+    ``hash()``) and 17x faster than a per-row sha1 loop. Used for
+    routing and partition layout, where within-run determinism is what
+    matters; content-addressed NODE ids stay md5
+    (``pipelines.kg.node_id_of``) so graph identity survives library
+    upgrades. A polars version bump could reassign partitions between
+    runs — harmless, because resume reruns stages wholesale (old part
+    files are cleared, never mixed).
+    """
+    import numpy as np
+    import polars as pl
+    chunked = (arr if isinstance(arr, pa.ChunkedArray)
+               else pa.chunked_array([arr]))
+    h = pl.from_arrow(chunked).hash(seed=0).to_numpy()
+    return pa.array((h >> np.uint64(1)).astype(np.int64), type=pa.int64())
+
+
+def auto_blocks():
+    """Block count ``coalesce='auto'`` resolves to: the live cluster's
+    CPU count (at least 8; 8 without a Ray session)."""
+    import ray
+    if not ray.is_initialized():
+        return 8
+    return max(8, int(ray.cluster_resources().get('CPU', 8)))
+
+
+def partition_ids(batch: pa.Table, key, num_partitions):
+    """int32 partition id in [0, P) of every row of ``batch``, routed
+    on ``key`` — a column name or a list of them (module rules)."""
+    if isinstance(key, str) and pa.types.is_integer(batch.column(key).type):
+        value = pc.cast(batch.column(key), pa.int64())
+    elif isinstance(key, str):
+        value = _hash64(batch.column(key))
+    else:
+        value = _hash64(pc.binary_join_element_wise(
+            *[pc.cast(batch.column(k), pa.string()) for k in key], '\x1f'))
+    # no modulo kernel in pyarrow 16 — truncated divide leaves rem in
+    # (-P, P); adding P to the negatives lands in [0, P)
+    p = pa.scalar(num_partitions, pa.int64())
+    rem = pc.subtract(value, pc.multiply(pc.divide(value, p), p))
+    return pc.cast(pc.add(rem, pc.multiply(
+        pc.cast(pc.less(rem, 0), pa.int64()), p)), pa.int32())
+
+
+def with_partition(ds, key, num_partitions):
+    """Append ``part`` = :func:`partition_ids` of ``key``."""
     def add_part(batch: pa.Table) -> pa.Table:
-        # no modulo kernel in pyarrow 16 — truncated divide leaves
-        # rem in (-P, P); adding P to the negatives lands in [0, P)
-        p = pa.scalar(num_partitions, pa.int64())
-        key = pc.cast(batch.column(key_column), pa.int64())
-        rem = pc.subtract(key, pc.multiply(pc.divide(key, p), p))
-        part = pc.cast(pc.add(rem, pc.multiply(
-            pc.cast(pc.less(rem, 0), pa.int64()), p)), pa.int32())
-        return batch.append_column(out, part)
+        return batch.append_column(
+            'part', partition_ids(batch, key, num_partitions))
     return ds.map_batches(add_part, batch_format='pyarrow')
 
 
-def partitioned_reduce(ds, key_column, reduce_fn, num_partitions=64,
-                       drop_part=True, coalesce=None):
-    """Hash-partition on ``key_column``, one vectorized reduce per
-    partition. ``reduce_fn(table) -> table`` sees complete key groups.
+def layout_partition(column, num_partitions):
+    """On-disk layout partition id of a key column:
+    ``hash64 & (P-1)`` as int32, P a power of two."""
+    return pc.cast(pc.bit_wise_and(_hash64(column), num_partitions - 1),
+                   pa.int32())
+
+
+def check_layout(num_partitions, base_p=None, base=None):
+    """Refuse a partition count the layout cannot use: P must be a
+    positive power of two (:func:`layout_partition` masks with P-1),
+    and a merge must use the P its base build recorded (``base_p``,
+    read from ``base``'s manifest) or equal keys would land in
+    different partitions on the two sides."""
+    if num_partitions <= 0 or num_partitions & (num_partitions - 1):
+        raise ValueError(
+            f'num_partitions must be a positive power of two, '
+            f'got {num_partitions}')
+    if base_p is not None and base_p != num_partitions:
+        raise ValueError(
+            f'merge num_partitions={num_partitions} disagrees with the '
+            f'base layout num_partitions={base_p} ({base}) — the '
+            f'same-key co-partitioning invariant would silently break')
+
+
+def partitioned_reduce(ds, key, reduce_fn, num_partitions=64,
+                       coalesce='auto'):
+    """Route rows on ``key`` (a column name or a list of them; module
+    rules), then ONE ``reduce_fn(table) -> table`` call per partition;
+    it sees complete key groups plus the ``part`` column, which is
+    dropped from its output.
 
     ``coalesce=N`` repartitions the input down to N blocks before the
     exchange. The sort-based groupby's overhead scales with input BLOCK
@@ -46,22 +133,45 @@ def partitioned_reduce(ds, key_column, reduce_fn, num_partitions=64,
     9.8s -> 2.5s). Map stages that emit many small blocks (e.g. one per
     extraction task) should coalesce to ~total-cores blocks first; at
     real scale blocks approach the 128MB target and the coalesce
-    becomes a cheap no-op. ``coalesce='auto'`` resolves to the live
-    cluster's CPU count — scale-safe (block count tracks the cluster,
-    never a fixed constant)."""
+    becomes a cheap no-op. The default ``'auto'`` resolves to
+    :func:`auto_blocks` — block count tracks the cluster, never a fixed
+    constant; ``None`` skips the coalesce."""
     if coalesce == 'auto':
-        import ray
-        coalesce = max(8, int(ray.cluster_resources().get('CPU', 8))) \
-            if ray.is_initialized() else 8
+        coalesce = auto_blocks()
     if coalesce:
         ds = ds.repartition(coalesce)
-    parted = with_partition(ds, key_column, num_partitions)
+    parted = with_partition(ds, key, num_partitions)
 
     def reduce_partition(group: pa.Table) -> pa.Table:
         out = reduce_fn(group)
-        if drop_part and 'part' in out.column_names:
+        if 'part' in out.column_names:
             out = out.drop_columns(['part'])
         return out
 
     return parted.groupby('part').map_groups(
         reduce_partition, batch_format='pyarrow')
+
+
+def _sum_groups(table: pa.Table, keys, values) -> pa.Table:
+    """One partition of :func:`sum_by`: pandas group-by sum in
+    first-appearance order."""
+    if table.num_rows == 0:
+        return table.select(keys + values)
+    df = table.select(keys + values).to_pandas()
+    agg = df.groupby(keys, sort=False, as_index=False)[values].sum()
+    return pa.Table.from_pandas(agg, preserve_index=False)
+
+
+def sum_by(ds, keys, values, num_partitions=64):
+    """``GROUP BY keys`` summing ``values``; each is a column name or a
+    list of them. Routed on the FIRST key column, one vectorized pandas
+    sum per partition. Output columns are ``keys + values``.
+
+    The near-unique-key regime (one group per distinct node, edge,
+    token) is exactly where Ray's native sort-aggregate degenerates —
+    measured 20.6s vs 2s on 1.3M groups."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    values = [values] if isinstance(values, str) else list(values)
+    return partitioned_reduce(
+        ds, keys[0], lambda t: _sum_groups(t, keys, values),
+        num_partitions)

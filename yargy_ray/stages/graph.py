@@ -109,8 +109,7 @@ def connected_components(pairs_ds, a='a', b='b', num_partitions=64,
 
         labels = partitioned_reduce(
             edges.map_batches(init_labels, batch_format='pyarrow'),
-            'node', dedup_nodes, num_partitions,
-            coalesce='auto').materialize()
+            'node', dedup_nodes, num_partitions).materialize()
 
         def propagate(table: pa.Table) -> pa.Table:
             """One label partition + its persisted edge partition ->
@@ -181,11 +180,9 @@ def connected_components(pairs_ds, a='a', b='b', num_partitions=64,
             # 1) neighbor propagation: ONE label exchange; edges come
             # from the persisted partition, not a shuffle
             msgs = partitioned_reduce(labels, 'node', propagate,
-                                      num_partitions, drop_part=False,
-                                      coalesce='auto')
+                                      num_partitions)
             labels = partitioned_reduce(msgs, 'node', dedup_nodes,
-                                        num_partitions,
-                                        coalesce='auto').materialize()
+                                        num_partitions).materialize()
             # 2) pointer jump (label-of-label) — doubles propagation
             # distance per round
             if pointer_jump:
@@ -194,8 +191,8 @@ def connected_components(pairs_ds, a='a', b='b', num_partitions=64,
                     .union(labels.map_batches(tag_label(1),
                                               batch_format='pyarrow')))
                 labels = partitioned_reduce(
-                    jump_tagged, 'key', shortcut, num_partitions,
-                    coalesce='auto').materialize()
+                    jump_tagged, 'key', shortcut,
+                    num_partitions).materialize()
             cur_sum = labels.sum('label')
             if cur_sum == prev_sum:
                 break
@@ -212,6 +209,21 @@ def connected_components(pairs_ds, a='a', b='b', num_partitions=64,
                 storage.rmtree(edges_dir)
             except OSError:
                 pass
+
+
+def _rank(col, nodes_idx, ranks):
+    """Degree rank of each node of ``col``: ``nodes_idx`` is the sorted
+    node table, ``ranks`` the rank at each of its positions. A node
+    missing from the table raises ``ValueError`` — a bare searchsorted
+    would hand it a neighbour's rank, or index past the end."""
+    s = col.to_numpy(zero_copy_only=False).astype(str)
+    pos = np.searchsorted(nodes_idx, s)
+    known = pos < len(nodes_idx)
+    known[known] = nodes_idx[pos[known]] == s[known]
+    if not known.all():
+        raise ValueError(
+            f'node {s[~known][0]!r} is not in the degree table')
+    return ranks[pos]
 
 
 MAX_WEDGE_DEGREE = 4096  # bounded-work cap for triangle counting: a
@@ -270,27 +282,20 @@ def triangle_counts(edges_ds, a='src', b='dst', num_partitions=64,
     import pandas as pd
     import ray
 
-    from yargy_ray.pipelines.kg import _hash64
-    from yargy_ray.stages.exchange import partitioned_reduce
+    from yargy_ray.stages.exchange import partitioned_reduce, sum_by
 
     # ---- degree ranks: one exchange over edge endpoints -------------
     def endpoint_counts(batch: pa.Table) -> pa.Table:
         x, y = batch.column(a), batch.column(b)
         nodes = pa.concat_arrays([pc.cast(x, pa.string()).combine_chunks(),
                                   pc.cast(y, pa.string()).combine_chunks()])
-        t = pa.TableGroupBy(pa.table({'node': nodes}), 'node') \
+        return pa.TableGroupBy(pa.table({'node': nodes}), 'node') \
             .aggregate([([], 'count_all')]) \
             .rename_columns(['node', 'n'])
-        return t.append_column('dkey', _hash64(t.column('node')))
 
-    def degree_fn(table: pa.Table) -> pa.Table:
-        df = table.select(['node', 'n']).to_pandas()
-        agg = df.groupby('node', sort=False, as_index=False)['n'].sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    deg_parts = partitioned_reduce(
+    deg_parts = sum_by(
         edges_ds.map_batches(endpoint_counts, batch_format='pyarrow'),
-        'dkey', degree_fn, num_partitions, coalesce='auto')
+        'node', 'n', num_partitions)
     deg_batches = [pa.table({'node': b['node'], 'n': b['n']})
                    for b in deg_parts.iter_batches(batch_format='pyarrow')]
     if deg_batches:
@@ -309,10 +314,6 @@ def triangle_counts(edges_ds, a='src', b='dst', num_partitions=64,
     rank_of_sorted[order] = np.arange(len(order))
     ranks_ref = ray.put((nodes_sorted.astype(str), rank_of_sorted))
 
-    def _rank(col, nodes_idx, ranks):
-        s = col.to_numpy(zero_copy_only=False).astype(str)
-        return ranks[np.searchsorted(nodes_idx, s)]
-
     def orient(batch: pa.Table) -> pa.Table:
         """Canonical (degree, id)-rank orientation: a -> b uphill."""
         nodes_idx, ranks = ray.get(ranks_ref)
@@ -322,12 +323,11 @@ def triangle_counts(edges_ds, a='src', b='dst', num_partitions=64,
         return pa.table({'a': pc.if_else(lt, x, y),
                          'b': pc.if_else(lt, y, x)})
 
-    def keyed_edges(batch: pa.Table) -> pa.Table:
+    def ranked_edges(batch: pa.Table) -> pa.Table:
         nodes_idx, ranks = ray.get(ranks_ref)
         t = orient(batch)
-        t = t.append_column(
+        return t.append_column(
             'rank_b', pa.array(_rank(t.column('b'), nodes_idx, ranks)))
-        return t.append_column('wkey', _hash64(t.column('a')))
 
     def wedges_fn(table: pa.Table) -> pa.Table:
         df = table.select(['a', 'b', 'rank_b']).to_pandas() \
@@ -366,22 +366,20 @@ def triangle_counts(edges_ds, a='src', b='dst', num_partitions=64,
                          'w': pa.array(w, type=pa.string())})
 
     wedges = partitioned_reduce(
-        edges_ds.map_batches(keyed_edges, batch_format='pyarrow'),
-        'wkey', wedges_fn, num_partitions, coalesce='auto')
+        edges_ds.map_batches(ranked_edges, batch_format='pyarrow'),
+        'a', wedges_fn, num_partitions)
 
     def tag_wedge(batch: pa.Table) -> pa.Table:
         t = batch.select(['x', 'y', 'w'])
-        t = t.append_column('side', pa.array(
+        return t.append_column('side', pa.array(
             np.ones(t.num_rows, dtype=np.int8)))
-        return t.append_column('xkey', _hash64(t.column('x')))
 
     def tag_edge(batch: pa.Table) -> pa.Table:
         o = orient(batch)
         n = o.num_rows
-        t = pa.table({'x': o.column('a'), 'y': o.column('b'),
-                      'w': pa.array([''] * n, type=pa.string()),
-                      'side': pa.array(np.zeros(n, dtype=np.int8))})
-        return t.append_column('xkey', _hash64(t.column('x')))
+        return pa.table({'x': o.column('a'), 'y': o.column('b'),
+                         'w': pa.array([''] * n, type=pa.string()),
+                         'side': pa.array(np.zeros(n, dtype=np.int8))})
 
     tagged = (wedges.map_batches(tag_wedge, batch_format='pyarrow')
               .union(edges_ds.map_batches(tag_edge,
@@ -399,7 +397,7 @@ def triangle_counts(edges_ds, a='src', b='dst', num_partitions=64,
         agg = corners.value_counts()
         node = agg.index.to_numpy(dtype=object)
         n = agg.to_numpy(dtype=np.int64)
-        if len(sent):
+        if len(sent) and include_capped_stat:
             # every capped node lands in ONE wedge partition, so the
             # per-partition distinct is globally exact
             node = np.concatenate([node, [CAPPED_WEDGE_STAT_ID]])
@@ -407,24 +405,8 @@ def triangle_counts(edges_ds, a='src', b='dst', num_partitions=64,
         return pa.table({'node_id': pa.array(node, type=pa.string()),
                          'triangles': pa.array(n, type=pa.int64())})
 
-    partial = partitioned_reduce(tagged, 'xkey', close_fn,
-                                 num_partitions, coalesce='auto')
-
-    def keyed_counts(batch: pa.Table) -> pa.Table:
-        return batch.append_column('nkey',
-                                   _hash64(batch.column('node_id')))
-
-    def sum_fn(table: pa.Table) -> pa.Table:
-        df = table.select(['node_id', 'triangles']).to_pandas()
-        agg = df.groupby('node_id', sort=False,
-                         as_index=False)['triangles'].sum()
-        if not include_capped_stat:
-            agg = agg[agg['node_id'] != CAPPED_WEDGE_STAT_ID]
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    return partitioned_reduce(
-        partial.map_batches(keyed_counts, batch_format='pyarrow'),
-        'nkey', sum_fn, num_partitions, coalesce='auto')
+    partial = partitioned_reduce(tagged, 'x', close_fn, num_partitions)
+    return sum_by(partial, 'node_id', 'triangles', num_partitions)
 
 
 MAX_MID_DEGREE = 4096  # bounded-work cap: a mid node with in-degree i
@@ -462,7 +444,6 @@ def two_hop_counts(edges_ds, num_partitions=64,
     import numpy as np
     import pandas as pd
 
-    from yargy_ray.pipelines.kg import _hash64
     from yargy_ray.stages.exchange import partitioned_reduce
 
     def tag(side):
@@ -476,7 +457,6 @@ def two_hop_counts(edges_ds, num_partitions=64,
                 'other': other,
                 'side': pa.array(np.full(batch.num_rows, side,
                                          dtype=np.int8)),
-                'mkey': _hash64(mid),
             })
         return fn
 
@@ -513,11 +493,7 @@ def two_hop_counts(edges_ds, num_partitions=64,
                               'dst': capped})], ignore_index=True)
         return pa.Table.from_pandas(pairs, preserve_index=False)
 
-    pairs = partitioned_reduce(tagged, 'mkey', join_mid, num_partitions,
-                               coalesce='auto')
-
-    def keyed(batch: pa.Table) -> pa.Table:
-        return batch.append_column('skey', _hash64(batch.column('src')))
+    pairs = partitioned_reduce(tagged, 'mid', join_mid, num_partitions)
 
     def count_fn(table: pa.Table) -> pa.Table:
         df = table.select(['src', 'dst']).to_pandas().drop_duplicates()
@@ -526,9 +502,7 @@ def two_hop_counts(edges_ds, num_partitions=64,
             agg.rename(columns={'src': 'node_id', 'dst': 'two_hop'}),
             preserve_index=False)
 
-    counted = partitioned_reduce(
-        pairs.map_batches(keyed, batch_format='pyarrow'),
-        'skey', count_fn, num_partitions, coalesce='auto')
+    counted = partitioned_reduce(pairs, 'src', count_fn, num_partitions)
 
     def finish(batch: pa.Table) -> pa.Table:
         is_stat = pc.equal(batch.column('node_id'), _CAPPED_MID_SENTINEL)
@@ -568,8 +542,7 @@ def pagerank(edges_ds, damping=0.85, iters=10, num_partitions=64,
     """
     import pandas as pd
 
-    from yargy_ray.pipelines.kg import _hash64
-    from yargy_ray.stages.exchange import partitioned_reduce
+    from yargy_ray.stages.exchange import partitioned_reduce, with_partition
 
     own_dir = edges_dir is None
     if own_dir:
@@ -578,10 +551,6 @@ def pagerank(edges_ds, damping=0.85, iters=10, num_partitions=64,
         import ray.data
 
         # ---- persist out-degree-normalized edges, partitioned on src
-        def keyed_src(batch: pa.Table) -> pa.Table:
-            t = batch.select(['src', 'dst'])
-            return t.append_column('skey', _hash64(t.column('src')))
-
         def norm_fn(table: pa.Table) -> pa.Table:
             df = table.select(['src', 'dst']).to_pandas()
             df = df.drop_duplicates().sort_values(
@@ -592,19 +561,10 @@ def pagerank(edges_ds, damping=0.85, iters=10, num_partitions=64,
             return pa.Table.from_pandas(df, preserve_index=False)
 
         normed = partitioned_reduce(
-            edges_ds.map_batches(keyed_src, batch_format='pyarrow'),
-            'skey', norm_fn, num_partitions, coalesce='auto')
-
-        from yargy_ray.stages.exchange import with_partition
-
-        def rekey(batch: pa.Table) -> pa.Table:
-            return batch.append_column('pkey',
-                                       _hash64(batch.column('src')))
-
-        with_partition(
-            normed.map_batches(rekey, batch_format='pyarrow'),
-            'pkey', num_partitions).drop_columns(
-            ['pkey']).write_parquet(edges_dir, partition_cols=['part'])
+            edges_ds.select_columns(['src', 'dst']), 'src', norm_fn,
+            num_partitions)
+        with_partition(normed, 'src', num_partitions).write_parquet(
+            edges_dir, partition_cols=['part'])
 
         # ---- node universe + initial ranks + out-degree flags -------
         def emit_nodes(batch: pa.Table) -> pa.Table:
@@ -623,15 +583,9 @@ def pagerank(edges_ds, damping=0.85, iters=10, num_partitions=64,
                              as_index=False)['has_out'].max()
             return pa.Table.from_pandas(agg, preserve_index=False)
 
-        def keyed_node(batch: pa.Table) -> pa.Table:
-            return batch.append_column('nkey',
-                                       _hash64(batch.column('node')))
-
         nodes = partitioned_reduce(
-            edges_ds.map_batches(emit_nodes, batch_format='pyarrow')
-            .map_batches(keyed_node, batch_format='pyarrow'),
-            'nkey', node_fn, num_partitions,
-            coalesce='auto').materialize()
+            edges_ds.map_batches(emit_nodes, batch_format='pyarrow'),
+            'node', node_fn, num_partitions).materialize()
         n_nodes = nodes.count()
         if n_nodes == 0:
             return ray.data.from_arrow(pa.table({
@@ -715,14 +669,10 @@ def pagerank(edges_ds, damping=0.85, iters=10, num_partitions=64,
                         flags.to_numpy(dtype=np.int8)),
                 })
 
-            msgs = partitioned_reduce(
-                ranks.map_batches(keyed_node, batch_format='pyarrow'),
-                'nkey', propagate, num_partitions, drop_part=False,
-                coalesce='auto')
-            ranks = partitioned_reduce(
-                msgs.map_batches(keyed_node, batch_format='pyarrow'),
-                'nkey', combine, num_partitions,
-                coalesce='auto').materialize()
+            msgs = partitioned_reduce(ranks, 'node', propagate,
+                                      num_partitions)
+            ranks = partitioned_reduce(msgs, 'node', combine,
+                                       num_partitions).materialize()
 
         return ranks.map_batches(
             lambda t: t.select(['node', 'rank']),
@@ -743,8 +693,7 @@ def node_degrees(edges_ds, a='src', b='dst', num_partitions=64):
     endpoint arrays), ONE hash exchange keyed by the node string —
     exchange rows = distinct nodes per batch.
     """
-    from yargy_ray.pipelines.kg import _hash64
-    from yargy_ray.stages.exchange import partitioned_reduce
+    from yargy_ray.stages.exchange import sum_by
 
     def partial(batch: pa.Table) -> pa.Table:
         ca = pc.cast(batch.column(a), pa.string())
@@ -756,20 +705,8 @@ def node_degrees(edges_ds, a='src', b='dst', num_partitions=64):
             'degree': counts.field('counts').cast(pa.int64()),
         })
 
-    def keyed(batch: pa.Table) -> pa.Table:
-        return batch.append_column('nkey',
-                                   _hash64(batch.column('node')))
-
-    def reduce_fn(table: pa.Table) -> pa.Table:
-        df = table.select(['node', 'degree']).to_pandas()
-        agg = df.groupby('node', sort=False,
-                         as_index=False)['degree'].sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    return partitioned_reduce(
-        edges_ds.map_batches(partial, batch_format='pyarrow')
-        .map_batches(keyed, batch_format='pyarrow'),
-        'nkey', reduce_fn, num_partitions, coalesce='auto')
+    return sum_by(edges_ds.map_batches(partial, batch_format='pyarrow'),
+                  'node', 'degree', num_partitions)
 
 
 def degree_correlation(edges_ds, a='src', b='dst', num_partitions=64):
@@ -785,10 +722,8 @@ def degree_correlation(edges_ds, a='src', b='dst', num_partitions=64):
     same contract as the pair-overlap entity counts; swap for the
     co-partitioned hash_join when node count outgrows worker memory)
     broadcast onto the streaming edge table twice, then map-side
-    partial sums -> one tiny constant-key reduce.
+    partial sums -> one tiny single-partition reduce.
     """
-    import numpy as np
-
     from yargy_ray.stages.exchange import partitioned_reduce
     from yargy_ray.stages.joins import broadcast_join
 
@@ -827,17 +762,12 @@ def degree_correlation(edges_ds, a='src', b='dst', num_partitions=64):
     cols = ['n_edges', 'sum_du', 'sum_dv', 'sum_du_dv', 'sum_du2',
             'sum_dv2']
 
-    def keyed(batch: pa.Table) -> pa.Table:
-        import numpy as np
-        return batch.append_column('zero', pa.array(
-            np.zeros(batch.num_rows, dtype=np.int64)))
-
     def merge(table: pa.Table) -> pa.Table:
         return pa.table({c: pa.array(
             [pc.sum(table.column(c)).as_py() or 0], pa.int64())
             for c in cols})
 
+    # one partition: every partial meets in one merge
     return partitioned_reduce(
-        with_both.map_batches(partial_sums, batch_format='pyarrow')
-        .map_batches(keyed, batch_format='pyarrow'),
-        'zero', merge, 1, coalesce='auto')
+        with_both.map_batches(partial_sums, batch_format='pyarrow'),
+        'n_edges', merge, 1)

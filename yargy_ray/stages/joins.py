@@ -87,7 +87,7 @@ def broadcast_join(big_ds, small_ds, big_key, small_key, columns,
 
 
 def asof_join(left_ds, right_ds, by, on, direction='backward',
-              suffix='_r', num_partitions=64, coalesce='auto'):
+              suffix='_r', num_partitions=64):
     """Big-big as-of join: for each left row, attach the latest right
     row with the same ``by`` key and ``right.on <= left.on``
     ('backward'; 'forward' takes the earliest ``right.on >= left.on``).
@@ -98,8 +98,7 @@ def asof_join(left_ds, right_ds, by, on, direction='backward',
     then each partition runs pandas ``merge_asof`` — a vectorized
     sorted merge, O((l+r) log(l+r)) per partition with no per-key UDF
     calls. Right-side (by, on) pairs must be unique (pre-aggregate
-    ties); ``by`` must be a non-negative integer key (the exchange
-    contract of stages/exchange.py).
+    ties); ``by`` routes by the rules of stages/exchange.py.
 
     Scale shape: the only data movement is the single co-partitioning
     exchange; skewed ``by`` keys bound partition size the same way the
@@ -181,8 +180,7 @@ def asof_join(left_ds, right_ds, by, on, direction='backward',
             merged[left_names + val_names], schema=out_schema,
             preserve_index=False).replace_schema_metadata(None)
 
-    return partitioned_reduce(tagged, by, reduce_fn, num_partitions,
-                              coalesce=coalesce)
+    return partitioned_reduce(tagged, by, reduce_fn, num_partitions)
 
 
 def interval_join(left_ds, right_ds, by, on, start, stop, suffix='_r',
@@ -219,13 +217,12 @@ def interval_join(left_ds, right_ds, by, on, start, stop, suffix='_r',
 
 
 def hash_join(left_ds, right_ds, on, suffix='_r', num_partitions=64,
-              coalesce='auto', how='inner'):
+              how='inner'):
     """Big-big equi-join: both sides co-partitioned by the join key in
     ONE tagged-union exchange, then a vectorized pandas merge per
     partition. Complements ``broadcast_join`` (small side) and the
-    temporal joins; ``on`` must be a non-negative integer key (the
-    exchange contract). Right columns colliding with left names get
-    ``suffix``.
+    temporal joins; ``on`` routes by the rules of stages/exchange.py.
+    Right columns colliding with left names get ``suffix``.
 
     ``how``: ``'inner'`` | ``'left'`` (left outer — unmatched left rows
     survive with null right columns) | ``'semi'`` (left rows with at
@@ -315,8 +312,7 @@ def hash_join(left_ds, right_ds, on, suffix='_r', num_partitions=64,
                                     preserve_index=False
                                     ).replace_schema_metadata(None)
 
-    return partitioned_reduce(tagged, on, reduce_fn, num_partitions,
-                              coalesce=coalesce)
+    return partitioned_reduce(tagged, on, reduce_fn, num_partitions)
 
 
 def interval_join_all(left_ds, right_ds, by, on, start, stop,
@@ -423,5 +419,4 @@ def interval_join_all(left_ds, right_ds, by, on, start, stop,
                                     preserve_index=False
                                     ).replace_schema_metadata(None)
 
-    return partitioned_reduce(tagged, by, reduce_fn, num_partitions,
-                              coalesce='auto')
+    return partitioned_reduce(tagged, by, reduce_fn, num_partitions)

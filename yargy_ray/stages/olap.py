@@ -18,15 +18,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _key_hash(table: pa.Table, keys) -> pa.ChunkedArray:
-    """Combined int64 shuffle key over one or more key columns."""
-    from yargy_ray.pipelines.kg import _hash64
-
-    joined = pc.binary_join_element_wise(
-        *[pc.cast(table.column(k), pa.string()) for k in keys], '\x1f')
-    return _hash64(joined)
-
-
 def _group_sum(table: pa.Table, keys, vals) -> pa.Table:
     """Arrow-native group-by sum + count over (keys, vals)."""
     agg = table.select(list(keys) + list(vals)).group_by(
@@ -58,9 +49,6 @@ def rollup_aggregate(ds, keys, vals, num_partitions=64):
     def partial(batch: pa.Table) -> pa.Table:
         return _group_sum(batch, keys, vals)
 
-    def keyed(batch: pa.Table) -> pa.Table:
-        return batch.append_column('rkey', _key_hash(batch, keys))
-
     def reduce_fine(table: pa.Table) -> pa.Table:
         # partials already carry n_rows; sum it like a value
         agg = table.select(list(keys) + list(vals) + ['n_rows']) \
@@ -72,9 +60,8 @@ def rollup_aggregate(ds, keys, vals, num_partitions=64):
         return pa.table(cols)
 
     fine = partitioned_reduce(
-        ds.map_batches(partial, batch_format='pyarrow')
-        .map_batches(keyed, batch_format='pyarrow'),
-        'rkey', reduce_fine, num_partitions, coalesce='auto')
+        ds.map_batches(partial, batch_format='pyarrow'), list(keys),
+        reduce_fine, num_partitions)
 
     # the fine aggregate is category-cardinality sized: ONE block, and
     # every level (fine + all coarser) derives from it in one
@@ -168,7 +155,7 @@ def pivot_counts(ds, key, cat_col, categories, num_partitions=64):
 
     return partitioned_reduce(
         ds.map_batches(partial, batch_format='pyarrow'),
-        'k', reduce_fn, num_partitions, coalesce='auto')
+        'k', reduce_fn, num_partitions)
 
 
 def fixed_histogram(ds, col, lo, width, num_buckets):
@@ -205,4 +192,4 @@ def fixed_histogram(ds, col, lo, width, num_buckets):
     # num_buckets distinct keys: ONE partition suffices at any scale
     from yargy_ray.stages.exchange import partitioned_reduce
     return partitioned_reduce(partials, 'bucket', reduce_fn,
-                              num_partitions=1, coalesce='auto')
+                              num_partitions=1)

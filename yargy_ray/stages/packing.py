@@ -97,5 +97,4 @@ def pack_assignments(docs_ds, seq_len=2048, num_partitions=64):
             'pack_id': pa.array(off // seq_len, type=pa.int64()),
         })
 
-    return partitioned_reduce(keyed, 'rpart', local_scan,
-                              num_partitions, coalesce='auto')
+    return partitioned_reduce(keyed, 'rpart', local_scan, num_partitions)

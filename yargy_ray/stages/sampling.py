@@ -83,9 +83,8 @@ def topk_per_group(ds, group_columns, order_column, k, descending=True,
         return pa.Table.from_pandas(out, schema=table.schema,
                                     preserve_index=False)
 
-    key = group_columns[0]
-    return partitioned_reduce(ds, key, reduce_fn, num_partitions,
-                              coalesce='auto')
+    return partitioned_reduce(ds, group_columns[0], reduce_fn,
+                              num_partitions)
 
 
 def group_quantiles(ds, key_column, value_column, qs=(0.5, 0.9),
@@ -97,7 +96,7 @@ def group_quantiles(ds, key_column, value_column, qs=(0.5, 0.9),
     Interpolation is ``a*(1-f) + b*f`` — DuckDB's ``quantile_cont``
     arithmetic exactly, so SQL oracles compare bit-for-bit (the
     ``a + f*(b-a)`` variant differs in the last ulp). ``key_column``
-    must be a non-negative integer (exchange contract).
+    must be an integer column.
     """
     from yargy_ray.stages.exchange import partitioned_reduce
 
@@ -131,8 +130,7 @@ def group_quantiles(ds, key_column, value_column, qs=(0.5, 0.9),
                                 type=pa.float64())
         return pa.table(cols)
 
-    return partitioned_reduce(ds, key_column, reduce_fn,
-                              num_partitions, coalesce='auto')
+    return partitioned_reduce(ds, key_column, reduce_fn, num_partitions)
 
 
 def stratified_sample(ds, group_column, id_column, k, num_partitions=64):
@@ -140,8 +138,7 @@ def stratified_sample(ds, group_column, id_column, k, num_partitions=64):
     an md5 of the id and keep the k smallest — an unbiased, seedless
     draw that is reproducible across cluster sizes, resume, and
     repartitioning (the property a balanced-domain training sample
-    needs). Reuses the top-k exchange shape; ``group_column`` must be a
-    non-negative integer key."""
+    needs). Reuses the top-k exchange shape."""
     def rank(batch: pa.Table) -> pa.Table:
         return batch.append_column(
             '_rank', pa.array(

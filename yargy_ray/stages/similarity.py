@@ -115,7 +115,7 @@ def merge_topk_distributed(partials_ds, k, num_partitions=16):
 
     reduced = partitioned_reduce(
         partials_ds, 'query_id', lambda t: _topk_partition(t, k),
-        num_partitions, coalesce='auto')
+        num_partitions)
     final = pa.Table.from_pylist(
         reduced.take_all(),
         schema=pa.schema([('query_id', pa.int64()), ('rank', pa.int64()),

@@ -53,13 +53,8 @@ def kmv_distinct(ds, column, k=64):
 
     from yargy_ray.stages.exchange import partitioned_reduce
 
-    def keyed(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            'zero', pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
-
-    merged = partitioned_reduce(
-        partials.map_batches(keyed, batch_format='pyarrow'),
-        'zero', merge, 1, coalesce='auto')
+    # one partition: every row meets in one merge, whatever the key
+    merged = partitioned_reduce(partials, 'hv', merge, 1)
     rows = merged.take_all()                    # bounded: <= k rows
     hs = sorted(r['hv'] for r in rows)[:k]
     n = len(hs)
@@ -113,7 +108,7 @@ def heavy_hitters(docs_ds, min_frac=0.01,
     import pyarrow.compute as pc
     import ray
 
-    from yargy_ray.stages.exchange import partitioned_reduce
+    from yargy_ray.stages.exchange import partitioned_reduce, sum_by
     from yargy_ray.stages.text import _vocab_partial
 
     if sketch_k is None:
@@ -153,15 +148,10 @@ def heavy_hitters(docs_ds, min_frac=0.01,
             'token': pa.array(['']),
             'n': pa.array([total], type=pa.int64())})])
 
-    def keyed(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            'zero', pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
-
     summaries = docs_ds.map_batches(batch_summary,
                                     batch_format='pyarrow')
-    merged = partitioned_reduce(
-        summaries.map_batches(keyed, batch_format='pyarrow'),
-        'zero', merge, 1, coalesce='auto')
+    # one partition: every summary meets in one merge
+    merged = partitioned_reduce(summaries, 'token', merge, 1)
     rows = merged.take_all()                 # bounded: <= sketch_k rows
     total = sum(r['n'] for r in rows if r['token'] == '')
     candidates = pa.array(
@@ -186,19 +176,7 @@ def heavy_hitters(docs_ds, min_frac=0.01,
         ExactRecount, fn_constructor_kwargs={'ref': cand_ref},
         batch_format='pyarrow', concurrency=(1, 4))
 
-    def sum_fn(table: pa.Table) -> pa.Table:
-        df = table.select(['token', 'n']).to_pandas()
-        agg = df.groupby('token', sort=False, as_index=False)['n'].sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    def tok_keyed(batch: pa.Table) -> pa.Table:
-        from yargy_ray.pipelines.kg import _hash64
-        return batch.append_column('vkey',
-                                   _hash64(batch.column('token')))
-
-    counted = partitioned_reduce(
-        exact.map_batches(tok_keyed, batch_format='pyarrow'),
-        'vkey', sum_fn, num_partitions, coalesce='auto')
+    counted = sum_by(exact, 'token', 'n', num_partitions)
     threshold = min_frac * total
     final = counted.filter(expr=f'n >= {threshold}')
     rows = final.take_all()                  # bounded: heavy hitters

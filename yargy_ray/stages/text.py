@@ -172,22 +172,10 @@ def vocab_counts(docs_ds, min_count=1, num_partitions=64):
     100 TB the exchange carries per-batch distinct tokens only
     (sub-linear in corpus size by Heaps' law).
     """
-    from yargy_ray.pipelines.kg import _hash64
-    from yargy_ray.stages.exchange import partitioned_reduce
+    from yargy_ray.stages.exchange import sum_by
 
     partial = docs_ds.map_batches(_vocab_partial, batch_format='pyarrow')
-
-    def keyed(batch: pa.Table) -> pa.Table:
-        return batch.append_column('vkey', _hash64(batch.column('token')))
-
-    def reduce_fn(table: pa.Table) -> pa.Table:
-        df = table.select(['token', 'n']).to_pandas()
-        agg = df.groupby('token', sort=False, as_index=False)['n'].sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    out = partitioned_reduce(
-        partial.map_batches(keyed, batch_format='pyarrow'),
-        'vkey', reduce_fn, num_partitions, coalesce='auto')
+    out = sum_by(partial, 'token', 'n', num_partitions)
     if min_count > 1:
         out = out.filter(expr=f'n >= {min_count}')
     return out
@@ -252,8 +240,7 @@ def doc_top_terms(docs_ds, k=3, num_partitions=64, concurrency=(1, 4)):
     join if a corpus's vocabulary outgrows worker memory); the final
     top-k is ONE doc-keyed exchange (topk_per_group).
     """
-    from yargy_ray.pipelines.kg import _hash64
-    from yargy_ray.stages.exchange import partitioned_reduce
+    from yargy_ray.stages.exchange import sum_by
     from yargy_ray.stages.joins import broadcast_join
     from yargy_ray.stages.sampling import topk_per_group
 
@@ -264,18 +251,8 @@ def doc_top_terms(docs_ds, k=3, num_partitions=64, concurrency=(1, 4)):
         return pa.table({'token': counts.field('values'),
                          'df': counts.field('counts').cast(pa.int64())})
 
-    def keyed(batch: pa.Table) -> pa.Table:
-        return batch.append_column('vkey', _hash64(batch.column('token')))
-
-    def sum_fn(table: pa.Table) -> pa.Table:
-        d = table.select(['token', 'df']).to_pandas()
-        agg = d.groupby('token', sort=False, as_index=False)['df'].sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    df = partitioned_reduce(
-        tf.map_batches(df_partial, batch_format='pyarrow').map_batches(
-            keyed, batch_format='pyarrow'),
-        'vkey', sum_fn, num_partitions, coalesce='auto')
+    df = sum_by(tf.map_batches(df_partial, batch_format='pyarrow'),
+                'token', 'df', num_partitions)
 
     joined = broadcast_join(tf, df, 'token', 'token', ['df'],
                             concurrency=concurrency)
@@ -307,25 +284,11 @@ def bigram_counts(docs_ds, min_count=1, num_partitions=64):
     counts, ONE hash exchange keyed by a vectorized bigram hash,
     in-partition sum. The exchange ships per-batch DISTINCT bigrams
     only (sub-linear in corpus size)."""
-    from yargy_ray.pipelines.kg import _hash64
-    from yargy_ray.stages.exchange import partitioned_reduce
+    from yargy_ray.stages.exchange import sum_by
 
     partial = docs_ds.map_batches(_bigram_partial,
                                   batch_format='pyarrow')
-
-    def keyed(batch: pa.Table) -> pa.Table:
-        return batch.append_column('bkey',
-                                   _hash64(batch.column('bigram')))
-
-    def reduce_fn(table: pa.Table) -> pa.Table:
-        df = table.select(['bigram', 'n']).to_pandas()
-        agg = df.groupby('bigram', sort=False,
-                         as_index=False)['n'].sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    out = partitioned_reduce(
-        partial.map_batches(keyed, batch_format='pyarrow'),
-        'bkey', reduce_fn, num_partitions, coalesce='auto')
+    out = sum_by(partial, 'bigram', 'n', num_partitions)
     if min_count > 1:
         out = out.filter(expr=f'n >= {min_count}')
     return out

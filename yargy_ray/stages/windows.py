@@ -79,8 +79,7 @@ def sessionize(events_ds, gap_minutes=30, num_partitions=64):
         return _sessionize_partition(part, gap_us)
 
     return partitioned_reduce(events_ds, 'user_id', fn,
-                              num_partitions=num_partitions,
-                              coalesce='auto')
+                              num_partitions=num_partitions)
 
 
 def _tumbling_partial(batch: pa.Table) -> pa.Table:
@@ -99,20 +98,15 @@ def _tumbling_partial(batch: pa.Table) -> pa.Table:
     ).rename_columns(['event_type', 'window_start', 'n', 'sum_value'])
 
 
-def _auto_repartition(ds):
-    """Coalesce partial blocks to ~cluster-CPU count before a native
-    groupby — its sort overhead scales with block COUNT (exchange.py);
-    partials are tiny, so this is one cheap narrow pass."""
-    import ray
-    n = max(8, int(ray.cluster_resources().get('CPU', 8))) \
-        if ray.is_initialized() else 8
-    return ds.repartition(n)
-
-
 def tumbling_window(events_ds, unit='hour'):
-    """Per (event_type, hour) event count + value sum."""
-    partial = _auto_repartition(events_ds.map_batches(
-        _tumbling_partial, batch_format='pyarrow'))
+    """Per (event_type, hour) event count + value sum. Partial blocks
+    are coalesced to the exchange's auto block count first: the native
+    groupby's sort overhead scales with block COUNT (exchange.py), and
+    partials are tiny, so this is one cheap narrow pass."""
+    from .exchange import auto_blocks
+    partial = events_ds.map_batches(
+        _tumbling_partial, batch_format='pyarrow').repartition(
+        auto_blocks())
     out = (
         partial.groupby(['event_type', 'window_start'])
         .sum(['n', 'sum_value'])
@@ -143,6 +137,7 @@ def hopping_window(events_ds, size_hours=3, hop_hours=1):
     """
     if size_hours % hop_hours != 0:
         raise ValueError('size_hours must be a multiple of hop_hours')
+    from .exchange import auto_blocks
     k = size_hours // hop_hours
 
     hop_us = hop_hours * 3_600_000_000
@@ -164,8 +159,8 @@ def hopping_window(events_ds, size_hours=3, hop_hours=1):
         return pa.concat_tables(shifted)
 
     out = (
-        _auto_repartition(
-            events_ds.map_batches(partial, batch_format='pyarrow'))
+        events_ds.map_batches(partial, batch_format='pyarrow')
+        .repartition(auto_blocks())
         .groupby(['event_type', 'window_start'])
         .sum(['n', 'sum_value'])
         .rename_columns({'sum(n)': 'n_events',
@@ -223,7 +218,7 @@ def funnel_stages(events_ds, stages=('click', 'view', 'purchase'),
 
     return partitioned_reduce(
         events_ds.select_columns(['user_id', 'ts', 'event_type']),
-        'user_id', reduce_fn, num_partitions, coalesce='auto')
+        'user_id', reduce_fn, num_partitions)
 
 
 def event_transitions(events_ds, num_partitions=64):
@@ -270,7 +265,7 @@ def event_transitions(events_ds, num_partitions=64):
     partials = partitioned_reduce(
         events_ds.select_columns(
             ['event_id', 'user_id', 'ts', 'event_type']),
-        'user_id', reduce_fn, num_partitions, coalesce='auto')
+        'user_id', reduce_fn, num_partitions)
     agg = partials.groupby(['from_type', 'to_type']).sum('n')
     return agg.map_batches(
         lambda b: b.rename_columns(['from_type', 'to_type', 'n']),
@@ -318,4 +313,4 @@ def event_gaps(events_ds, num_partitions=64):
 
     return partitioned_reduce(
         events_ds.select_columns(['event_id', 'user_id', 'ts']),
-        'user_id', reduce_fn, num_partitions, coalesce='auto')
+        'user_id', reduce_fn, num_partitions)
