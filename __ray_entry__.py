@@ -28,9 +28,11 @@ def _read(sf_dir, table):
 
 
 def _pool(reserve=1, cap=None):
-    """Actor-pool sizing from the LIVE cluster: autoscale 1..cpus-reserve
-    (leaves CPUs for the task operators up/downstream). Hardcoding the
-    max under-parallelizes whenever the driver gives more cores."""
+    """Concurrency from the LIVE cluster: ``(1, cpus - reserve)``, which
+    caps concurrent extraction tasks at ``cpus - reserve`` and autoscales
+    the other actor-pool stages over that range (leaves CPUs for the
+    task operators up/downstream). Hardcoding the max under-parallelizes
+    whenever the driver gives more cores."""
     import ray
     cpus = int(ray.cluster_resources().get('CPU', 4)) if \
         ray.is_initialized() else 4

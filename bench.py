@@ -137,10 +137,10 @@ def run_headline(corpus_path):
     n_turns = turns.count()
 
     start = time.time()
-    # ONE fused actor stage (extract+project+prededup) sized cpus-1:
-    # everything left after the pool is the small exchange + write, so a
-    # single free CPU doesn't serialize pipeline work behind the actors.
-    # Fixed pool, not autoscaling: ramp-up is too slow for a batch job.
+    # ONE fused extraction stage (extract+project+prededup) capped at
+    # cpus-1 concurrent tasks: everything left after it is the small
+    # exchange + write, so a single free CPU doesn't serialize pipeline
+    # work behind extraction.
     triples = extract_triples(
         turns, concurrency=max(1, NUM_CPUS - 1), batch_size=256)
     # coalesce tiny extraction output blocks before the exchange: the

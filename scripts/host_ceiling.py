@@ -10,7 +10,7 @@ workload; measure aggregate throughput at K = 1, 8, 32. Three
 workloads:
 
 * ``extract``  — the real per-turn extraction loop (MentionExtractor
-  over pyarrow batches, exactly the actor hot path), each worker on
+  over pyarrow batches, exactly the Ray worker hot path), each worker on
   its own disjoint slice of the synthetic corpus.
 * ``cpu``      — cache-resident compute control (128x128 float32
   matmul): if the box can scale compute, this scales ~linearly.
@@ -53,7 +53,7 @@ def _run_extract(worker, convs, barrier, out):
     import pyarrow as pa
     from yargy_ray.stages.extract import MentionExtractor
     os.sched_setaffinity(0, {worker})
-    # disjoint corpus slice per worker; batches mirror the actor path
+    # disjoint corpus slice per worker; batches mirror the Ray task path
     texts = _gen_texts(worker * convs, (worker + 1) * convs)
     tables = [
         pa.table({

@@ -1444,6 +1444,23 @@ def test_fixed_histogram(ray_session):
     assert out.tolist() == [3, 1, 1, 0, 3]
 
 
+def test_fixed_histogram_drops_values_below_lo(ray_session):
+    """Values below ``lo`` fall in no bucket (the SQL oracle's negative
+    buckets miss its ``RANGE`` join); they are not clamped into 0."""
+    import ray.data
+
+    from yargy_ray.stages.olap import fixed_histogram
+
+    ds = ray.data.from_items([{'x': v} for v in
+                              [-25, -1, 0, 9, 10, 19, 20, 500]])
+    out = fixed_histogram(ds, 'x', lo=0, width=10, num_buckets=3) \
+        .to_pandas().set_index('bucket')['n']
+    assert out.tolist() == [2, 2, 2]
+    shifted = fixed_histogram(ds, 'x', lo=10, width=10, num_buckets=3) \
+        .to_pandas().set_index('bucket')['n']
+    assert shifted.tolist() == [2, 1, 1]
+
+
 def test_event_gaps(ray_session):
     import ray.data
 

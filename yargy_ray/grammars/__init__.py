@@ -1,9 +1,10 @@
 """Transcript extraction grammars (the P/R corpus of the KG pipeline).
 
 Each grammar is exposed as a *factory*: a top-level zero-arg callable
-returning a :class:`GrammarSpec`. Extraction actors receive factory
+returning a :class:`GrammarSpec`. Extraction workers receive factory
 dotted-names (plain strings — trivially picklable), import and build
-them once in ``__init__``; the compiled Parser is reused for every batch.
+them once per worker process per Dataset; the compiled Parser is
+reused for every batch.
 
 Grammar shapes follow the reference documentation examples
 (/root/reference/docs/index.ipynb cells 46-62, ref.ipynb 27-33,

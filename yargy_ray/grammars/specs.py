@@ -1,8 +1,9 @@
 """Grammar factories + fact->triple projections.
 
-Every factory is a top-level callable (picklable by reference); actors
-compile the grammar once. Triple emitters are plain functions from the
-fact's JSON dict + provenance to (subj, pred, obj) rows.
+Every factory is a top-level callable (picklable by reference); each
+extraction worker compiles the grammar once per Dataset. Triple emitters
+are plain functions from the fact's JSON dict + provenance to
+(subj, pred, obj) rows.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class GrammarSpec:
     """name + grammar rule + triple projection for one extraction rule.
 
     ``gate`` is a cheap regex precondition: a turn whose text does not
-    match it cannot contain a match, so the actor skips the Earley run
+    match it cannot contain a match, so the extractor skips the Earley run
     entirely (the vectorized analogue is the Arrow prefilter in
     yargy_ray.stages.extract).
     """

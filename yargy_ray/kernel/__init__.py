@@ -3,8 +3,9 @@
 Equivalent-semantics reimplementation of the reference rule-based
 fact-extraction stack (tokenizer → morphology → predicates → grammar DSL
 → Earley parsing → agreement relations → fact interpretation), designed
-to run inside Ray Data ``map_batches`` actors: all state is built once
-per actor and every entry point is deterministic and side-effect free.
+to run inside Ray Data ``map_batches`` workers: all state is built once
+per worker process and every entry point is deterministic and
+side-effect free.
 """
 
 from .api import (  # noqa: F401

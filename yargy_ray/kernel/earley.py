@@ -295,7 +295,7 @@ def _prepare_match(tree):
 class Parser:
     """Compiled grammar + tokenizer context; reusable across documents.
 
-    Build once per Ray actor (``__init__`` of the extraction callable);
+    Build once per Ray worker (``__init__`` of the extraction callable);
     each ``findall`` call is independent and deterministic.
     """
 

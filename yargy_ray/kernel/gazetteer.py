@@ -6,7 +6,7 @@ into a dict, turning the Earley predict step into an O(1) lookup.
 
 Semantically this is a broadcast semi-join of the token stream against a
 small phrase table. In the Ray engine the phrase list lives inside the
-grammar factory; each extraction actor compiles it once in ``__init__``
+grammar factory; each extraction worker compiles it once in ``__init__``
 and the object store shares the underlying block data across workers.
 
 ``morph_gazetteer`` is the entity-linking primitive: the matched

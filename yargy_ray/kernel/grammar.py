@@ -6,8 +6,8 @@ compilation pipeline replicate the observable semantics of the reference
 rule algebra (/root/reference/yargy/rule/: constructors, transformators,
 bnf — golden-pinned by the BNF source strings in tests/test_rule.py).
 
-Compilation runs once per Ray actor at grammar build time: grammars are
-shipped to actors as importable factory callables (picklable), compiled in
+Compilation runs once per Ray worker at grammar build time: grammars are
+shipped to workers as importable factory callables (picklable), compiled in
 ``__init__`` and reused for every batch.
 
 Passes (all pure, memoized by object identity so shared subrules stay

@@ -17,9 +17,10 @@ Two implementations:
 * :class:`Pymorphy2Analyzer` — thin adapter used automatically when
   pymorphy2 + dictionaries are importable (parity runs outside the sandbox).
 
-Analyzers are built once per Ray actor (in ``__init__`` of the extraction
-callable) and memoize parses in a per-actor LRU — token frequency is
-Zipfian so independent per-worker caches hit nearly as well as a shared one.
+Analyzers are built once per Ray worker process (on first use by the
+extraction callable) and memoize parses in a per-process LRU — token
+frequency is Zipfian so independent per-worker caches hit nearly as well
+as a shared one.
 """
 
 from __future__ import annotations

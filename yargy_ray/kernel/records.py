@@ -2,7 +2,7 @@
 
 Semantics mirror the reference library (see /root/reference/yargy/span.py,
 token.py, morph.py for the behavioral contract); the implementation here is
-original and tuned for use inside Ray Data ``map_batches`` actors: plain
+original and tuned for use inside Ray Data ``map_batches`` workers: plain
 slotted classes, ``Span`` as a NamedTuple so it compares equal to bare
 ``(start, stop)`` tuples, and no third-party dependencies.
 """

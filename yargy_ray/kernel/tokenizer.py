@@ -6,7 +6,7 @@ Behavioral contract follows the reference tokenizer
 case-insensitive alternation; Russian words additionally carry
 morphological readings when tokenized by :class:`MorphTokenizer`.
 
-Designed to be built once per Ray actor (``__init__``) and reused across
+Designed to be built once per Ray worker (``__init__``) and reused across
 batches — compilation cost is amortized.
 """
 

@@ -1,7 +1,7 @@
 """The knowledge-graph construction pipeline (the engine's flagship).
 
 transcripts parquet
-  -> extraction (actor-pool map_batches; per-turn, no shuffle)
+  -> extraction (task map_batches on warm workers; per-turn, no shuffle)
   -> triple projection (fused map)
   -> exact dedup            (shuffle 1: hash partition on triple key)
   -> node canonicalization  (shuffle 2: groupby normalized form)
@@ -42,6 +42,7 @@ from yargy_ray.stages.exchange import (
 from yargy_ray.stages.extract import (
     CAPPED_RULE,
     extract_mentions,
+    map_cached,
     project_triples,
 )
 from yargy_ray.state import storage
@@ -138,15 +139,15 @@ def dedup_triples(triples_ds, num_partitions=64, prededuped=False,
 
 
 class TripleExtractor:
-    """Fused extraction actor: turns -> deduped triple rows with ``tkey``.
+    """Fused extractor: turns -> deduped triple rows with ``tkey``.
 
     Runs mention extraction, triple projection and the map-side dedup
-    combine inside ONE actor-pool operator. Rationale (measured at 32
-    cpus, sf0.1): an extraction pool sized ``cpus - 1`` leaves a single
-    CPU for every downstream task operator; keeping projection/prededup
-    as separate task stages serialized ~19s of work behind the pool and
-    capped 8->32 cpu scaling at ~0.55. Fused, the only post-pool work is
-    the partition exchange + vectorized reduce + write (~2s).
+    combine inside ONE map operator. Rationale (measured at 32 cpus,
+    sf0.1): extraction capped at ``cpus - 1`` leaves a single CPU for
+    every downstream task operator; keeping projection/prededup as
+    separate task stages serialized ~19s of work behind extraction and
+    capped 8->32 cpu scaling at ~0.55. Fused, the only post-extraction
+    work is the partition exchange + vectorized reduce + write (~2s).
     """
 
     def __init__(self, factory_paths=DEFAULT_FACTORIES, max_states=None):
@@ -164,15 +165,12 @@ class TripleExtractor:
 def extract_triples(turns_ds, factory_paths=DEFAULT_FACTORIES,
                     concurrency=(1, 8), batch_size=256, max_states=None):
     """turns Dataset -> batch-deduped triples (+``tkey``) in one fused
-    actor-pool stage; feed into ``dedup_triples(..., prededuped=True)``."""
-    return turns_ds.map_batches(
-        TripleExtractor,
-        fn_constructor_kwargs={'factory_paths': tuple(factory_paths),
-                               'max_states': max_states},
-        batch_format='pyarrow',
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    stage of :class:`TripleExtractor` tasks on warm workers, at most
+    ``concurrency`` at a time; feed into
+    ``dedup_triples(..., prededuped=True)``."""
+    return map_cached(turns_ds, TripleExtractor,
+                      (tuple(factory_paths), max_states),
+                      concurrency, batch_size)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,17 @@
 
 The hot path of the engine. Design (SURVEY §2.7, §3):
 
-* ``MentionExtractor`` is a callable CLASS for
-  ``map_batches(MentionExtractor, concurrency=(a, b), batch_size=B,
-  batch_format='pyarrow')`` — all expensive state (compiled grammars,
-  morphology analyzer + LRU, gazetteer indexes) is built once per actor
-  in ``__init__`` and amortized over every batch (actor pool, not tasks).
+* Every extraction stage is a task-based ``map_batches`` over ONE
+  top-level function, :func:`_cached_call`, pickled by reference and
+  given ``fn_kwargs={cls, args, run}``. It keeps one ``cls(*args)``
+  instance per worker process in a module dict, so grammar compiles,
+  imports and the process-wide morphology LRU are paid once per warm
+  Ray worker, not once per Dataset by a freshly started actor pool.
+* ``run`` is a ``uuid4`` drawn when the Dataset is built; a worker that
+  sees a new ``run`` builds a fresh instance, so per-instance memos
+  (the text -> rows LRU) never outlive their Dataset.
 * Grammars arrive as factory dotted-names (strings) — cheap to pickle,
-  compiled inside the actor; ``custom()`` functions stay importable.
+  compiled inside the worker; ``custom()`` functions stay importable.
 * Per turn the text is tokenized + morph-analyzed ONCE and the token
   list shared by all grammars; each grammar is gated by a cheap regex
   precondition so most grammar×turn pairs never start an Earley chart.
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import json
 import re
+import uuid
 from collections import OrderedDict
 
 import pyarrow as pa
@@ -59,7 +64,7 @@ TRIPLE_SCHEMA = pa.schema([
 
 CAPPED_RULE = '_capped'
 
-# texts whose extraction rows each actor keeps (LRU)
+# texts whose extraction rows each extractor instance keeps (LRU)
 RESULT_CACHE_SIZE = 4096
 
 
@@ -73,7 +78,7 @@ def fact_payload(value):
 class MentionExtractor:
     """pyarrow batch of transcript turns -> pyarrow batch of mentions.
 
-    NOTE: do NOT disable cyclic GC in these actors. It gains ~6%
+    NOTE: do NOT disable cyclic GC in the Ray workers. It gains ~6%
     single-process, but inside a Ray worker uncollected cycles pin
     deserialized Arrow blocks (plasma-backed buffers), the object store
     fills, and throughput collapses ~4x (measured at 32 cpus).
@@ -98,7 +103,7 @@ class MentionExtractor:
     def _extract_text(self, text):
         """All (rule, start, stop, tokens, fact_json) rows for one text.
 
-        Memoized per actor in an LRU of ``RESULT_CACHE_SIZE`` texts:
+        Memoized per instance in an LRU of ``RESULT_CACHE_SIZE`` texts:
         extraction output is TEXT-INTRINSIC (spans, rules and facts carry
         no conv/turn identity), and transcript turns repeat (about a
         third of the generated corpus's turn texts repeat an earlier
@@ -167,7 +172,7 @@ class TripleProjector:
     """Stateless-ish mention -> triple projection (fuses with extraction).
 
     Needs the grammar specs only for their ``to_triples`` functions;
-    construction is cheap but still done once per actor.
+    construction is cheap but still done once per worker process.
     """
 
     def __init__(self, factory_paths=DEFAULT_FACTORIES):
@@ -233,42 +238,56 @@ class IntTokenExtractor:
         })
 
 
-def extract_mentions(turns_ds, factory_paths=DEFAULT_FACTORIES,
-                     concurrency=(1, 8), batch_size=128):
-    """turns Dataset -> mentions Dataset (actor-pool map_batches)."""
-    return turns_ds.map_batches(
-        MentionExtractor,
-        fn_constructor_kwargs={'factory_paths': tuple(factory_paths)},
+# (cls, args) -> (run, instance): the extraction state of THIS worker
+# process, one instance per extractor class and constructor arguments
+_WORKER_INSTANCES = {}
+
+
+def _cached_call(batch: pa.Table, cls, args, run) -> pa.Table:
+    """``cls(*args)(batch)`` with the instance kept in the worker process.
+
+    The instance is rebuilt only when ``run`` changes, i.e. once per
+    worker process per Dataset. A module-level function, so Ray pickles
+    it by reference and every task in a worker shares this module's dict
+    (a closure would carry a private copy of the dict into each task).
+    """
+    key = (cls, args)
+    entry = _WORKER_INSTANCES.get(key)
+    if entry is None or entry[0] != run:
+        entry = _WORKER_INSTANCES[key] = (run, cls(*args))
+    return entry[1](batch)
+
+
+def map_cached(ds, cls, args, concurrency, batch_size):
+    """``ds.map_batches`` of ``cls(*args)`` as Ray tasks on warm workers.
+
+    ``concurrency`` is an int or ``(lo, hi)``; either caps the number of
+    concurrent tasks (at ``hi`` for a pair — Ray sizes only actor pools
+    by a range). ``None`` leaves the task count to Ray.
+    """
+    if isinstance(concurrency, tuple):
+        concurrency = concurrency[1]
+    return ds.map_batches(
+        _cached_call,
+        fn_kwargs={'cls': cls, 'args': tuple(args),
+                   'run': uuid.uuid4().hex},
         batch_format='pyarrow',
         batch_size=batch_size,
         concurrency=concurrency,
     )
 
 
-_PROJECTOR_CACHE = {}
-
-
-def _project_batch_fn(factory_paths):
-    """Task-based projection: a plain function (no actor pool to starve
-    the extraction actors); the projector is built once per worker
-    process and cached — construction is just grammar-factory imports."""
-    paths = tuple(factory_paths)
-
-    def project(batch: pa.Table) -> pa.Table:
-        projector = _PROJECTOR_CACHE.get(paths)
-        if projector is None:
-            projector = TripleProjector(paths)
-            _PROJECTOR_CACHE[paths] = projector
-        return projector(batch)
-
-    return project
+def extract_mentions(turns_ds, factory_paths=DEFAULT_FACTORIES,
+                     concurrency=(1, 8), batch_size=128):
+    """turns Dataset -> mentions Dataset (:class:`MentionExtractor`
+    tasks, at most ``concurrency`` at a time)."""
+    return map_cached(turns_ds, MentionExtractor, (tuple(factory_paths),),
+                      concurrency, batch_size)
 
 
 def project_triples(mentions_ds, factory_paths=DEFAULT_FACTORIES,
-                    batch_size=4096):
-    """mentions Dataset -> triples Dataset (fuses with upstream map)."""
-    return mentions_ds.map_batches(
-        _project_batch_fn(factory_paths),
-        batch_format='pyarrow',
-        batch_size=batch_size,
-    )
+                    batch_size=4096, concurrency=None):
+    """mentions Dataset -> triples Dataset (:class:`TripleProjector`
+    tasks)."""
+    return map_cached(mentions_ds, TripleProjector, (tuple(factory_paths),),
+                      concurrency, batch_size)

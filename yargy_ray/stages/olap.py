@@ -159,9 +159,13 @@ def pivot_counts(ds, key, cat_col, categories, num_partitions=64):
 
 
 def fixed_histogram(ds, col, lo, width, num_buckets):
-    """Fixed-width histogram: ``bucket = clamp((col - lo) // width)``,
-    int64 end to end; every bucket is present (zero-filled), so the
-    output is exactly ``num_buckets`` rows with stable schema.
+    """Fixed-width histogram:
+    ``bucket = min((col - lo) // width, num_buckets - 1)``, int64 end to
+    end. Values at or past the last bucket's start count in the last
+    bucket; values below ``lo`` are dropped, as the SQL oracle's
+    ``RANGE(0, n) LEFT JOIN`` drops their negative buckets. Every bucket
+    is present (zero-filled), so the output is exactly ``num_buckets``
+    rows with stable schema.
 
     Map-side bincount (num_buckets ints per batch), single tiny reduce.
     """
@@ -170,7 +174,7 @@ def fixed_histogram(ds, col, lo, width, num_buckets):
     def partial(batch: pa.Table) -> pa.Table:
         x = pc.cast(batch.column(col), pa.int64()) \
             .to_numpy(zero_copy_only=False)
-        b = np.clip((x - lo) // width, 0, num_buckets - 1)
+        b = np.minimum((x[x >= lo] - lo) // width, num_buckets - 1)
         counts = np.bincount(b, minlength=num_buckets)
         return pa.table({
             'bucket': pa.array(np.arange(num_buckets, dtype=np.int64)),
