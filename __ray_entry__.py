@@ -28,18 +28,18 @@ def _read(sf_dir, table):
 
 
 def _pool(reserve=1, cap=None):
-    """Concurrency from the LIVE cluster: ``(1, cpus - reserve)``, which
-    caps concurrent extraction tasks at ``cpus - reserve`` and autoscales
-    the other actor-pool stages over that range (leaves CPUs for the
-    task operators up/downstream). Hardcoding the max under-parallelizes
-    whenever the driver gives more cores."""
+    """Concurrency from the LIVE cluster: an int cap of
+    ``cpus - reserve`` (at least 2, at most ``cap``) on the concurrent
+    tasks of a stateful stage, leaving CPUs for the task operators
+    up/downstream. Hardcoding the cap under-parallelizes whenever the
+    driver gives more cores."""
     import ray
     cpus = int(ray.cluster_resources().get('CPU', 4)) if \
         ray.is_initialized() else 4
     hi = max(2, cpus - reserve)
     if cap:
         hi = min(hi, cap)
-    return (1, hi)
+    return hi
 
 
 def _rename(batch: pa.Table, mapping) -> pa.Table:
@@ -242,13 +242,12 @@ def q_doc_dup_groups(sf_dir):
 
 
 def q_extract_ints(sf_dir):
+    from yargy_ray.stages.compute import map_cached
     from yargy_ray.stages.extract import IntTokenExtractor
-    return _read(sf_dir, 'events').select_columns(
-        ['event_id', 'props']).map_batches(
+    return map_cached(
+        _read(sf_dir, 'events').select_columns(['event_id', 'props']),
         IntTokenExtractor,
-        fn_constructor_kwargs={'id_column': 'event_id',
-                               'text_column': 'props'},
-        batch_format='pyarrow', concurrency=_pool())
+        {'id_column': 'event_id', 'text_column': 'props'}, _pool())
 
 
 # ---------------------------------------------------------------------------
@@ -1219,7 +1218,7 @@ def q_kg_comention_inc(sf_dir):
 
 def q_kg_linked(sf_dir):
     """Gazetteer-backed entity linking over has_position triple objects
-    (broadcast index via ray.put, morph-lemma lookup in actors)."""
+    (broadcast index, morph-lemma lookup in tasks on warm workers)."""
     from yargy_ray.grammars.specs import POSITIONS
     from yargy_ray.stages.link import link_entities
     gaz = {'POS:' + p.replace(' ', '-'): [p] for p in POSITIONS}
@@ -1404,7 +1403,7 @@ def q_doc_repetition(sf_dir):
 def q_multimodal_audio(sf_dir):
     """REAL-codec multimodal path: 16-bit PCM WAV payloads (stdlib
     ``wave`` container, genuine binary format) decoded by StdlibCodec
-    in an actor-pool stage, integral features out
+    in tasks on warm workers, integral features out
     (stages/multimodal.py:AudioFeaturizer). The oracle is the pinned
     first-principles fixture — bit-for-bit, not rows-only."""
     import ray.data
@@ -1697,8 +1696,8 @@ _TAG_VOCAB = ('table', 'scan', 'join', 'merge', 'sort', 'filter')
 
 def q_doc_tagged_phrases(sf_dir):
     """Two-stage distributed tagger (SURVEY §2.10 as a pipeline stage):
-    stage 1 BIO-tags tokens (actor pool, tags travel as an aligned
-    ``list<string>`` column), stage 2 consumes the column through
+    stage 1 BIO-tags tokens (tasks on warm workers; tags travel as an
+    aligned ``list<string>`` column), stage 2 consumes the column through
     ``tag()`` predicates — grammar ``B-OP I-OP*`` — and emits maximal
     tagged runs. Reference semantics:
     /root/reference/tests/test_tagger.py:23-34."""

@@ -30,6 +30,7 @@ import pyarrow as pa  # noqa: E402
 import pyarrow.compute as pc  # noqa: E402
 import ray.data  # noqa: E402
 
+from yargy_ray.stages.compute import map_cached  # noqa: E402
 from yargy_ray.stages.decontam import contamination_counts  # noqa: E402
 from yargy_ray.stages.dedup import exact_dedup  # noqa: E402
 from yargy_ray.stages.packing import pack_assignments  # noqa: E402
@@ -70,23 +71,18 @@ print('quality-pass docs:',
 surv_ids = pa.concat_tables(
     ray.get(exact_dedup(train).select_columns(['doc_id'])
             .to_arrow_refs())).column('doc_id').combine_chunks()
-surv_ref = ray.put(surv_ids)
 
 
 class KeepIds:
-    def __init__(self, ids_ref):
-        self.ids = ray.get(ids_ref) if not isinstance(
-            ids_ref, pa.Array) else ids_ref
+    def __init__(self, ids):
+        self.ids = ids
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         return batch.filter(
             pc.is_in(batch.column('doc_id'), value_set=self.ids))
 
 
-survivors = train.map_batches(KeepIds,
-                              fn_constructor_kwargs={'ids_ref': surv_ref},
-                              batch_format='pyarrow',
-                              concurrency=(1, 4))
+survivors = map_cached(train, KeepIds, {'ids': surv_ids}, (1, 4))
 print('dedup survivors:', survivors.count())
 
 # -- 3. decontamination: drop docs overlapping the benchmark ---------------
@@ -99,13 +95,7 @@ print('decontam: flagged', flagged, 'docs, clean:', clean_ids.count())
 # keep clean survivors by broadcast id membership (small side)
 clean_set = pa.concat_tables(
     ray.get(clean_ids.to_arrow_refs())).column('doc_id').combine_chunks()
-clean_ref = ray.put(clean_set)
-
-
-clean = survivors.map_batches(KeepIds,
-                              fn_constructor_kwargs={'ids_ref': clean_ref},
-                              batch_format='pyarrow',
-                              concurrency=(1, 4))
+clean = map_cached(survivors, KeepIds, {'ids': clean_set}, (1, 4))
 
 # -- 4. what survived, in terms (tf/df keyword summary) --------------------
 terms = doc_top_terms(clean, k=1)

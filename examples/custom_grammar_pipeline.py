@@ -37,7 +37,7 @@ def ticket_triples(payload, conv_id, turn_idx):
 
 
 def ticket_grammar():
-    """Factory (top-level, picklable by dotted path) for the actors."""
+    """Factory (top-level, picklable by dotted path) for the workers."""
     from yargy_ray.grammars.specs import GrammarSpec
     return GrammarSpec('ticket', TICKET, ticket_triples, gate=r'(?i)proj')
 

@@ -153,3 +153,15 @@ def test_gazetteer_start_rule_prescan(make):
     assert not list(parser.findall('синяя площадь'))
     [match] = parser.findall('гуляли на красная площадь')
     assert [t.value for t in match.tokens] == ['красная', 'площадь']
+
+
+def test_grammar_compile_is_deterministic():
+    # the normalizing passes memoize visited nodes by id(); a temporary
+    # node freed mid-pass could hand its id to another node and alias
+    # its memo entry, changing the compiled grammar from run to run
+    sizes = set()
+    for _ in range(200):
+        parser = Parser(rule(eq('a').optional().repeatable(),
+                             eq('a').optional().repeatable()))
+        sizes.add(sum(column_sizes(parser, 'a a ')))
+    assert sizes == {62}

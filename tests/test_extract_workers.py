@@ -1,4 +1,4 @@
-"""Extraction as tasks on warm workers (``stages/extract.map_cached``).
+"""Extraction as tasks on warm workers (``stages/compute.map_cached``).
 
 Each extraction stage is a task-based ``map_batches`` over one
 module-level function that keeps one extractor instance per worker
@@ -29,30 +29,34 @@ def _rows(table):
                         for v in r.values()) for r in table.to_pylist())
 
 
-def test_cached_call_one_instance_per_run(monkeypatch):
+def test_cached_call_one_instance_per_run(ray_session, monkeypatch):
     """Same ``run`` -> same instance; a new ``run`` -> a fresh instance
     whose text memo starts empty."""
-    from yargy_ray.stages import extract
-    from yargy_ray.stages.extract import MentionExtractor, _cached_call
+    from collections import OrderedDict
 
-    monkeypatch.setattr(extract, '_WORKER_INSTANCES', {})
-    args = (extract.DEFAULT_FACTORIES,)
+    import ray
+
+    from yargy_ray.stages import compute
+    from yargy_ray.stages.compute import _cached_call
+    from yargy_ray.stages.extract import DEFAULT_FACTORIES, MentionExtractor
+
+    monkeypatch.setattr(compute, '_WORKER_INSTANCES', OrderedDict())
+    ref = ray.put({'factory_paths': DEFAULT_FACTORIES})
     batch = _turns(6)
 
-    def instance():
-        (entry,) = extract._WORKER_INSTANCES.values()
-        return entry[1]
+    def instance(run):
+        return compute._WORKER_INSTANCES[run]
 
-    first = _cached_call(batch, MentionExtractor, args, 'run-a')
-    a = instance()
+    first = _cached_call(batch, MentionExtractor, ref, 'run-a')
+    a = instance('run-a')
     assert len(a._result_cache) == len(TEXTS)
-    again = _cached_call(batch, MentionExtractor, args, 'run-a')
-    assert instance() is a
+    again = _cached_call(batch, MentionExtractor, ref, 'run-a')
+    assert instance('run-a') is a
     assert again.equals(first)
 
     # the next Dataset: a new instance whose memo holds only its own text
-    fresh = _cached_call(batch.slice(0, 1), MentionExtractor, args, 'run-b')
-    b = instance()
+    fresh = _cached_call(batch.slice(0, 1), MentionExtractor, ref, 'run-b')
+    b = instance('run-b')
     assert b is not a
     assert list(b._result_cache) == [TEXTS[0]]
     assert _rows(fresh) == _rows(first.slice(0, fresh.num_rows))
@@ -66,12 +70,13 @@ def test_one_build_per_worker_per_dataset(ray_session):
 
     import ray.data
 
-    from yargy_ray.stages.extract import TripleProjector, map_cached
+    from yargy_ray.stages.compute import map_cached
+    from yargy_ray.stages.extract import TripleProjector
 
     # local class: pickled by value, still one class object per process
     class Probe(TripleProjector):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
             self.token = uuid.uuid4().hex  # id() may be reused once freed
 
         def __call__(self, batch):
@@ -81,7 +86,7 @@ def test_one_build_per_worker_per_dataset(ray_session):
 
     def builds(ds):
         seen = {}
-        out = map_cached(ds, Probe, (), concurrency=2, batch_size=4)
+        out = map_cached(ds, Probe, {}, concurrency=2, batch_size=4)
         rows = out.take_all()
         for row in rows:
             seen.setdefault(row['pid'], set()).add(row['inst'])

@@ -203,3 +203,23 @@ def test_sessionize_matches_duckdb(ray_session, seed):
     assert (got['sum_value'] - exp['sum_value']).abs().max() == 0.0
     assert got['start_ts'].tolist() == exp['start_ts'].tolist()
     assert got['end_ts'].tolist() == exp['end_ts'].tolist()
+
+
+def test_orders_rollup_empty_matches_oracle(ray_session, tmp_path):
+    """On an empty ``orders`` table ROLLUP still returns the grand-total
+    row: null sum, ``n_rows=0``, ``lvl=3`` — the same row as the oracle
+    SQL."""
+    import pyarrow.parquet as pq
+
+    orders = pa.table({
+        'o_orderpriority': pa.array([], type=pa.string()),
+        'o_orderstatus': pa.array([], type=pa.string()),
+        'o_totalprice': pa.array([], type=pa.float64()),
+    })
+    pq.write_table(orders, tmp_path / 'orders.parquet')
+    con = duckdb.connect()
+    con.register('orders', orders)
+    sql = con.sql(entrymod.oracle_sql()['orders_rollup']).fetchall()
+    got = entrymod.q_orders_rollup(str(tmp_path)).take_all()
+    assert sql == [(None, None, None, 0, 3)]
+    assert [tuple(r.values()) for r in got] == sql

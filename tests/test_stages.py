@@ -1416,6 +1416,30 @@ def test_rollup_aggregate(ray_session):
     assert len(got) == 7
 
 
+def test_rollup_aggregate_int_keys(ray_session):
+    """Rolled-up int keys are int nulls, so the levels concatenate."""
+    import ray
+    import ray.data
+
+    from yargy_ray.stages.olap import rollup_aggregate
+
+    rows = [{'g': g, 's': s, 'val': v}
+            for g, s, v in [(1, 10, 1), (1, 10, 2), (1, 20, 4), (2, 10, 8)]]
+    out = rollup_aggregate(ray.data.from_items(rows), ['g', 's'], ['val'])
+    table = pa.concat_tables(ray.get(out.to_arrow_refs()))
+    assert table.schema.field('g').type == pa.int64()
+    assert table.schema.field('s').type == pa.int64()
+    got = sorted(table.to_pylist(), key=lambda r: (r['lvl'], str(r)))
+    assert got == [
+        {'g': 1, 's': 10, 'val': 3, 'n_rows': 2, 'lvl': 0},
+        {'g': 1, 's': 20, 'val': 4, 'n_rows': 1, 'lvl': 0},
+        {'g': 2, 's': 10, 'val': 8, 'n_rows': 1, 'lvl': 0},
+        {'g': 1, 's': None, 'val': 7, 'n_rows': 3, 'lvl': 1},
+        {'g': 2, 's': None, 'val': 8, 'n_rows': 1, 'lvl': 1},
+        {'g': None, 's': None, 'val': 15, 'n_rows': 4, 'lvl': 3},
+    ]
+
+
 def test_pivot_counts(ray_session):
     import ray.data
 

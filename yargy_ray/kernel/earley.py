@@ -554,7 +554,7 @@ class Parser:
     def findall_tokens(self, tokens):
         """``findall`` over a pre-tokenized stream.
 
-        Lets an extraction actor running N grammars tokenize (and run
+        Lets an extraction worker running N grammars tokenize (and run
         morphology) once per document instead of once per grammar.
         """
         return self._resolve(self._chart_tokens(tokens))

@@ -307,15 +307,16 @@ def main(term):
 # ---------------------------------------------------------------------------
 
 def _pass(root, step):
+    # id(item) -> (item, result). The memo holds every visited item, so
+    # no id is freed and reused by another node during the pass: steps
+    # visit temporaries they build themselves.
     memo = {}
 
     def visit(item):
-        key = id(item)
-        if key in memo:
-            return memo[key]
-        result = step(item, visit)
-        memo[key] = result
-        return result
+        entry = memo.get(id(item))
+        if entry is None:
+            entry = memo[id(item)] = (item, step(item, visit))
+        return entry[1]
 
     for fwd in root.walk(types=Fwd):
         if fwd.inner is not None:

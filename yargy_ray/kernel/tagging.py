@@ -3,7 +3,7 @@
 Behavioral contract: /root/reference/yargy/tagger.py. A tagger runs
 between tokenization and parsing (e.g. external NER BIO tags); the
 ``tag()`` predicate consumes the tags. In the Ray engine a model-backed
-tagger would itself be an actor-pool ``map_batches`` stage upstream of
+tagger would itself be a ``stages/compute.map_cached`` stage upstream of
 extraction, with tags travelling as a ``list<string>`` column.
 """
 

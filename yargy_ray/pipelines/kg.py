@@ -39,10 +39,10 @@ from yargy_ray.stages.exchange import (
     partitioned_reduce,
     sum_by,
 )
+from yargy_ray.stages.compute import map_cached
 from yargy_ray.stages.extract import (
     CAPPED_RULE,
     extract_mentions,
-    map_cached,
     project_triples,
 )
 from yargy_ray.state import storage
@@ -169,7 +169,8 @@ def extract_triples(turns_ds, factory_paths=DEFAULT_FACTORIES,
     ``concurrency`` at a time; feed into
     ``dedup_triples(..., prededuped=True)``."""
     return map_cached(turns_ds, TripleExtractor,
-                      (tuple(factory_paths), max_states),
+                      {'factory_paths': tuple(factory_paths),
+                       'max_states': max_states},
                       concurrency, batch_size)
 
 

@@ -2,15 +2,15 @@
 set — the GPT-3/Dolma-style safeguard a pretraining pipeline runs so
 evaluation data never leaks into training shards.
 
-Shape: the benchmark's distinct n-grams are collected ONCE and
-broadcast (``ray.put``; eval-set n-gram vocabularies are tiny next to
-the corpus), then every training batch counts its n-grams and their
-benchmark hits with one vectorized binary search over the per-actor
-sorted gram index — exact string membership, no shuffle at all, no
-per-batch hash-table rebuild. Scale note: if a benchmark ever
-outgrows worker memory, swap the broadcast for a semi-join through the
-hash-partition exchange (the `hash_join(how='semi')` shape); the
-counting semantics stay identical.
+Shape: the benchmark's distinct n-grams are collected ONCE, indexed on
+the driver and broadcast (``stages/compute.map_cached``; eval-set
+n-gram vocabularies are tiny next to the corpus), then every training
+batch counts its n-grams and their benchmark hits with one vectorized
+binary search over the shared sorted gram index — exact string
+membership, no shuffle at all, no per-batch hash-table rebuild. Scale
+note: if a benchmark ever outgrows worker memory, swap the broadcast
+for a semi-join through the hash-partition exchange (the
+`hash_join(how='semi')` shape); the counting semantics stay identical.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from yargy_ray.stages.compute import map_cached
 
 _WS = r'\s+'
 
@@ -88,31 +90,21 @@ def _gram_index(grams: pa.Array):
 
 
 class ContaminationCounter:
-    """map_batches callable: per-doc n-gram totals and benchmark hits.
+    """Per-doc n-gram totals and benchmark hits.
 
-    The benchmark gram set is an ``ObjectRef`` resolved once per actor
-    from the local object store and indexed ONCE as a sorted
-    fixed-width array — per-batch membership is a vectorized binary
-    search (exact string compare at the insertion point). The obvious
-    ``pc.is_in(value_set=...)`` alternative rebuilds its hash table on
-    EVERY kernel call, which at a 10M-gram benchmark costs ~25x the
-    probe work (measured: 3.8k -> 100k+ docs/s at the
-    scripts/stress_decontam.py scale).
+    ``index`` is the benchmark gram set pre-built by :func:`_gram_index`
+    as sorted arrays, broadcast once: every worker on a node maps the
+    same plasma buffers, with no per-worker build or copy. Per-batch
+    membership is a vectorized binary search (exact string compare at
+    the insertion point). The obvious ``pc.is_in(value_set=...)``
+    alternative rebuilds its hash table on EVERY kernel call, which at
+    a 10M-gram benchmark costs ~25x the probe work (measured: 3.8k ->
+    100k+ docs/s at the scripts/stress_decontam.py scale).
     """
 
-    def __init__(self, grams_ref, n=3):
-        import ray
-        grams = (grams_ref if isinstance(grams_ref, (pa.Array, tuple))
-                 else ray.get(grams_ref))
+    def __init__(self, index, n=3):
+        self._hashes, self._strings = index
         self.n = n
-        if isinstance(grams, tuple):
-            # the shared PRE-BUILT index (contamination_counts builds
-            # once and ray.puts it — every actor on a node maps the
-            # same plasma buffers, zero per-actor heap/build)
-            self._hashes, self._strings = grams
-        else:
-            # back-compat: a raw Arrow gram set indexes locally
-            self._hashes, self._strings = _gram_index(grams)
 
     def _member(self, grams):
         """Exact membership: cheap vectorized probe of the sorted
@@ -161,18 +153,11 @@ def contamination_counts(docs_ds, bench_ds, n=3, concurrency=(1, 4),
 
     Downstream policy (drop / flag above a ratio) is the caller's —
     the counts are the exact, SQL-checkable part. For large benchmark
-    sets pass a FIXED ``concurrency`` (autoscaling ramps too slowly
-    for batch jobs) and budget ~3x the gram set's Arrow bytes of actor
-    heap for the sorted index.
+    sets budget ~3x the gram set's Arrow bytes of object-store memory
+    for the sorted index.
     """
-    import ray
     # build ONCE on the driver; the broadcast object is the finished
-    # index, mapped read-only by every actor (no per-actor build/copy)
-    grams_ref = ray.put(_gram_index(benchmark_ngram_set(bench_ds, n)))
-    return docs_ds.map_batches(
-        ContaminationCounter,
-        fn_constructor_kwargs={'grams_ref': grams_ref, 'n': n},
-        batch_format='pyarrow',
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    # index, mapped read-only by every worker (no per-worker build/copy)
+    index = _gram_index(benchmark_ngram_set(bench_ds, n))
+    return map_cached(docs_ds, ContaminationCounter,
+                      {'index': index, 'n': n}, concurrency, batch_size)

@@ -28,6 +28,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from yargy_ray.stages.compute import map_cached
+
 # ---------------------------------------------------------------------------
 # Exact dedup
 # ---------------------------------------------------------------------------
@@ -125,7 +127,7 @@ def shingle_set(text, k=5):
 
 
 class MinHasher:
-    """Vectorized MinHash signatures; built once per actor."""
+    """Vectorized MinHash signatures; built once per worker."""
 
     def __init__(self, num_perm=64, seed=7):
         rng = np.random.RandomState(seed)
@@ -147,7 +149,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
 class MinHashBander:
-    """Actor: docs -> (bucket, doc_id, sig16) band rows, vectorized.
+    """Docs -> (bucket, doc_id, sig16) band rows, vectorized.
 
     ``sig16`` is the b-bit minwise signature (low 16 bits of each of the
     ``num_perm`` min-hash values, packed little-endian — 128 B instead
@@ -281,11 +283,9 @@ def minhash_near_dups(docs_ds, num_perm=64, bands=16, k=5, threshold=0.7,
     vectorized slot-equality compare, and a small final groupby dedups
     pairs that shared several buckets (keeping the max estimate).
     """
-    banded = docs_ds.map_batches(
-        MinHashBander,
-        fn_constructor_kwargs={'num_perm': num_perm, 'bands': bands,
-                               'k': k},
-        batch_format='pyarrow', concurrency=concurrency)
+    banded = map_cached(docs_ds, MinHashBander,
+                        {'num_perm': num_perm, 'bands': bands, 'k': k},
+                        concurrency)
 
     from yargy_ray.stages.exchange import partitioned_reduce
 
@@ -526,11 +526,9 @@ def embedding_near_dups(emb_ds, dim, threshold=0.95, planes=12, tables=4):
     """Vector pairs with cosine >= threshold via multi-table hyperplane
     LSH buckets (approximate: recall ~1-(1-p)^tables, see
     HyperplaneBucketer). Verification inside each bucket is one matmul."""
-    bucketed = emb_ds.map_batches(
-        HyperplaneBucketer,
-        fn_constructor_kwargs={'dim': dim, 'planes': planes,
-                               'tables': tables},
-        batch_format='pyarrow', concurrency=(1, 4))
+    bucketed = map_cached(emb_ds, HyperplaneBucketer,
+                          {'dim': dim, 'planes': planes, 'tables': tables},
+                          (1, 4))
 
     def pairs(group: pa.Table) -> pa.Table:
         ids = group.column('vec_id').to_numpy(zero_copy_only=False)
@@ -556,10 +554,35 @@ def embedding_near_dups(emb_ds, dim, threshold=0.95, planes=12, tables=4):
     return _pair_agg(found, 'cosine', 'max')
 
 
+class BlockPairs:
+    """Pairs ``(a, b)``, ``a < b``, ``a`` in the batch, whose cosine
+    against the broadcast unit-row table reaches ``threshold``."""
+
+    def __init__(self, ids, unit, threshold):
+        self.ids = ids
+        self.unit = unit
+        self.threshold = threshold
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        from yargy_ray.stages.similarity import _as_matrix
+        ids = batch.column('vec_id').to_numpy(zero_copy_only=False)
+        unit = _unit_rows(_as_matrix(batch.column('embedding'),
+                                     dtype=np.float64))
+        sim = unit @ self.unit.T            # (batch, N)
+        bi, gj = np.nonzero(sim >= self.threshold)
+        a = ids[bi]
+        b = self.ids[gj]
+        keep = a < b
+        return pa.table({
+            'a': pa.array(a[keep], type=pa.int64()),
+            'b': pa.array(b[keep], type=pa.int64()),
+        })
+
+
 def embedding_near_dups_exact(emb_ds, threshold=0.95):
     """EXACT cosine near-dup pairs: the whole (narrow) embedding table
-    is broadcast once via ray.put and every streaming batch does one
-    matmul against it — O(N^2) compute, distributed over batches, zero
+    is broadcast once and every streaming batch does one matmul
+    against it — O(N^2) compute, distributed over batches, zero
     shuffle. This is the oracle baseline for the LSH variant; at 10^11+
     vectors use :func:`embedding_near_dups`.
 
@@ -573,30 +596,9 @@ def embedding_near_dups_exact(emb_ds, threshold=0.95):
     from yargy_ray.stages.similarity import _as_matrix
     all_unit = _unit_rows(_as_matrix(all_tbl.column('embedding'),
                                      dtype=np.float64))
-    ref = ray.put((all_ids, all_unit))
-
-    class BlockPairs:
-        def __init__(self):
-            self.ids, self.unit = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch.column('vec_id').to_numpy(zero_copy_only=False)
-            from yargy_ray.stages.similarity import _as_matrix
-            unit = _unit_rows(_as_matrix(batch.column('embedding'),
-                                         dtype=np.float64))
-            sim = unit @ self.unit.T            # (batch, N)
-            hit = sim >= threshold
-            bi, gj = np.nonzero(hit)
-            a = ids[bi]
-            b = self.ids[gj]
-            keep = a < b
-            return pa.table({
-                'a': pa.array(a[keep], type=pa.int64()),
-                'b': pa.array(b[keep], type=pa.int64()),
-            })
-
-    return emb_ds.map_batches(BlockPairs, batch_format='pyarrow',
-                              concurrency=(1, 4))
+    return map_cached(emb_ds, BlockPairs,
+                      {'ids': all_ids, 'unit': all_unit,
+                       'threshold': threshold}, (1, 4))
 
 
 def plant_duplicate_vectors(emb_ds, n_planted=8):

@@ -2,15 +2,11 @@
 
 The hot path of the engine. Design (SURVEY §2.7, §3):
 
-* Every extraction stage is a task-based ``map_batches`` over ONE
-  top-level function, :func:`_cached_call`, pickled by reference and
-  given ``fn_kwargs={cls, args, run}``. It keeps one ``cls(*args)``
-  instance per worker process in a module dict, so grammar compiles,
-  imports and the process-wide morphology LRU are paid once per warm
-  Ray worker, not once per Dataset by a freshly started actor pool.
-* ``run`` is a ``uuid4`` drawn when the Dataset is built; a worker that
-  sees a new ``run`` builds a fresh instance, so per-instance memos
-  (the text -> rows LRU) never outlive their Dataset.
+* Every extraction stage runs through ``stages/compute.map_cached``:
+  Ray tasks on warm workers, one extractor instance per worker process
+  per Dataset, so grammar compiles, imports and the process-wide
+  morphology LRU are paid once per warm Ray worker, and per-instance
+  memos (the text -> rows LRU) never outlive their Dataset.
 * Grammars arrive as factory dotted-names (strings) — cheap to pickle,
   compiled inside the worker; ``custom()`` functions stay importable.
 * Per turn the text is tokenized + morph-analyzed ONCE and the token
@@ -31,7 +27,6 @@ from __future__ import annotations
 
 import json
 import re
-import uuid
 from collections import OrderedDict
 
 import pyarrow as pa
@@ -40,6 +35,7 @@ from yargy_ray.grammars import DEFAULT_FACTORIES, build_specs
 from yargy_ray.kernel import Parser, StateOverflow
 from yargy_ray.kernel.interp import Fact
 from yargy_ray.kernel.tokenizer import MorphTokenizer
+from yargy_ray.stages.compute import map_cached
 
 MENTION_SCHEMA = pa.schema([
     ('conv_id', pa.string()),
@@ -238,50 +234,12 @@ class IntTokenExtractor:
         })
 
 
-# (cls, args) -> (run, instance): the extraction state of THIS worker
-# process, one instance per extractor class and constructor arguments
-_WORKER_INSTANCES = {}
-
-
-def _cached_call(batch: pa.Table, cls, args, run) -> pa.Table:
-    """``cls(*args)(batch)`` with the instance kept in the worker process.
-
-    The instance is rebuilt only when ``run`` changes, i.e. once per
-    worker process per Dataset. A module-level function, so Ray pickles
-    it by reference and every task in a worker shares this module's dict
-    (a closure would carry a private copy of the dict into each task).
-    """
-    key = (cls, args)
-    entry = _WORKER_INSTANCES.get(key)
-    if entry is None or entry[0] != run:
-        entry = _WORKER_INSTANCES[key] = (run, cls(*args))
-    return entry[1](batch)
-
-
-def map_cached(ds, cls, args, concurrency, batch_size):
-    """``ds.map_batches`` of ``cls(*args)`` as Ray tasks on warm workers.
-
-    ``concurrency`` is an int or ``(lo, hi)``; either caps the number of
-    concurrent tasks (at ``hi`` for a pair — Ray sizes only actor pools
-    by a range). ``None`` leaves the task count to Ray.
-    """
-    if isinstance(concurrency, tuple):
-        concurrency = concurrency[1]
-    return ds.map_batches(
-        _cached_call,
-        fn_kwargs={'cls': cls, 'args': tuple(args),
-                   'run': uuid.uuid4().hex},
-        batch_format='pyarrow',
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
-
-
 def extract_mentions(turns_ds, factory_paths=DEFAULT_FACTORIES,
                      concurrency=(1, 8), batch_size=128):
     """turns Dataset -> mentions Dataset (:class:`MentionExtractor`
     tasks, at most ``concurrency`` at a time)."""
-    return map_cached(turns_ds, MentionExtractor, (tuple(factory_paths),),
+    return map_cached(turns_ds, MentionExtractor,
+                      {'factory_paths': tuple(factory_paths)},
                       concurrency, batch_size)
 
 
@@ -289,5 +247,6 @@ def project_triples(mentions_ds, factory_paths=DEFAULT_FACTORIES,
                     batch_size=4096, concurrency=None):
     """mentions Dataset -> triples Dataset (:class:`TripleProjector`
     tasks)."""
-    return map_cached(mentions_ds, TripleProjector, (tuple(factory_paths),),
+    return map_cached(mentions_ds, TripleProjector,
+                      {'factory_paths': tuple(factory_paths)},
                       concurrency, batch_size)

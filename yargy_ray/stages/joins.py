@@ -1,10 +1,11 @@
 """Join strategies.
 
-* ``broadcast_join`` — the small side is collected once, ``ray.put``
-  into the object store, and every map task reads it zero-copy from the
-  local store; the big side streams through ``map_batches`` with a
-  vectorized dictionary lookup. No shuffle at all — the right tool
-  whenever one side fits in a worker (dimension tables, gazetteers).
+* ``broadcast_join`` — the small side is collected once, broadcast
+  through the object store (``stages/compute.map_cached``), and every
+  map task reads it zero-copy from the local store; the big side
+  streams through ``map_batches`` with a vectorized dictionary lookup.
+  No shuffle at all — the right tool whenever one side fits in a
+  worker (dimension tables, gazetteers).
 * ``asof_join`` — big-big temporal join Ray Data lacks natively:
   both sides are tagged and UNIONed so a SINGLE hash exchange on the
   ``by`` key co-partitions them, then each partition runs a vectorized
@@ -18,6 +19,8 @@
 from __future__ import annotations
 
 import pyarrow as pa
+
+from yargy_ray.stages.compute import map_cached
 
 
 def _nullable_int_mapper(t):
@@ -41,13 +44,11 @@ def _nullable_int_mapper(t):
 
 
 class BroadcastLookup:
-    """map_batches callable: per-batch Arrow hash join against the
-    broadcast small-side table (read ONCE per actor from the local
-    object store; the probe is pyarrow's vectorized hash join)."""
+    """Per-batch Arrow hash join against the broadcast small-side table
+    (the probe is pyarrow's vectorized hash join)."""
 
-    def __init__(self, table_ref, big_key, small_key):
-        import ray
-        self.small = ray.get(table_ref)
+    def __init__(self, small, big_key, small_key):
+        self.small = small
         self.big_key = big_key
         self.small_key = small_key
 
@@ -58,13 +59,11 @@ class BroadcastLookup:
 
 def broadcast_join(big_ds, small_ds, big_key, small_key, columns,
                    concurrency=(1, 4)):
-    # autoscaling (min, max) pool: a fixed-size pool would reserve its
-    # CPUs up front and can starve upstream read tasks on small hosts
     """Inner join: big side streams, small side broadcast once.
 
     The small side is collected as ONE Arrow table (block refs fetched
-    in parallel, no per-row driver RPC), ``ray.put`` once, and every
-    actor joins each streaming batch against it with
+    in parallel, no per-row driver RPC), broadcast once, and every
+    task joins each streaming batch against it with
     ``pyarrow.Table.join`` — no shuffle, no per-row Python.
 
     ``columns``: the small-side columns to attach to matching rows.
@@ -75,15 +74,9 @@ def broadcast_join(big_ds, small_ds, big_key, small_key, columns,
         ray.get(small_ds.select_columns(
             [small_key] + list(columns)).to_arrow_refs()),
         promote_options='default')
-    table_ref = ray.put(small)
-    return big_ds.map_batches(
-        BroadcastLookup,
-        fn_constructor_kwargs={
-            'table_ref': table_ref, 'big_key': big_key,
-            'small_key': small_key},
-        batch_format='pyarrow',
-        concurrency=concurrency,
-    )
+    return map_cached(big_ds, BroadcastLookup,
+                      {'small': small, 'big_key': big_key,
+                       'small_key': small_key}, concurrency)
 
 
 def asof_join(left_ds, right_ds, by, on, direction='backward',

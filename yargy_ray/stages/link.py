@@ -6,13 +6,14 @@ on per-token LEMMAS, so every inflected variant of a phrase links to
 the same canonical entry; yargy_ray.kernel.gazetteer reimplements the
 same normalization for in-grammar use).
 
-Scale design: the gazetteer is built ONCE driver-side and broadcast
-with ``ray.put`` — every actor reads the same object-store copy in
-``__init__``; it is never re-shipped per batch. The linking stage is a
-stateful actor pool (morph analyzer + phrase index built once per
-actor), streaming over Arrow batches. Unlinked mentions keep their
-normalized surface form with ``linked=False`` — at 100TB scale you
-never drop rows silently.
+Scale design: the gazetteer is built ONCE driver-side and broadcast by
+``stages/compute.map_cached`` — every worker reads the same
+object-store copy when it builds its linker; it is never re-shipped
+per batch. The linking stage runs as tasks on warm workers (morph
+analyzer + phrase index built once per worker per Dataset), streaming
+over Arrow batches. Unlinked mentions keep their normalized surface
+form with ``linked=False`` — at 100TB scale you never drop rows
+silently.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from yargy_ray.kernel.tokenizer import MorphTokenizer
+from yargy_ray.stages.compute import map_cached
 
 
 def normalize_phrase(tokenizer, phrase):
@@ -43,8 +45,7 @@ def normalize_phrase(tokenizer, phrase):
 def build_gazetteer(entities):
     """{canonical_id: [phrase, ...]} -> broadcastable lemma-key index.
 
-    Run driver-side once; pass the result (or its ``ray.put`` ref) to
-    :func:`link_entities`.
+    Run driver-side once; pass the result to :func:`link_entities`.
     """
     tokenizer = MorphTokenizer()
     index = {}
@@ -57,25 +58,16 @@ def build_gazetteer(entities):
 
 
 class EntityLinker:
-    """Actor: adds ``entity_id`` + ``linked`` columns for one column.
-
-    ``index_ref`` may be a plain dict (tests) or a ``ray.ObjectRef``
-    from ``ray.put`` (the broadcast path — resolved once per actor).
-    """
+    """Adds ``entity_id`` + ``linked`` columns for one column, against
+    a compiled ``{lemma key: entity id}`` index."""
 
     # surface forms repeat heavily (same insight as the extraction LRU,
     # stages/extract.py): cache the tokenize+lemma key per distinct
-    # surface, bounded per actor
+    # surface, bounded per instance
     _CACHE_MAX = 100_000
 
-    def __init__(self, index_ref, column='obj'):
-        try:
-            import ray
-            if isinstance(index_ref, ray.ObjectRef):
-                index_ref = ray.get(index_ref)
-        except ImportError:  # pure-kernel contexts
-            pass
-        self.index = index_ref
+    def __init__(self, index, column='obj'):
+        self.index = index
         self.column = column
         self.tokenizer = MorphTokenizer()
         self._key_cache = {}
@@ -112,21 +104,15 @@ def link_entities(ds, gazetteer, column='obj', concurrency=(1, 4),
                   batch_size=4096):
     """Dataset + {id: [phrases]} -> Dataset with entity_id/linked.
 
-    Broadcasts the compiled index via ``ray.put`` so N actors share one
-    object-store copy instead of N pickled copies in their constructor
-    args.
+    ``gazetteer`` may also be a compiled index from
+    :func:`build_gazetteer`, or an ``ObjectRef`` to one (resolved here,
+    on the driver). The index is broadcast once through the object
+    store, not pickled into every task.
     """
     import ray
-    index = gazetteer if isinstance(gazetteer, ray.ObjectRef) else None
-    if index is None:
-        compiled = (gazetteer if all(
-            isinstance(v, str) for v in gazetteer.values())
-            else build_gazetteer(gazetteer))
-        index = ray.put(compiled)
-    return ds.map_batches(
-        EntityLinker,
-        fn_constructor_kwargs={'index_ref': index, 'column': column},
-        batch_format='pyarrow',
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    if isinstance(gazetteer, ray.ObjectRef):
+        gazetteer = ray.get(gazetteer)
+    index = (gazetteer if all(isinstance(v, str) for v in gazetteer.values())
+             else build_gazetteer(gazetteer))
+    return map_cached(ds, EntityLinker, {'index': index, 'column': column},
+                      concurrency, batch_size)

@@ -1,13 +1,14 @@
 """Multimodal column plumbing: opaque binary payloads + typed metadata.
 
 Images/audio/video travel as ``binary`` columns with a metadata struct;
-decode / resize / feature-extract are actor-pool ``map_batches`` stages.
+decode / resize / feature-extract are stateful stages run as tasks on
+warm workers (``stages/compute.map_cached``).
 The image/audio codec libraries are NOT in this container, so the codec
 boundary is explicit:
 
 * ``FakeCodec`` — deterministic stand-in (seeded bytes -> fake
   "pixels"), used by tests and the bench so the Ray-side plumbing
-  (schema, batch sizing, actor signature, output layout) is real and
+  (schema, batch sizing, constructor signature, output layout) is real and
   exercised end to end.
 * ``LibraryCodec`` — raises ``NotImplementedError`` with the exact
   dependency needed; drop-in once PIL/libav exist on the cluster.
@@ -24,6 +25,8 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
+
+from yargy_ray.stages.compute import map_cached
 
 MEDIA_SCHEMA = pa.schema([
     ('media_id', pa.int64()),
@@ -81,9 +84,9 @@ class FakeCodec:
 
 
 class ImageFeaturizer:
-    """Actor stage: decode -> resize -> channel-mean feature vector.
+    """Decode -> resize -> channel-mean feature vector.
 
-    Codec built once per actor; batches stay small because payloads are
+    Codec built once per worker; batches stay small because payloads are
     large. Output drops the payload (never carry blobs past the last
     stage that needs them).
     """
@@ -115,7 +118,7 @@ class ImageFeaturizer:
 
 
 class FrameSampler:
-    """Actor stage: sample every k-th frame index of a video payload."""
+    """Sample every k-th frame index of a video payload."""
 
     def __init__(self, every=10):
         self.every = every
@@ -136,12 +139,7 @@ class FrameSampler:
 
 def featurize_images(media_ds, concurrency=(1, 4), batch_size=16):
     """Small batches: payload bytes dominate block size."""
-    return media_ds.map_batches(
-        ImageFeaturizer,
-        batch_format='pyarrow',
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return map_cached(media_ds, ImageFeaturizer, {}, concurrency, batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +222,7 @@ class StdlibCodec:
 
 
 class AudioFeaturizer:
-    """Actor stage: decode audio -> integral features (n_samples, and
+    """Decode audio -> integral features (n_samples, and
     sum of squared int16 PCM values — an exact-integer RMS numerator,
     so the output is bit-checkable without float hashing)."""
 
@@ -251,14 +249,8 @@ class AudioFeaturizer:
 
 def featurize_audio(media_ds, codec=None, concurrency=(1, 4),
                     batch_size=16):
-    kwargs = {'codec': codec} if codec is not None else {}
-    return media_ds.map_batches(
-        AudioFeaturizer,
-        fn_constructor_kwargs=kwargs,
-        batch_format='pyarrow',
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return map_cached(media_ds, AudioFeaturizer, {'codec': codec},
+                      concurrency, batch_size)
 
 
 def synth_real_media(num_items, seed=23):

@@ -37,13 +37,16 @@ def rollup_aggregate(ds, keys, vals, num_partitions=64):
     (int64 — callers pre-convert money to cents), ``n_rows``, and
     ``lvl`` — DuckDB's ``GROUPING(k1, .., kn)`` bitmask (bit i set when
     key i is rolled up), which disambiguates rollup nulls from data
-    nulls.
+    nulls. Like SQL, empty input still yields the grand-total row, with
+    null sums and ``n_rows=0``.
 
     Shape: ONE exchange at the finest grain (map-side combined), then
-    each coarser level re-aggregates the PREVIOUS level's output — the
-    fine aggregate is category-cardinality sized, so the follow-up
-    exchanges are no-ops at any corpus scale.
+    each coarser level re-aggregates the fine aggregate on the driver —
+    it is category-cardinality sized at any corpus scale.
     """
+    import ray
+    import ray.data
+
     from yargy_ray.stages.exchange import partitioned_reduce
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -62,56 +65,55 @@ def rollup_aggregate(ds, keys, vals, num_partitions=64):
     fine = partitioned_reduce(
         ds.map_batches(partial, batch_format='pyarrow'), list(keys),
         reduce_fine, num_partitions)
-
-    # the fine aggregate is category-cardinality sized: ONE block, and
-    # every level (fine + all coarser) derives from it in one
-    # whole-block call (batch_size=None so a level is never split)
-    def all_levels(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _empty_rollup(keys, vals)
-        order = list(keys) + list(vals) + ['n_rows', 'lvl']
-        pieces = [batch.append_column(
-            'lvl', pa.array(np.zeros(batch.num_rows, dtype=np.int64)))
-            .select(order)]
-        for i in range(len(keys) - 1, -1, -1):
-            kept = list(keys[:i])
-            rolled = list(keys[i:])
-            lvl = sum(1 << (len(keys) - 1 - list(keys).index(r))
-                      for r in rolled)
-            if kept:
-                agg = batch.select(kept + list(vals) + ['n_rows']) \
-                    .group_by(kept) \
-                    .aggregate([(v, 'sum')
-                                for v in list(vals) + ['n_rows']])
-                cols = {k: agg.column(k) for k in kept}
-                src = {v: agg.column(f'{v}_sum')
-                       for v in list(vals) + ['n_rows']}
-                n = agg.num_rows
-            else:
-                cols = {}
-                src = {v: pa.array(
-                    [pc.sum(batch.column(v)).as_py() or 0],
-                    type=pa.int64())
-                    for v in list(vals) + ['n_rows']}
-                n = 1
-            for r in rolled:
-                cols[r] = pa.nulls(n, type=pa.string())
-            for v in list(vals) + ['n_rows']:
-                cols[v] = src[v]
-            cols['lvl'] = pa.array(np.full(n, lvl, dtype=np.int64))
-            pieces.append(pa.table(cols).select(order))
-        return pa.concat_tables(pieces)
-
-    return fine.repartition(1).map_batches(
-        all_levels, batch_format='pyarrow', batch_size=None)
+    blocks = [b for b in ray.get(fine.to_arrow_refs()) if b.num_rows]
+    if blocks:
+        table = pa.concat_tables(blocks)
+    else:
+        # no block carries the key types; take them from the input
+        schema = ds.schema()
+        types = dict(zip(schema.names, schema.types)) if schema else {}
+        table = pa.table(
+            {k: pa.array([], type=types.get(k, pa.string())) for k in keys}
+            | {v: pa.array([], type=pa.int64())
+               for v in list(vals) + ['n_rows']})
+    return ray.data.from_arrow(_rollup_levels(table, keys, vals))
 
 
-def _empty_rollup(keys, vals):
-    cols = {k: pa.array([], type=pa.string()) for k in keys}
-    for v in list(vals) + ['n_rows']:
-        cols[v] = pa.array([], type=pa.int64())
-    cols['lvl'] = pa.array([], type=pa.int64())
-    return pa.table(cols)
+def _rollup_levels(fine: pa.Table, keys, vals) -> pa.Table:
+    """The fine aggregate plus every coarser ROLLUP level of it; a
+    rolled-up key is null of the fine aggregate's key type."""
+    sums = list(vals) + ['n_rows']
+    order = list(keys) + sums + ['lvl']
+    pieces = [fine.append_column(
+        'lvl', pa.array(np.zeros(fine.num_rows, dtype=np.int64)))
+        .select(order)]
+    for i in range(len(keys) - 1, -1, -1):
+        kept = list(keys[:i])
+        rolled = list(keys[i:])
+        lvl = sum(1 << (len(keys) - 1 - list(keys).index(r))
+                  for r in rolled)
+        if kept:
+            agg = fine.select(kept + sums).group_by(kept) \
+                .aggregate([(v, 'sum') for v in sums])
+            cols = {k: agg.column(k) for k in kept}
+            src = {v: agg.column(f'{v}_sum') for v in sums}
+            n = agg.num_rows
+        else:
+            # SQL's grand total: SUM of no rows is NULL, COUNT is 0
+            src = {v: pa.array([pc.sum(fine.column(v)).as_py()],
+                               type=pa.int64()) for v in vals}
+            src['n_rows'] = pa.array(
+                [pc.sum(fine.column('n_rows'), min_count=0).as_py()],
+                type=pa.int64())
+            cols = {}
+            n = 1
+        for r in rolled:
+            cols[r] = pa.nulls(n, type=fine.schema.field(r).type)
+        for v in sums:
+            cols[v] = src[v]
+        cols['lvl'] = pa.array(np.full(n, lvl, dtype=np.int64))
+        pieces.append(pa.table(cols).select(order))
+    return pa.concat_tables(pieces)
 
 
 def pivot_counts(ds, key, cat_col, categories, num_partitions=64):

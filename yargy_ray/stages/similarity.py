@@ -1,7 +1,8 @@
 """Similarity search over an embedding column (list<float>).
 
 * ``brute_force_topk`` — exact cosine top-k: the query matrix is
-  ``ray.put`` once (broadcast, NOT re-shipped per batch); every batch
+  broadcast once (``stages/compute.map_cached``, NOT re-shipped per
+  batch); every batch
   does one numpy matmul; per-batch top-k partials are merged with one
   tiny reduce. This is the correctness baseline and the oracle-checked
   path.
@@ -18,6 +19,8 @@ import os
 
 import numpy as np
 import pyarrow as pa
+
+from yargy_ray.stages.compute import map_cached
 
 
 def _as_matrix(column, dtype=np.float32) -> np.ndarray:
@@ -54,17 +57,9 @@ def _unit(m: np.ndarray) -> np.ndarray:
 
 
 class BatchTopK:
-    """map_batches callable: per-batch exact top-k against broadcast queries.
+    """Per-batch exact top-k against the broadcast query matrix."""
 
-    ``queries_ref`` is an ``ObjectRef`` — Ray resolves it once per task
-    from the local object store (zero-copy shared memory), so the query
-    matrix is never serialized per batch.
-    """
-
-    def __init__(self, queries_ref, k):
-        import ray
-        queries = ray.get(queries_ref) if not isinstance(
-            queries_ref, np.ndarray) else queries_ref
+    def __init__(self, queries, k):
         self.queries = _unit(np.asarray(queries, dtype=np.float32))
         self.k = k
 
@@ -126,16 +121,9 @@ def merge_topk_distributed(partials_ds, k, num_partitions=16):
 
 def brute_force_topk(emb_ds, queries, k=10, concurrency=(1, 4)):
     """Exact cosine top-k of every query against the whole dataset."""
-    import ray
     queries = np.asarray(queries, dtype=np.float32)
-    queries_ref = ray.put(queries)
-    partials = emb_ds.map_batches(
-        BatchTopK,
-        fn_constructor_kwargs={'queries_ref': queries_ref, 'k': k},
-        batch_format='pyarrow',
-        batch_size=4096,
-        concurrency=concurrency,
-    )
+    partials = map_cached(emb_ds, BatchTopK, {'queries': queries, 'k': k},
+                          concurrency, 4096)
     return merge_topk_distributed(partials, k)
 
 
@@ -163,11 +151,10 @@ def train_centroids(emb_ds, num_lists=16, sample=4096, iters=10, seed=3):
 
 
 class IVFAssigner:
-    def __init__(self, centroids_ref):
-        import ray
-        self.centroids = (ray.get(centroids_ref)
-                          if not isinstance(centroids_ref, np.ndarray)
-                          else centroids_ref)
+    """Appends ``ivf_list``: each vector's nearest broadcast centroid."""
+
+    def __init__(self, centroids):
+        self.centroids = centroids
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         vecs = _unit(_as_matrix(batch.column('embedding')))
@@ -193,7 +180,6 @@ def build_ivf_index(emb_ds, index_dir, num_lists=16, sample=4096, iters=10,
     partitions from it.
     """
     import pyarrow.parquet as pq
-    import ray
 
     from yargy_ray.state import storage
     from yargy_ray.state.manifests import fingerprint, run_stage
@@ -219,11 +205,8 @@ def build_ivf_index(emb_ds, index_dir, num_lists=16, sample=4096, iters=10,
                                      type=pa.list_(pa.float32())),
             }),
             cpath, filesystem=cfs)
-        centroids_ref = ray.put(centroids)
-        assigned = emb_ds.map_batches(
-            IVFAssigner,
-            fn_constructor_kwargs={'centroids_ref': centroids_ref},
-            batch_format='pyarrow', concurrency=concurrency)
+        assigned = map_cached(emb_ds, IVFAssigner,
+                              {'centroids': centroids}, concurrency)
         lists_dir = storage.join(out_dir, 'lists')
         assigned.write_parquet(lists_dir, partition_cols=['ivf_list'])
         return [
@@ -242,7 +225,6 @@ def ivf_topk_indexed(index_dir, queries, k=10, nprobe=4,
     nearest list partitions are read from storage (partition-pruned
     ``read_parquet``), never the full dataset."""
     import pyarrow.parquet as pq
-    import ray
     import ray.data
 
     from yargy_ray.state import storage
@@ -271,11 +253,8 @@ def ivf_topk_indexed(index_dir, queries, k=10, nprobe=4,
              ('vec_id', pa.int64()), ('cosine', pa.float64())]))
     probed = ray.data.read_parquet(files, columns=['vec_id', 'embedding'])
 
-    queries_ref = ray.put(queries)
-    partials = probed.map_batches(
-        BatchTopK,
-        fn_constructor_kwargs={'queries_ref': queries_ref, 'k': k},
-        batch_format='pyarrow', batch_size=4096, concurrency=concurrency)
+    partials = map_cached(probed, BatchTopK, {'queries': queries, 'k': k},
+                          concurrency, 4096)
     return merge_topk_distributed(partials, k)
 
 
@@ -363,7 +342,6 @@ def merge_ivf_delta(index_dir, delta_ds, delta_id=None,
     centroids).
     """
     import pyarrow.parquet as pq
-    import ray
 
     from yargy_ray.state import storage
     from yargy_ray.state.manifests import (
@@ -398,11 +376,8 @@ def merge_ivf_delta(index_dir, delta_ds, delta_id=None,
         storage.join(root_dir, 'centroids.parquet'))
     centroids = _as_matrix(
         pq.read_table(cpath, filesystem=cfs).column('centroid'))
-    centroids_ref = ray.put(centroids)
-    assigned = delta_ds.map_batches(
-        IVFAssigner,
-        fn_constructor_kwargs={'centroids_ref': centroids_ref},
-        batch_format='pyarrow', concurrency=concurrency)
+    assigned = map_cached(delta_ds, IVFAssigner, {'centroids': centroids},
+                          concurrency)
     assigned.write_parquet(delta_dir, partition_cols=['ivf_list'])
 
     # recount per-list rows across base lists + ALL recorded deltas
@@ -456,7 +431,6 @@ def rebuild_ivf_index(index_dir, num_lists=None, sample=4096, iters=10,
     still hold the old manifest).
     """
     import pyarrow.parquet as pq
-    import ray
     import ray.data
 
     from yargy_ray.state import storage
@@ -498,10 +472,8 @@ def rebuild_ivf_index(index_dir, num_lists=None, sample=4096, iters=10,
                                  type=pa.list_(pa.float32())),
         }),
         cpath, filesystem=cfs)
-    assigned = emb_ds.map_batches(
-        IVFAssigner,
-        fn_constructor_kwargs={'centroids_ref': ray.put(centroids)},
-        batch_format='pyarrow', concurrency=concurrency)
+    assigned = map_cached(emb_ds, IVFAssigner, {'centroids': centroids},
+                          concurrency)
     assigned.write_parquet(storage.join(new_root, 'lists'),
                            partition_cols=['ivf_list'])
 

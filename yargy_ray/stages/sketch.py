@@ -21,6 +21,8 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
+from yargy_ray.stages.compute import map_cached
+
 _SCALE = float(1 << 60)   # hashes are the first 60 bits of md5
 
 
@@ -86,6 +88,22 @@ def _mg_summary(tokens, counts, k):
     return s
 
 
+class ExactRecount:
+    """Exact ``(token, n)`` partials of the broadcast candidate tokens
+    only — the verify pass of :func:`heavy_hitters`."""
+
+    def __init__(self, candidates):
+        self.candidates = candidates
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        from yargy_ray.stages.text import _vocab_partial
+        part = _vocab_partial(batch)
+        return part.filter(pc.is_in(part.column('token'),
+                                    value_set=self.candidates))
+
+
 def heavy_hitters(docs_ds, min_frac=0.01,
                   num_partitions=64, sketch_k=None):
     """EXACT heavy hitters: every whitespace token whose corpus
@@ -106,7 +124,6 @@ def heavy_hitters(docs_ds, min_frac=0.01,
        bit for bit (the SQL oracle is a plain GROUP BY ... HAVING).
     """
     import pyarrow.compute as pc
-    import ray
 
     from yargy_ray.stages.exchange import partitioned_reduce, sum_by
     from yargy_ray.stages.text import _vocab_partial
@@ -160,21 +177,8 @@ def heavy_hitters(docs_ds, min_frac=0.01,
     if total == 0 or len(candidates) == 0:
         return pa.table({'token': pa.array([], type=pa.string()),
                          'n': pa.array([], type=pa.int64())})
-    cand_ref = ray.put(candidates)
-
-    class ExactRecount:
-        def __init__(self, ref):
-            self.cands = ray.get(ref) if not isinstance(
-                ref, pa.Array) else ref
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            part = _vocab_partial(batch)
-            return part.filter(pc.is_in(part.column('token'),
-                                        value_set=self.cands))
-
-    exact = docs_ds.map_batches(
-        ExactRecount, fn_constructor_kwargs={'ref': cand_ref},
-        batch_format='pyarrow', concurrency=(1, 4))
+    exact = map_cached(docs_ds, ExactRecount, {'candidates': candidates},
+                       (1, 4))
 
     counted = sum_by(exact, 'token', 'n', num_partitions)
     threshold = min_frac * total

@@ -5,8 +5,8 @@ Behavioral contract: /root/reference/yargy/tagger.py (Tagger /
 check_tag) and /root/reference/tests/test_tagger.py:23-34 — a tagger
 annotates the token stream BETWEEN tokenization and parsing, and the
 ``tag()`` predicate consumes the annotations. The reference runs the
-tagger inline inside one process; here tagging is its own actor-pool
-``map_batches`` stage whose output carries ``tokens``/``tags`` as
+tagger inline inside one process; here tagging is its own stage, run
+as tasks on warm workers, whose output carries ``tokens``/``tags`` as
 aligned ``list<string>`` Arrow columns, so a downstream extraction
 stage (or a model-backed NER stage swapped in at the same seam) can
 consume the tags without retagging. That is the 100 TB shape: the
@@ -14,10 +14,11 @@ expensive tagger (in production: a model forward pass) runs once,
 its output is a narrow columnar annotation that travels through the
 object store, and any number of tag()-grammar consumers read it.
 
-Scale notes: both stages are stateless-per-batch actor pools (state
-— compiled grammar, tag alphabet, vocab set — built once per actor in
-``__init__``); no shuffle anywhere; output is per-row, so blocks
-stream with backpressure.
+Scale notes: both stages are stateless per batch and run through
+``stages/compute.map_cached`` (state — compiled grammar, tag alphabet,
+vocab set — built once per worker per Dataset in ``__init__``); no
+shuffle anywhere; output is per-row, so blocks stream with
+backpressure.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from yargy_ray.kernel import Parser, rule
 from yargy_ray.kernel.predicates import tag
 from yargy_ray.kernel.tagging import Tagger
 from yargy_ray.kernel.tokenizer import Tokenizer
+from yargy_ray.stages.compute import map_cached
 
 
 class VocabBIOTagger(Tagger):
@@ -73,7 +75,7 @@ class SequenceTagger(Tagger):
 
 
 class BIOTagTokens:
-    """Actor-pool stage 1: text -> aligned ``tokens``/``tags``
+    """Stage 1: text -> aligned ``tokens``/``tags``
     ``list<string>`` columns (original id + text preserved)."""
 
     def __init__(self, vocab, name='ENT', id_column='doc_id',
@@ -100,7 +102,7 @@ class BIOTagTokens:
 
 
 class TaggedPhraseExtractor:
-    """Actor-pool stage 2: consumes the ``tags`` column through
+    """Stage 2: consumes the ``tags`` column through
     ``tag()`` predicates — grammar ``B-<name> I-<name>*`` — and emits
     one row per extracted phrase (maximal tagged run)."""
 
@@ -136,22 +138,17 @@ def bio_tag_tokens(ds, vocab, name='ENT', id_column='doc_id',
                    text_column='text', concurrency=(1, 8),
                    batch_size=256):
     """documents Dataset -> same rows + ``tokens``/``tags`` columns."""
-    return ds.map_batches(
-        BIOTagTokens,
-        fn_constructor_kwargs={'vocab': tuple(vocab), 'name': name,
-                               'id_column': id_column,
-                               'text_column': text_column},
-        batch_format='pyarrow', batch_size=batch_size,
-        concurrency=concurrency)
+    return map_cached(ds, BIOTagTokens,
+                      {'vocab': tuple(vocab), 'name': name,
+                       'id_column': id_column, 'text_column': text_column},
+                      concurrency, batch_size)
 
 
 def extract_tagged_phrases(tagged_ds, name='ENT', id_column='doc_id',
                            text_column='text', concurrency=(1, 8),
                            batch_size=256):
     """tagged Dataset -> (id, phrase, n_tokens) rows."""
-    return tagged_ds.map_batches(
-        TaggedPhraseExtractor,
-        fn_constructor_kwargs={'name': name, 'id_column': id_column,
-                               'text_column': text_column},
-        batch_format='pyarrow', batch_size=batch_size,
-        concurrency=concurrency)
+    return map_cached(tagged_ds, TaggedPhraseExtractor,
+                      {'name': name, 'id_column': id_column,
+                       'text_column': text_column},
+                      concurrency, batch_size)

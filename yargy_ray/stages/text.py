@@ -235,7 +235,7 @@ def doc_top_terms(docs_ds, k=3, num_partitions=64, concurrency=(1, 4)):
     Scale shape: per-doc tf is map-local (one doc per row); df is one
     token-keyed exchange over the DISTINCT (doc, token) pairs (Heaps'
     law: sub-linear in corpus size) whose result is broadcast back
-    (``ray.put`` once, vectorized Arrow join per batch — the df table
+    (broadcast once, vectorized Arrow join per batch — the df table
     is vocabulary-sized; swap the broadcast for a hash co-partition
     join if a corpus's vocabulary outgrows worker memory); the final
     top-k is ONE doc-keyed exchange (topk_per_group).
