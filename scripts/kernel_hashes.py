@@ -1,0 +1,146 @@
+"""Fingerprints of the extraction kernel's output on the benchmark corpora.
+
+A kernel change that keeps the parser's semantics must leave every line
+this prints unchanged. Run it at two commits and diff the output:
+
+    python scripts/kernel_hashes.py                  # seeds 7 and 42
+    python scripts/kernel_hashes.py --seed 7
+
+For each seed it builds both benchmark corpora with ``perfbench.corpus``
+(``repeat``: the corpus as generated; ``distinct``: without turns whose
+text appeared earlier) and prints, per corpus:
+
+* sha256 of the in-process ``MentionExtractor`` rows and of the
+  ``TripleExtractor`` rows, in input order;
+* per shipped grammar, the chart states pushed over every turn its gate
+  lets through (a standalone ``Parser`` per grammar) and the number of
+  ``StateOverflow`` capped rows in the mention output.
+
+Writing the corpora starts a two-CPU local Ray (stopped at the end):
+the files' layout, and so the batches and the triple hash, depend on
+Ray's CPU count. Extraction and charting run in this process.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import re
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+
+import pyarrow.parquet as pq  # noqa: E402
+
+from perfbench.corpus import (  # noqa: E402
+    generate,
+    keep_first_texts,
+    parquet_files,
+)
+from yargy_ray.grammars import build_specs  # noqa: E402
+from yargy_ray.kernel import Parser, StateOverflow  # noqa: E402
+from yargy_ray.kernel.tokenizer import MorphTokenizer  # noqa: E402
+from yargy_ray.pipelines.kg import TripleExtractor  # noqa: E402
+from yargy_ray.stages.extract import (  # noqa: E402
+    CAPPED_RULE,
+    MentionExtractor,
+)
+
+BATCH_ROWS = 256
+
+
+def batches(path):
+    for name in parquet_files(path):
+        table = pq.read_table(name)
+        for offset in range(0, table.num_rows, BATCH_ROWS):
+            yield table.slice(offset, BATCH_ROWS)
+
+
+def table_digest(digest, table):
+    for row in zip(*(col.to_pylist() for col in table.columns)):
+        digest.update(json.dumps(row, ensure_ascii=False).encode())
+        digest.update(b'\n')
+
+
+def chart_states(path):
+    """Pushed chart states and overflows per grammar, behind its gate."""
+    tokenizer = MorphTokenizer()
+    grammars = []
+    for spec in build_specs():
+        gate = re.compile(spec.gate) if spec.gate else None
+        parser = Parser(spec.rule, tokenizer=tokenizer,
+                        max_states=spec.max_states)
+        grammars.append((spec.name, parser, gate))
+    states = {name: 0 for name, _, _ in grammars}
+    overflows = {name: 0 for name, _, _ in grammars}
+    for batch in batches(path):
+        for text in batch.column('text').to_pylist():
+            tokens = None
+            for name, parser, gate in grammars:
+                if gate is not None and gate.search(text) is None:
+                    continue
+                if tokens is None:
+                    tokens = list(tokenizer(text))
+                try:
+                    columns = parser._chart_tokens(tokens)
+                except StateOverflow:
+                    overflows[name] += 1
+                    continue
+                states[name] += sum(len(c.states) for c in columns)
+    return states, overflows
+
+
+def corpus_lines(path):
+    mentions, triples = hashlib.sha256(), hashlib.sha256()
+    capped = {}
+    n_mentions = n_triples = 0
+    extract, fused = MentionExtractor(), TripleExtractor()
+    for batch in batches(path):
+        rows = extract(batch)
+        n_mentions += rows.num_rows
+        table_digest(mentions, rows)
+        for rule, payload in zip(rows.column('rule').to_pylist(),
+                                 rows.column('fact_json').to_pylist()):
+            if rule == CAPPED_RULE:
+                name = json.loads(payload)['grammar']
+                capped[name] = capped.get(name, 0) + 1
+        out = fused(batch)
+        n_triples += out.num_rows
+        table_digest(triples, out)
+    yield f'mentions {n_mentions} {mentions.hexdigest()}'
+    yield f'triples {n_triples} {triples.hexdigest()}'
+    states, overflows = chart_states(path)
+    for name in states:
+        yield (f'grammar {name} states={states[name]} '
+               f'overflows={overflows[name]} capped={capped.get(name, 0)}')
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split('\n')[0])
+    parser.add_argument('--seed', type=int, action='append',
+                        help='corpus seed (repeatable; default 7 and 42)')
+    args = parser.parse_args(argv)
+    import ray
+    ray.init(address='local', num_cpus=2, include_dashboard=False,
+             log_to_driver=False, logging_level='ERROR')
+    try:
+        for seed in args.seed or (7, 42):
+            with tempfile.TemporaryDirectory() as tmp:
+                repeat = os.path.join(tmp, 'repeat')
+                distinct = os.path.join(tmp, 'distinct')
+                generate(repeat, seed)
+                keep_first_texts(repeat, distinct)
+                for corpus, path in (('repeat', repeat),
+                                     ('distinct', distinct)):
+                    for line in corpus_lines(path):
+                        print(f'seed={seed} {corpus} {line}', flush=True)
+    finally:
+        ray.shutdown()
+
+
+if __name__ == '__main__':
+    main()

@@ -4,17 +4,30 @@ The pinned state counts were measured with the uncompiled parser (FIRST
 matcher lists, per-state signature tuples). Prediction plans, token masks
 and state keys must reproduce its chart state for state: the budget
 counts pushed states, and tree tie-breaking depends on push order.
+
+The lazy parse forest and the shared mask space are checked against
+values pinned with the eager forest and per-parser masks.
 """
+
+import json
+from collections import Counter
 
 import pytest
 
 from yargy_ray.grammars import build_specs
 from yargy_ray.kernel import Parser, StateOverflow, empty, or_, rule
+from yargy_ray.kernel import earley
 from yargy_ray.kernel.gazetteer import morph_pipeline, pipeline
 from yargy_ray.kernel.predicates import eq, gram, tag
-from yargy_ray.kernel.records import Span, Token
+from yargy_ray.kernel.records import Span, Token, best_nonoverlapping
+from yargy_ray.kernel.relations import gnc_relation
 from yargy_ray.kernel.tagging import Tagger
 from yargy_ray.kernel.tokenizer import MorphTokenizer
+from yargy_ray.stages.extract import (
+    CAPPED_RULE,
+    MentionExtractor,
+    fact_payload,
+)
 
 # a nullable production must survive every lookahead: the money grammar
 # on this turn is where dropping one changed the chart but not the output
@@ -165,3 +178,173 @@ def test_grammar_compile_is_deterministic():
                              eq('a').optional().repeatable()))
         sizes.add(sum(column_sizes(parser, 'a a ')))
     assert sizes == {62}
+
+
+# -- lazy parse forest -------------------------------------------------------
+
+def test_shared_child_breaks_rank_tie():
+    # both final trees are S -> A B (a rank tie at the root) and share
+    # the completed A; B's production rank decides only because the
+    # shared child is skipped by identity. The rank-1 B completes first,
+    # so without the shared node the tie would keep chart order.
+    a = rule(eq('x'), eq('y'))
+    b = or_(rule(eq('b'), or_(rule(eq('c')), rule(eq('z')))),
+            rule(eq('b'), eq('c')))
+    parser = Parser(rule(a, b))
+    text = 'x y b c'
+    final = list(parser._final_states(parser._chart(text)))
+    assert [s.child.rank for s in final] == [1, 0]
+    trees = parser.trees(text)
+    assert [t.range for t in trees] == [(0, 4), (0, 4)]
+    assert [t.root.rank for t in trees] == [0, 0]
+    assert trees[0].root.children[0] is trees[1].root.children[0]
+    assert [t.root.children[1].rank for t in trees] == [0, 1]
+    [match] = parser.findall(text)
+    assert [t.value for t in match.tokens] == ['x', 'y', 'b', 'c']
+    assert match.tree.root.children[1].rank == 0
+    assert parser.match(text).tree.root.children[1].rank == 0
+    assert len(list(parser.extract(text))) == 2
+
+
+def test_chart_builds_no_parse_nodes(monkeypatch, specs):
+    built = []
+    init = earley.ParseNode.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(earley.ParseNode, '__init__', counting)
+    parser = Parser(specs['money'].rule)
+    columns = parser._chart_tokens(parser.tokenize(MONEY_TURN))
+    assert sum(len(c.states) for c in columns) == PUSHED['money'][0]
+    assert built == []
+    # the counter does see the nodes a match needs
+    assert list(parser.findall(TURNS[1]))
+    assert built
+
+
+def test_prepare_only_kept_spans_without_relations(monkeypatch):
+    # the grammar of test_parser.py::test_findall_resolution
+    parser = Parser(or_(
+        rule(eq('a'), eq('b')),
+        rule(eq('b'), eq('c')),
+        rule(eq('a')),
+    ))
+    assert not parser._relations
+    prepared = []
+    prepare = earley._prepare_match
+
+    def recording(tree):
+        prepared.append(tree.range)
+        return prepare(tree)
+
+    monkeypatch.setattr(earley, '_prepare_match', recording)
+    final = sorted(parser.trees('a b c'))
+    spans = [t.range for t in final]
+    assert spans == [(0, 2), (0, 1), (1, 3)]
+    matches = list(parser.findall('a b c'))
+    assert prepared == best_nonoverlapping(spans) == [(0, 1), (1, 3)]
+    assert [[t.value for t in m.tokens] for m in matches] == [
+        ['a'], ['b', 'c']]
+
+
+def test_relation_grammar_falls_back_to_next_tree():
+    # the rank-0 tree of the span fails agreement (masc adjective,
+    # femn noun); the rank-1 tree of the same span is chosen
+    gnc = gnc_relation()
+    parser = Parser(or_(
+        rule(gram('ADJF').match(gnc), gram('NOUN').match(gnc)),
+        rule(gram('ADJF'), gram('NOUN')),
+    ))
+    assert parser._relations
+    assert [t.root.rank for t in parser.trees('красный машина')] == [0, 1]
+    [match] = parser.findall('это красный машина')
+    assert [t.value for t in match.tokens] == ['красный', 'машина']
+    assert match.tree.root.rank == 1
+    [match] = parser.findall('это красная машина')
+    assert match.tree.root.rank == 0
+
+
+# -- one mask pass per turn --------------------------------------------------
+
+def rows_of(name, matches):
+    return [(name, m.span.start, m.span.stop, [t.value for t in m.tokens],
+             json.dumps(fact_payload(m.fact), ensure_ascii=False,
+                        sort_keys=True))
+            for m in matches]
+
+
+@pytest.fixture(scope='module')
+def standalone(specs):
+    return {name: Parser(spec.rule, max_states=spec.max_states)
+            for name, spec in specs.items()}
+
+
+def ungated_extractor():
+    extractor = MentionExtractor()
+    extractor.parsers = [(spec, parser, None)
+                         for spec, parser, _ in extractor.parsers]
+    return extractor
+
+
+def test_one_mask_pass_per_turn(standalone):
+    extractor = ungated_extractor()
+    space = extractor.space
+    assert {p.space for _, p, _ in extractor.parsers} == {space}
+    evaluated = Counter()
+    passes = []
+
+    class Counting:
+        def __init__(self, index, matcher):
+            self.index = index
+            self.matcher = matcher
+
+        def __call__(self, token):
+            evaluated[self.index, id(token)] += 1
+            return self.matcher(token)
+
+        def predict(self, token):
+            evaluated[self.index, id(token)] += 1
+            return self.matcher.predict(token)
+
+    space.matchers = [(bit, Counting(i, m), gaz)
+                      for i, (bit, m, gaz) in enumerate(space.matchers)]
+    masks = space.masks
+
+    def counting_masks(tokens):
+        passes.append(len(tokens))
+        return masks(tokens)
+
+    space.masks = counting_masks
+    gated = MentionExtractor()
+    for text in TURNS:
+        evaluated.clear()
+        passes.clear()
+        space._memo.clear()
+        rows = extractor._extract_text(text)
+        assert len(passes) == 1, text
+        assert evaluated and max(evaluated.values()) == 1, text
+        tokens = list(MorphTokenizer()(text))
+        expected = [row for spec in extractor.specs for row in rows_of(
+            spec.name, standalone[spec.name].findall_tokens(tokens))]
+        assert rows == expected, text
+        passed = {spec.name for spec, _, gate in gated.parsers
+                  if gate is None or gate.search(text)}
+        assert gated._extract_text(text) == [
+            row for row in expected if row[0] in passed], text
+
+
+def test_overflow_in_one_grammar_keeps_the_others(standalone):
+    extractor = ungated_extractor()
+    names = [spec.name for spec, _, _ in extractor.parsers]
+    extractor.parsers[names.index('money')][1].max_states = 5
+    rows = extractor._extract_text(MONEY_TURN)
+    capped = [row for row in rows if row[0] == CAPPED_RULE]
+    assert capped == [(CAPPED_RULE, 0, 0, [], '{"grammar": "money"}')]
+    tokens = list(MorphTokenizer()(MONEY_TURN))
+    expected = [row for name in names if name != 'money'
+                for row in rows_of(name, standalone[name].findall_tokens(
+                    tokens))]
+    assert [row for row in rows if row[0] != CAPPED_RULE] == expected
+    assert any(row[0] == 'date' for row in expected)

@@ -27,6 +27,20 @@ Additions over the reference:
   ``_predict``). Each column holds the same states, in the same order,
   as plain Earley prediction with per-state dedup would push: the state
   budget and tree tie-breaking count on that.
+* Shared masks. The FIRST bits and the mask memo live in a
+  :class:`MaskSpace`; parsers built on one space (the grammars of one
+  extractor) share them, so a token stream's masks are computed once
+  for all of them and passed to each (``findall_tokens(tokens, masks)``).
+* Lazy parse forest. A state holds its production's rank, the state it
+  advanced from (``prev``) and what it advanced over (``child``: a
+  :class:`ParseLeaf` or the completed :class:`EarleyState`); the chart
+  allocates no :class:`ParseNode`. Trees are built on demand by walking
+  ``prev`` back (``_node``), memoized per chart by state, so parents
+  sharing a completed child share its node as they did when every
+  state carried one. ``_resolve`` groups final states by span and
+  builds and sorts trees only within a span; for a grammar without
+  relations it prepares a match only for the spans
+  ``best_nonoverlapping`` keeps.
 """
 
 from __future__ import annotations
@@ -67,10 +81,6 @@ class ParseNode:
         self.production = production
         self.rank = rank
         self.children = children
-
-    def attach(self, child):
-        return ParseNode(
-            self.rule, self.production, self.rank, self.children + [child])
 
     @property
     def main_token(self):
@@ -214,16 +224,21 @@ class ParseTree:
 # ---------------------------------------------------------------------------
 
 class EarleyState:
-    __slots__ = ('rule', 'production', 'dot', 'origin', 'column', 'node',
-                 'completed', 'next_term')
+    __slots__ = ('rule', 'production', 'dot', 'origin', 'column', 'rank',
+                 'prev', 'child', 'completed', 'next_term')
 
-    def __init__(self, rule, production, dot, origin, column, node):
+    def __init__(self, rule, production, dot, origin, column, rank, prev,
+                 child):
         self.rule = rule
         self.production = production
         self.dot = dot
         self.origin = origin     # start column
         self.column = column     # stop column
-        self.node = node
+        self.rank = rank         # index of production in rule.productions
+        # the state this one advanced from (None at dot 0) and the
+        # ParseLeaf or completed EarleyState it advanced over
+        self.prev = prev
+        self.child = child
         # plain attributes, not properties: the chart loop reads these
         # millions of times per batch
         terms = production.terms
@@ -255,6 +270,34 @@ class EarleyColumn:
         term = state.next_term
         if term is not None and term.is_rule:
             self.waiting.setdefault(id(term), []).append(state)
+
+
+def _node(state, memo):
+    """The parse node of ``state``, built from its ``prev`` chain.
+
+    ``memo`` (one per chart) maps a state to its node, so every parent of
+    a completed state gets the same child node object.
+    """
+    node = memo.get(state)
+    if node is None:
+        children = []
+        item = state
+        while item.prev is not None:
+            child = item.child
+            children.append(
+                child if type(child) is ParseLeaf else _node(child, memo))
+            item = item.prev
+        children.reverse()
+        node = memo[state] = ParseNode(
+            state.rule, state.production, state.rank, children)
+    return node
+
+
+def _trees(states):
+    """One ParseTree per completed start-rule state, sharing one memo."""
+    memo = {}
+    return [ParseTree(_node(s, memo), (s.origin.index, s.column.index))
+            for s in states]
 
 
 class Match:
@@ -292,14 +335,73 @@ def _prepare_match(tree):
     return Match(tree)
 
 
+class MaskSpace:
+    """FIRST-matcher bits and token-mask memo, shared by a set of parsers.
+
+    Every distinct matcher any parser on the space registers (``bit``)
+    gets one bit; bit 0 is set in every token mask. A standalone
+    :class:`Parser` owns a space of its own; the grammars of one
+    extractor share one, so ``masks`` runs once per token stream for
+    all of them.
+    """
+
+    def __init__(self):
+        # (bit, matcher, is_gazetteer); a token's mask is the OR of the
+        # bits of the matchers it satisfies
+        self.matchers = []
+        self._bits = {}
+        self._memo = {}
+
+    def bit(self, matcher):
+        bit = self._bits.get(id(matcher))
+        if bit is None:
+            bit = self._bits[id(matcher)] = 2 << len(self._bits)
+            self.matchers.append((bit, matcher, is_bnf_rule(matcher)))
+            self._memo.clear()  # cached masks lack the new bit
+        return bit
+
+    def masks(self, tokens):
+        """FIRST mask per token, and their union; memoized by token features.
+
+        Predicates read only a token's class, value, type, tag and forms.
+        Forms lists come from the analyzer's LRU, so an entry keeps the
+        list it was computed for and a hit counts only on that very
+        object: a constrained or re-analyzed token gets its own mask.
+        """
+        memo = self._memo
+        masks = []
+        union = 0
+        for token in tokens:
+            forms = token.forms
+            key = (type(token), token.value, token.type,
+                   getattr(token, 'tag', None))
+            entry = memo.get(key)
+            if entry is None or entry[0] is not forms:
+                mask = 1
+                for bit, matcher, gazetteer in self.matchers:
+                    if (len(matcher.predict(token)) > 0 if gazetteer
+                            else matcher(token)):
+                        mask |= bit
+                if len(memo) >= MASK_MEMO_SIZE:
+                    memo.clear()
+                entry = memo[key] = (forms, mask)
+            masks.append(entry[1])
+            union |= entry[1]
+        return masks, union
+
+
 class Parser:
     """Compiled grammar + tokenizer context; reusable across documents.
 
-    Build once per Ray worker (``__init__`` of the extraction callable);
-    each ``findall`` call is independent and deterministic.
+    Compiling is the costly part: build a parser once and reuse it (the
+    extraction stages build theirs once per extractor instance, which
+    ``stages.compute.map_cached`` keeps per worker process). Each
+    ``findall`` call is independent and deterministic. Parsers given the
+    same ``space`` share FIRST bits and the token-mask memo.
     """
 
-    def __init__(self, rule, tokenizer=None, tagger=None, max_states=None):
+    def __init__(self, rule, tokenizer=None, tagger=None, max_states=None,
+                 space=None):
         if tokenizer is None:
             tokenizer = MorphTokenizer()
         if not isinstance(tokenizer, Tokenizer):
@@ -307,6 +409,7 @@ class Parser:
         self.tokenizer = tokenizer
         self.tagger = tagger if tagger is not None else PassTagger()
         self.max_states = max_states
+        self.space = space if space is not None else MaskSpace()
 
         if not isinstance(rule, GrammarNode):
             raise TypeError(type(rule))
@@ -320,12 +423,11 @@ class Parser:
 
         FIRST of a production is the set of terminal matchers (predicates,
         plus gazetteer rules used atomically via their token index) that
-        can begin a derivation of it. Every distinct matcher gets one bit;
-        bit 0 is set in every token mask and in the bits of each nullable
-        production, so a nullable production survives any lookahead.
+        can begin a derivation of it. Every distinct matcher gets one bit
+        in ``self.space``; bit 0 is set in every token mask and in the
+        bits of each nullable production, so a nullable production
+        survives any lookahead.
 
-        * ``self._matchers`` — ``(bit, matcher, is_gazetteer)``; a token's
-          mask (``_masks``) is the OR of the bits it satisfies.
         * ``self._plan[id(rule)]`` — ``(rank, production, first_bits)``
           per production of a BNF rule. ``_predict`` keeps those whose
           bits meet the lookahead's mask, cached per ``(id(rule), mask)``:
@@ -336,9 +438,12 @@ class Parser:
           a token stream none of whose masks meets them needs no chart
           (the common case for a multi-grammar extractor), and a column
           whose lookahead misses them predicts no start state.
+        * ``self._relations`` — whether any rule, gazetteer rules
+          included, carries an agreement relation (see ``_resolve``).
         """
         # gazetteer rules are atomic matchers, not expanded here
         rules = []
+        gazetteers = [] if type(self.rule) is BNFRuleType else [self.rule]
         seen = set()
         stack = [self.rule] if type(self.rule) is BNFRuleType else []
         while stack:
@@ -351,17 +456,12 @@ class Parser:
                 for term in prod.terms:
                     if type(term) is BNFRuleType:
                         stack.append(term)
+                    elif is_bnf_rule(term):
+                        gazetteers.append(term)
+        self._relations = any(
+            r.relation is not None for r in rules + gazetteers)
 
-        bits = {}
-        self._matchers = []
-
-        def bit(matcher):
-            if id(matcher) not in bits:
-                bits[id(matcher)] = 2 << len(bits)
-                self._matchers.append(
-                    (bits[id(matcher)], matcher, is_bnf_rule(matcher)))
-            return bits[id(matcher)]
-
+        bit = self.space.bit
         rule_bits = {id(r): 0 for r in rules}
         nullable = set()
 
@@ -404,45 +504,22 @@ class Parser:
             self._start_bits = start
         else:
             self._start_bits = bit(self.rule)
-        self._mask_memo = {}
         self._pairs = {}
 
     def _masks(self, tokens):
-        """FIRST mask per token, and their union; memoized by token features.
-
-        Predicates read only a token's class, value, type, tag and forms.
-        Forms lists come from the analyzer's LRU, so an entry keeps the
-        list it was computed for and a hit counts only on that very
-        object: a constrained or re-analyzed token gets its own mask.
-        """
-        memo = self._mask_memo
-        masks = []
-        union = 0
-        for token in tokens:
-            forms = token.forms
-            key = (type(token), token.value, token.type,
-                   getattr(token, 'tag', None))
-            entry = memo.get(key)
-            if entry is None or entry[0] is not forms:
-                mask = 1
-                for bit, matcher, gazetteer in self._matchers:
-                    if (len(matcher.predict(token)) > 0 if gazetteer
-                            else matcher(token)):
-                        mask |= bit
-                if len(memo) >= MASK_MEMO_SIZE:
-                    memo.clear()
-                entry = memo[key] = (forms, mask)
-            masks.append(entry[1])
-            union |= entry[1]
-        return masks, union
+        """``(masks, union)`` of ``tokens`` in this parser's space."""
+        return self.space.masks(tokens)
 
     # -- chart construction --------------------------------------------------
 
     def _chart(self, text, everywhere=True):
         return self._chart_tokens(self.tokenize(text), everywhere)
 
-    def _chart_tokens(self, tokens, everywhere=True):
-        masks, union = self._masks(tokens)
+    def _chart_tokens(self, tokens, everywhere=True, masks=None):
+        """Earley columns over ``tokens`` (``[]`` when the start rule
+        cannot begin anywhere). ``masks`` is the tokens' ``(masks,
+        union)`` pair from this parser's space, when already known."""
+        masks, union = masks if masks is not None else self._masks(tokens)
         start_bits = self._start_bits
         if everywhere and not start_bits & 1 and not union & start_bits:
             return []
@@ -490,8 +567,8 @@ class Parser:
 
     # No state is ever derived twice, so the chart keeps no dedup set: a
     # rule is predicted once per column from a duplicate-free plan, a
-    # scan attaches a fresh leaf, and each completed state meets each
-    # waiting parent once. Distinct (parent, child) pairs give distinct
+    # scan advances over a fresh leaf, and each completed state meets
+    # each waiting parent once. Distinct (prev, child) pairs give distinct
     # (rule, production, dot, origin, children) states, so the chart is
     # the one a per-state signature dedup builds.
 
@@ -512,8 +589,8 @@ class Parser:
                     for rank, production, first_bits in self._plan[id(rule)]
                     if first_bits & mask]
         for rank, production in pairs:
-            node = ParseNode(rule, production, rank, [])
-            column.push(EarleyState(rule, production, 0, column, column, node))
+            column.push(EarleyState(
+                rule, production, 0, column, column, rank, None, None))
 
     def _scan(self, lookahead, predicate, state):
         # scan predicates are mostly cheap eq-compares: calling them
@@ -523,27 +600,27 @@ class Parser:
             leaf = ParseLeaf(predicate, predicate.constrain(token))
             lookahead.push(EarleyState(
                 state.rule, state.production, state.dot + 1,
-                state.origin, lookahead, state.node.attach(leaf)))
+                state.origin, lookahead, state.rank, state, leaf))
 
     def _complete(self, column, completed):
         waiting = completed.origin.waiting.get(id(completed.rule))
         if not waiting:
             return
-        child = completed.node
         wi = 0
         while wi < len(waiting):
             state = waiting[wi]
             wi += 1
             column.push(EarleyState(
                 state.rule, state.production, state.dot + 1,
-                state.origin, column, state.node.attach(child)))
+                state.origin, column, state.rank, state, completed))
 
-    def _final_trees(self, columns, everywhere=True):
+    def _final_states(self, columns, everywhere=True):
         search = columns if everywhere else columns[-1:]
+        start_rule = self.rule
         for column in search:
             for s in column.states:
-                if s.completed and id(s.rule) == id(self.rule):
-                    yield ParseTree(s.node, (s.origin.index, s.column.index))
+                if s.completed and s.rule is start_rule:
+                    yield s
 
     # -- public API ----------------------------------------------------------
 
@@ -551,31 +628,56 @@ class Parser:
         """Tokenize + tag once; reusable across parsers sharing a tokenizer."""
         return list(self.tagger(self.tokenizer(text)))
 
-    def findall_tokens(self, tokens):
+    def findall_tokens(self, tokens, masks=None):
         """``findall`` over a pre-tokenized stream.
 
         Lets an extraction worker running N grammars tokenize (and run
-        morphology) once per document instead of once per grammar.
+        morphology) once per document instead of once per grammar; with
+        ``masks`` (``self.space.masks(tokens)``) it also computes token
+        masks once for every parser on the space.
         """
-        return self._resolve(self._chart_tokens(tokens))
+        return self._resolve(self._chart_tokens(tokens, masks=masks))
 
     def findall(self, text):
         """All non-overlapping matches, maximum-coverage, span order."""
         return self._resolve(self._chart(text))
 
     def _resolve(self, columns):
-        spans = []
+        """Matches as the reference picks them (sort the final trees,
+        prepare each span's first valid tree, select spans), building
+        trees only for the spans that need them."""
+        memo = {}
         by_span = {}
-        for tree in sorted(self._final_trees(columns)):
-            span = tree.range
-            if span in by_span:
-                continue
-            match = _prepare_match(tree)
-            if match is not None:
-                spans.append(span)
-                by_span[span] = match
-        for span in best_nonoverlapping(spans):
-            yield by_span[span]
+        for state in self._final_states(columns):
+            span = (state.origin.index, state.column.index)
+            by_span.setdefault(span, []).append(state)
+        # ParseTree order: start ascending, the longer span first
+        spans = sorted(by_span, key=lambda span: (span[0], -span[1]))
+
+        def ranked(span):
+            return sorted(ParseTree(_node(s, memo), span)
+                          for s in by_span[span])
+
+        if not self._relations:
+            # Without relations a tree is valid iff it covers a token, and
+            # preparing it rewrites no token: prepare only the kept spans.
+            kept = best_nonoverlapping([s for s in spans if s[0] < s[1]])
+            for span in kept:
+                yield _prepare_match(ranked(span)[0])
+            return
+        # constrain() rewrites leaves other spans' trees share, so every
+        # span is prepared, in order, before any is dropped
+        valid = []
+        chosen = {}
+        for span in spans:
+            for tree in ranked(span):
+                match = _prepare_match(tree)
+                if match is not None:
+                    valid.append(span)
+                    chosen[span] = match
+                    break
+        for span in best_nonoverlapping(valid):
+            yield chosen[span]
 
     def find(self, text):
         for match in self.findall(text):
@@ -585,7 +687,7 @@ class Parser:
     def trees(self, text):
         """All final parse trees, deterministic order (debug aid;
         feeds ``kernel.dot.tree_as_dot``)."""
-        return sorted(self._final_trees(self._chart(text)))
+        return sorted(_trees(self._final_states(self._chart(text))))
 
     def explain(self, text):
         """Chart dump as text — the reference's chart pretty-printing
@@ -598,7 +700,8 @@ class Parser:
     def match(self, text):
         """Whole-string parse; best tree only."""
         columns = self._chart(text, everywhere=False)
-        for tree in sorted(self._final_trees(columns, everywhere=False)):
+        final = self._final_states(columns, everywhere=False)
+        for tree in sorted(_trees(final)):
             m = _prepare_match(tree)
             if m is not None:
                 return m
@@ -606,7 +709,7 @@ class Parser:
 
     def extract(self, text):
         """Every (possibly overlapping) match — debug mode."""
-        for tree in self._final_trees(self._chart(text)):
+        for tree in _trees(self._final_states(self._chart(text))):
             m = _prepare_match(tree)
             if m is not None:
                 yield m

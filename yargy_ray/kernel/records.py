@@ -9,6 +9,7 @@ slotted classes, ``Span`` as a NamedTuple so it compares equal to bare
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import NamedTuple
 
 
@@ -278,44 +279,32 @@ def best_nonoverlapping(spans):
     """Pick the subset of spans maximizing total covered characters.
 
     ``spans`` must already be ordered (start asc, stop desc — the parser's
-    deterministic tree order). Classic weighted-interval DP scanned right to
-    left; ties broken toward the later suffix exactly like the reference
-    (strictly-smaller cover switches to the suffix solution).
+    deterministic tree order) and non-empty (start < stop). Classic
+    weighted-interval DP scanned right to left; ties broken toward the
+    later suffix exactly like the reference (strictly-smaller cover
+    switches to the suffix solution).
     """
     n = len(spans)
-    if not n:
-        return []
-
-    # next[i]: first index j with spans[j].start >= spans[i].stop
-    nxt = []
-    for _, stop in spans:
-        found = None
-        for j, (start, _) in enumerate(spans):
-            if start >= stop:
-                found = j
-                break
-        nxt.append(found)
-
-    cover = [0] * n
-    chosen = [None] * n
+    starts = [start for start, _ in spans]
+    # nxt[i]: first index j with spans[j].start >= spans[i].stop (n: none)
+    nxt = [bisect_left(starts, stop) for _, stop in spans]
+    cover = [0] * (n + 1)
+    take = [False] * n
     for i in range(n - 1, -1, -1):
         start, stop = spans[i]
-        size = stop - start
-        if i == n - 1:
-            cover[i] = size
-            chosen[i] = {i}
-            continue
-        take = size
-        picks = {i}
-        j = nxt[i]
-        if j is not None:
-            take += cover[j]
-            picks = picks | chosen[j]
-        if take < cover[i + 1]:
+        size = stop - start + cover[nxt[i]]
+        if size < cover[i + 1]:
             cover[i] = cover[i + 1]
-            chosen[i] = chosen[i + 1]
         else:
-            cover[i] = take
-            chosen[i] = picks
+            cover[i] = size
+            take[i] = True
 
-    return [spans[i] for i in sorted(chosen[0])]
+    out = []
+    i = 0
+    while i < n:
+        if take[i]:
+            out.append(spans[i])
+            i = nxt[i]
+        else:
+            i += 1
+    return out

@@ -9,8 +9,9 @@ The hot path of the engine. Design (SURVEY §2.7, §3):
   memos (the text -> rows LRU) never outlive their Dataset.
 * Grammars arrive as factory dotted-names (strings) — cheap to pickle,
   compiled inside the worker; ``custom()`` functions stay importable.
-* Per turn the text is tokenized + morph-analyzed ONCE and the token
-  list shared by all grammars; each grammar is gated by a cheap regex
+* Per turn the text is tokenized + morph-analyzed ONCE, and the token
+  list and its FIRST-matcher masks (one ``MaskSpace`` for all grammars)
+  are shared by every grammar; each grammar is gated by a cheap regex
   precondition so most grammar×turn pairs never start an Earley chart.
 * A per-document state budget bounds worst-case parse work; capped
   turns are reported as ``rule='_capped'`` rows (counted by manifests,
@@ -33,6 +34,7 @@ import pyarrow as pa
 
 from yargy_ray.grammars import DEFAULT_FACTORIES, build_specs
 from yargy_ray.kernel import Parser, StateOverflow
+from yargy_ray.kernel.earley import MaskSpace
 from yargy_ray.kernel.interp import Fact
 from yargy_ray.kernel.tokenizer import MorphTokenizer
 from yargy_ray.stages.compute import map_cached
@@ -84,6 +86,8 @@ class MentionExtractor:
         self.specs = build_specs(factory_paths)
         # one shared tokenizer => one morph pass per turn for all grammars
         self.tokenizer = MorphTokenizer()
+        # one bit space => one mask pass per turn for all grammars
+        self.space = MaskSpace()
         self.parsers = []
         for spec in self.specs:
             parser = Parser(
@@ -91,6 +95,7 @@ class MentionExtractor:
                 tokenizer=self.tokenizer,
                 max_states=max_states if max_states is not None
                 else spec.max_states,
+                space=self.space,
             )
             gate = re.compile(spec.gate) if spec.gate else None
             self.parsers.append((spec, parser, gate))
@@ -119,8 +124,9 @@ class MentionExtractor:
                 continue
             if tokens is None:
                 tokens = list(self.tokenizer(text))
+                masks = self.space.masks(tokens)
             try:
-                matches = list(parser.findall_tokens(tokens))
+                matches = list(parser.findall_tokens(tokens, masks))
             except StateOverflow:
                 rows.append((CAPPED_RULE, 0, 0, [],
                              json.dumps({'grammar': spec.name})))
