@@ -1,0 +1,117 @@
+"""A/B CPU time of the extraction kernel at two checkouts.
+
+    python scripts/kernel_ab.py A B [--rounds N]
+
+``A`` and ``B`` are checkout directories (say, the parent commit and the
+change). The script writes the benchmark's seed-7 distinct corpus once
+(``perfbench.corpus``, as ``scripts/kernel_hashes.py`` does), then runs
+``N`` rounds. Each round starts two processes at once, one per checkout;
+each imports ``yargy_ray`` from its checkout, runs a fresh
+``TripleExtractor`` over every batch of the corpus and reports its
+process CPU time. Because both sides run at the same time they see the
+same host drift; which side starts first alternates by round. The
+script prints every round, each side's median CPU time and how many
+rounds each side won, and warns if the sides' output row counts differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 7
+BATCH_ROWS = 256
+
+
+def worker(checkout, corpus):
+    """One side of a round: print ``{"cpu_s", "rows"}`` as JSON."""
+    import time
+    sys.path.insert(0, checkout)
+    import pyarrow.parquet as pq
+    from yargy_ray.pipelines.kg import TripleExtractor
+
+    batches = []
+    for name in sorted(os.listdir(corpus)):
+        if name.endswith('.parquet'):
+            table = pq.read_table(os.path.join(corpus, name))
+            for offset in range(0, table.num_rows, BATCH_ROWS):
+                batches.append(table.slice(offset, BATCH_ROWS))
+    extractor = TripleExtractor()
+    rows = 0
+    start = time.process_time()
+    for batch in batches:
+        rows += extractor(batch).num_rows
+    cpu = time.process_time() - start
+    print(json.dumps({'cpu_s': cpu, 'rows': rows}))
+
+
+def write_corpus(path):
+    """The seed-7 distinct corpus under ``path``; returns its directory."""
+    sys.path.insert(0, ROOT)
+    import ray
+    from perfbench.corpus import generate, keep_first_texts
+    ray.init(address='local', num_cpus=2, include_dashboard=False,
+             log_to_driver=False, logging_level='ERROR')
+    try:
+        repeat = os.path.join(path, 'repeat')
+        generate(repeat, SEED)
+        keep_first_texts(repeat, os.path.join(path, 'distinct'))
+    finally:
+        ray.shutdown()
+    return os.path.join(path, 'distinct')
+
+
+def run_round(sides, corpus):
+    procs = {
+        label: subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), '--worker',
+             checkout, corpus],
+            cwd=checkout, stdout=subprocess.PIPE, text=True)
+        for label, checkout in sides}
+    out = {}
+    for label, proc in procs.items():
+        stdout, _ = proc.communicate()
+        if proc.returncode != 0:
+            raise SystemExit(f'side {label} failed ({proc.returncode})')
+        out[label] = json.loads(stdout.strip().splitlines()[-1])
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split('\n')[0])
+    parser.add_argument('a', help='checkout directory A')
+    parser.add_argument('b', help='checkout directory B')
+    parser.add_argument('--rounds', type=int, default=8)
+    parser.add_argument('--worker', action='store_true',
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        worker(args.a, args.b)
+        return
+    sides = [('A', os.path.abspath(args.a)), ('B', os.path.abspath(args.b))]
+    cpu = {'A': [], 'B': []}
+    wins = {'A': 0, 'B': 0}
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = write_corpus(tmp)
+        for i in range(args.rounds):
+            result = run_round(sides if i % 2 == 0 else sides[::-1], corpus)
+            if result['A']['rows'] != result['B']['rows']:
+                print(f'WARNING: output rows differ: {result}')
+            for label in cpu:
+                cpu[label].append(result[label]['cpu_s'])
+            wins[min(cpu, key=lambda label: result[label]['cpu_s'])] += 1
+            print(f'round {i + 1}: A {result["A"]["cpu_s"]:.3f} s  '
+                  f'B {result["B"]["cpu_s"]:.3f} s', flush=True)
+    for label, checkout in sides:
+        print(f'{label} {checkout}: median {statistics.median(cpu[label]):.3f}'
+              f' s CPU, won {wins[label]} of {args.rounds}')
+
+
+if __name__ == '__main__':
+    main()

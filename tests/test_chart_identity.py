@@ -6,23 +6,31 @@ and state keys must reproduce its chart state for state: the budget
 counts pushed states, and tree tie-breaking depends on push order.
 
 The lazy parse forest and the shared mask space are checked against
-values pinned with the eager forest and per-parser masks.
+values pinned with the eager forest and per-parser masks. The garbage-free
+kernel (integer column indices, mask-bit scans, no agreement pass without
+relations, payloads straight from the interpretation result) is checked
+against the same rows.
 """
 
+import gc
 import json
 from collections import Counter
 
+import pyarrow as pa
 import pytest
 
-from yargy_ray.grammars import build_specs
-from yargy_ray.kernel import Parser, StateOverflow, empty, or_, rule
+from yargy_ray.grammars import GrammarSpec, build_specs
+from yargy_ray.kernel import Parser, StateOverflow, empty, fact, or_, rule
 from yargy_ray.kernel import earley
 from yargy_ray.kernel.gazetteer import morph_pipeline, pipeline
+from yargy_ray.kernel.interp import custom
+from yargy_ray.kernel.predicates import custom as custom_predicate
 from yargy_ray.kernel.predicates import eq, gram, tag
 from yargy_ray.kernel.records import Span, Token, best_nonoverlapping
 from yargy_ray.kernel.relations import gnc_relation
 from yargy_ray.kernel.tagging import Tagger
 from yargy_ray.kernel.tokenizer import MorphTokenizer
+from yargy_ray.pipelines.kg import TripleExtractor
 from yargy_ray.stages.extract import (
     CAPPED_RULE,
     MentionExtractor,
@@ -233,13 +241,18 @@ def test_prepare_only_kept_spans_without_relations(monkeypatch):
     ))
     assert not parser._relations
     prepared = []
-    prepare = earley._prepare_match
+    prepare = earley._prepare_plain
 
     def recording(tree):
         prepared.append(tree.range)
         return prepare(tree)
 
-    monkeypatch.setattr(earley, '_prepare_match', recording)
+    monkeypatch.setattr(earley, '_prepare_plain', recording)
+
+    def no_agreement(tree):
+        raise AssertionError('agreement pass without relations')
+
+    monkeypatch.setattr(earley.ParseTree, 'collect_relations', no_agreement)
     final = sorted(parser.trees('a b c'))
     spans = [t.range for t in final]
     assert spans == [(0, 2), (0, 1), (1, 3)]
@@ -348,3 +361,106 @@ def test_overflow_in_one_grammar_keeps_the_others(standalone):
                     tokens))]
     assert [row for row in rows if row[0] != CAPPED_RULE] == expected
     assert any(row[0] == 'date' for row in expected)
+
+
+# -- garbage-free kernel -----------------------------------------------------
+
+def turns_table(texts):
+    return pa.table({
+        'conv_id': ['c'] * len(texts),
+        'turn_idx': pa.array(range(len(texts)), type=pa.int32()),
+        'text': texts,
+    })
+
+
+def test_extraction_leaves_no_cyclic_garbage():
+    # a chart whose states pointed at their columns, or a recursive
+    # closure per tree pass, would leave reference cycles on every turn
+    table = turns_table(TURNS)
+    warm = TripleExtractor()(table)  # fills process-wide caches
+    extractor = TripleExtractor()
+    gc.collect()
+    gc.disable()
+    try:
+        out = extractor(table)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert out.num_rows > 0 and out.equals(warm)
+
+
+def test_gazetteer_phrases_do_not_widen_the_space():
+    streets = ['улица'] + [f'проезд {i}' for i in range(499)]
+    added = []
+    for phrases in (streets[:1], streets):
+        space = earley.MaskSpace()
+        before = len(space.matchers)
+        gaz = morph_pipeline(phrases)
+        parser = Parser(rule(eq('на'), gaz), space=space)
+        Parser(gaz, space=space)
+        added.append(len(space.matchers) - before)
+        [match] = parser.findall('встреча на улице')
+        assert [t.value for t in match.tokens] == ['на', 'улице']
+    # eq('на') for the first grammar, the gazetteer for the second
+    assert added == [2, 2]
+
+
+def test_scans_read_mask_bits():
+    calls = Counter()
+
+    def is_b(value):
+        calls[value] += 1
+        return value == 'b'
+
+    space = earley.MaskSpace()
+    grammars = [
+        rule(eq('a'), custom_predicate(is_b), eq('c').optional()),
+        rule(eq('b'), pipeline(['c a', 'c d'])),
+    ]
+    shared = [Parser(g, space=space) for g in grammars]
+    text = 'a b a b c a x b c d'
+    tokens = shared[0].tokenize(text)
+    masks = space.masks(tokens)
+    # the memo evaluates each matcher once per distinct token key ...
+    assert calls == {'a': 1, 'b': 1, 'c': 1, 'x': 1, 'd': 1}
+    calls.clear()
+    # ... and the chart only reads bits: the terminal after eq('a') is
+    # never called
+    for parser in shared:
+        assert sum(len(c.states) for c in parser._chart_tokens(
+            tokens, masks=masks))
+    assert not calls
+    rows = [[[t.value for t in m.tokens]
+             for m in parser.findall_tokens(tokens, masks)]
+            for parser in shared]
+    assert not calls
+    assert rows == [[['a', 'b'], ['a', 'b', 'c']], [['b', 'c', 'a'],
+                                                    ['b', 'c', 'd']]]
+    assert rows == [[[t.value for t in m.tokens]
+                     for m in Parser(g).findall_tokens(tokens)]
+                    for g in grammars]
+
+
+def test_extractor_quarantines_type_errors():
+    # the mixed-input grammars of test_interpretation.py::test_type_errors
+    # beside the shipped ones: they yield no row and raise nothing, and
+    # every other row's payload is fact_payload(match.fact)
+    F = fact('F', ['a'])
+    extractor = ungated_extractor()
+    shipped = list(extractor.parsers)
+    for name, interpretation in (('attribute', F.a), ('custom', custom(str))):
+        grammar = rule('a', eq('1').interpretation(custom(int))) \
+            .interpretation(interpretation)
+        spec = GrammarSpec(name, grammar, lambda value, conv, turn: [])
+        parser = Parser(grammar, tokenizer=extractor.tokenizer,
+                        space=extractor.space)
+        with pytest.raises(TypeError):
+            parser.match('a 1').fact
+        extractor.parsers.append((spec, parser, None))
+    for text in TURNS + ['a 1', 'сумма 1 . a 1']:
+        tokens = list(MorphTokenizer()(text))
+        expected = [row for spec, parser, _ in shipped
+                    for row in rows_of(spec.name,
+                                       parser.findall_tokens(tokens))]
+        assert extractor._extract_text(text) == expected, text
+    assert extractor(turns_table(['a 1'])).num_rows == 0

@@ -205,5 +205,5 @@ def chart_source(columns):
                      for t in state.production.terms]
             terms.insert(state.dot, '·')
             yield (f'{rule} -> {" ".join(str(t) for t in terms)} '
-                   f'[{state.origin.index}:{state.column.index}]')
+                   f'[{state.origin}:{state.column}]')
         yield ''

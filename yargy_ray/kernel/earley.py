@@ -40,7 +40,18 @@ Additions over the reference:
   state carried one. ``_resolve`` groups final states by span and
   builds and sorts trees only within a span; for a grammar without
   relations it prepares a match only for the spans
-  ``best_nonoverlapping`` keeps.
+  ``best_nonoverlapping`` keeps, and with no agreement pass
+  (``_prepare_plain``).
+* Acyclic chart. A state holds its origin and stop column as indices,
+  not column objects, and the tree passes are module-level functions,
+  not recursive closures; parsing a document leaves no reference cycle,
+  so the cyclic GC finds nothing to free.
+* Scans by mask bit. Every terminal predicate of a BNF rule has a bit in
+  the :class:`MaskSpace`, not only the FIRST ones, so a scan tests the
+  lookahead's mask instead of calling the predicate (``_scan``); the
+  predicate's ``constrain`` runs only on a successful scan. Gazetteer
+  phrase terms get no bit and are called, so a long phrase list does not
+  widen every token's mask.
 """
 
 from __future__ import annotations
@@ -55,7 +66,7 @@ from .tagging import PassTagger
 from .tokenizer import MorphTokenizer, Tokenizer
 
 
-# token-feature -> mask memo entries kept per parser (cleared when full)
+# token-feature -> mask memo entries kept per MaskSpace (cleared when full)
 MASK_MEMO_SIZE = 1 << 14
 
 
@@ -164,15 +175,7 @@ class ParseTree:
 
     def prune_empty(self):
         """Drop epsilon branches (nodes whose children all vanished)."""
-        def prune(item):
-            if isinstance(item, ParseLeaf):
-                return item
-            children = [c for c in map(prune, item.children) if c is not None]
-            if not children:
-                return None
-            return ParseNode(item.rule, item.production, item.rank, children)
-
-        root = prune(self.root)
+        root = _prune(self.root)
         return ParseTree(root, self.range) if root is not None else None
 
     def collect_relations(self):
@@ -196,27 +199,41 @@ class ParseTree:
         """Fold: keep interpretation-bearing nodes, apply bottom-up."""
         if self.root.interpretator is None:
             raise ValueError('root rule has no .interpretation(...)')
+        return _fold(self.root)
 
-        def significant(item):
-            # flatten away nodes without interpretators
-            for child in item.children:
-                if isinstance(child, ParseLeaf) or child.interpretator:
-                    yield child
-                else:
-                    yield from significant(child)
 
-        def fold(item):
-            if isinstance(item, ParseLeaf):
-                return item.token
-            values = [fold(c) for c in significant(item)]
-            key = (
-                item.production.value
-                if isinstance(item.production, GazProd)
-                else None
-            )
-            return item.interpretator(values, key)
+# The tree passes are module-level functions, not closures: a recursive
+# closure refers to itself through its cell, so every call would leave a
+# reference cycle for the cyclic GC.
 
-        return fold(self.root)
+def _prune(item):
+    if isinstance(item, ParseLeaf):
+        return item
+    children = [c for c in map(_prune, item.children) if c is not None]
+    if not children:
+        return None
+    return ParseNode(item.rule, item.production, item.rank, children)
+
+
+def _significant(item):
+    # flatten away nodes without interpretators
+    for child in item.children:
+        if isinstance(child, ParseLeaf) or child.interpretator:
+            yield child
+        else:
+            yield from _significant(child)
+
+
+def _fold(item):
+    if isinstance(item, ParseLeaf):
+        return item.token
+    values = [_fold(c) for c in _significant(item)]
+    key = (
+        item.production.value
+        if isinstance(item.production, GazProd)
+        else None
+    )
+    return item.interpretator(values, key)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +249,10 @@ class EarleyState:
         self.rule = rule
         self.production = production
         self.dot = dot
-        self.origin = origin     # start column
-        self.column = column     # stop column
+        # start and stop column indices: ints, not column objects, so
+        # the chart (columns hold states) has no reference cycle
+        self.origin = origin
+        self.column = column
         self.rank = rank         # index of production in rule.productions
         # the state this one advanced from (None at dot 0) and the
         # ParseLeaf or completed EarleyState it advanced over
@@ -296,8 +315,7 @@ def _node(state, memo):
 def _trees(states):
     """One ParseTree per completed start-rule state, sharing one memo."""
     memo = {}
-    return [ParseTree(_node(s, memo), (s.origin.index, s.column.index))
-            for s in states]
+    return [ParseTree(_node(s, memo), (s.origin, s.column)) for s in states]
 
 
 class Match:
@@ -322,6 +340,13 @@ class Match:
 
     def __repr__(self):
         return f'Match({[t.value for t in self.tokens]!r}, {self.span!r})'
+
+
+def _prepare_plain(tree):
+    """``_prepare_match`` for a grammar without relations: its agreement
+    graph is empty, so ``validate`` is True and ``constrain`` a no-op."""
+    tree = tree.prune_empty()
+    return Match(tree) if tree is not None else None
 
 
 def _prepare_match(tree):
@@ -349,13 +374,14 @@ class MaskSpace:
         # (bit, matcher, is_gazetteer); a token's mask is the OR of the
         # bits of the matchers it satisfies
         self.matchers = []
-        self._bits = {}
+        # id(matcher) -> bit; the matchers list keeps the ids alive
+        self.bits = {}
         self._memo = {}
 
     def bit(self, matcher):
-        bit = self._bits.get(id(matcher))
+        bit = self.bits.get(id(matcher))
         if bit is None:
-            bit = self._bits[id(matcher)] = 2 << len(self._bits)
+            bit = self.bits[id(matcher)] = 2 << len(self.bits)
             self.matchers.append((bit, matcher, is_bnf_rule(matcher)))
             self._memo.clear()  # cached masks lack the new bit
         return bit
@@ -504,6 +530,14 @@ class Parser:
             self._start_bits = start
         else:
             self._start_bits = bit(self.rule)
+        # every terminal predicate of a BNF rule gets a bit too, so a scan
+        # tests the lookahead's mask instead of calling the predicate;
+        # gazetteer phrase terms stay out and are called (see ``_scan``)
+        for r in rules:
+            for prod in r.productions:
+                for term in prod.terms:
+                    if not term.is_rule:
+                        bit(term)
         self._pairs = {}
 
     def _masks(self, tokens):
@@ -547,7 +581,7 @@ class Parser:
                 state = states[si]
                 si += 1
                 if state.completed:
-                    self._complete(column, state)
+                    self._complete(columns, column, state)
                 else:
                     term = state.next_term
                     if term.is_rule:
@@ -588,31 +622,35 @@ class Parser:
                     (rank, production)
                     for rank, production, first_bits in self._plan[id(rule)]
                     if first_bits & mask]
+        ci = column.index
         for rank, production in pairs:
             column.push(EarleyState(
-                rule, production, 0, column, column, rank, None, None))
+                rule, production, 0, ci, ci, rank, None, None))
 
     def _scan(self, lookahead, predicate, state):
-        # scan predicates are mostly cheap eq-compares: calling them
-        # directly was measured faster than memoizing their result
+        # a BNF terminal's result is the lookahead's mask bit (the memo
+        # computed it with this very predicate); a gazetteer phrase term
+        # has no bit and is called
+        bit = self.space.bits.get(id(predicate))
         token = lookahead.token
-        if predicate(token):
+        if (lookahead.mask & bit) if bit is not None else predicate(token):
             leaf = ParseLeaf(predicate, predicate.constrain(token))
             lookahead.push(EarleyState(
                 state.rule, state.production, state.dot + 1,
-                state.origin, lookahead, state.rank, state, leaf))
+                state.origin, lookahead.index, state.rank, state, leaf))
 
-    def _complete(self, column, completed):
-        waiting = completed.origin.waiting.get(id(completed.rule))
+    def _complete(self, columns, column, completed):
+        waiting = columns[completed.origin].waiting.get(id(completed.rule))
         if not waiting:
             return
+        ci = column.index
         wi = 0
         while wi < len(waiting):
             state = waiting[wi]
             wi += 1
             column.push(EarleyState(
                 state.rule, state.production, state.dot + 1,
-                state.origin, column, state.rank, state, completed))
+                state.origin, ci, state.rank, state, completed))
 
     def _final_states(self, columns, everywhere=True):
         search = columns if everywhere else columns[-1:]
@@ -649,7 +687,7 @@ class Parser:
         memo = {}
         by_span = {}
         for state in self._final_states(columns):
-            span = (state.origin.index, state.column.index)
+            span = (state.origin, state.column)
             by_span.setdefault(span, []).append(state)
         # ParseTree order: start ascending, the longer span first
         spans = sorted(by_span, key=lambda span: (span[0], -span[1]))
@@ -660,10 +698,11 @@ class Parser:
 
         if not self._relations:
             # Without relations a tree is valid iff it covers a token, and
-            # preparing it rewrites no token: prepare only the kept spans.
+            # preparing it rewrites no token: prepare only the kept spans,
+            # with no agreement pass.
             kept = best_nonoverlapping([s for s in spans if s[0] < s[1]])
             for span in kept:
-                yield _prepare_match(ranked(span)[0])
+                yield _prepare_plain(ranked(span)[0])
             return
         # constrain() rewrites leaves other spans' trees share, so every
         # span is prepared, in order, before any is dropped

@@ -35,7 +35,7 @@ import pyarrow as pa
 from yargy_ray.grammars import DEFAULT_FACTORIES, build_specs
 from yargy_ray.kernel import Parser, StateOverflow
 from yargy_ray.kernel.earley import MaskSpace
-from yargy_ray.kernel.interp import Fact
+from yargy_ray.kernel.interp import Fact, FactResult
 from yargy_ray.kernel.tokenizer import MorphTokenizer
 from yargy_ray.stages.compute import map_cached
 
@@ -76,10 +76,13 @@ def fact_payload(value):
 class MentionExtractor:
     """pyarrow batch of transcript turns -> pyarrow batch of mentions.
 
-    NOTE: do NOT disable cyclic GC in the Ray workers. It gains ~6%
-    single-process, but inside a Ray worker uncollected cycles pin
-    deserialized Arrow blocks (plasma-backed buffers), the object store
-    fills, and throughput collapses ~4x (measured at 32 cpus).
+    NOTE: do NOT disable cyclic GC in the Ray workers. Extraction itself
+    leaves no cyclic garbage (``test_chart_identity.py::
+    test_extraction_leaves_no_cyclic_garbage``), so the collector has
+    little to do here; but inside a Ray worker uncollected cycles from
+    elsewhere pin deserialized Arrow blocks (plasma-backed buffers), the
+    object store fills, and throughput collapses ~4x (measured at 32
+    cpus).
     """
 
     def __init__(self, factory_paths=DEFAULT_FACTORIES, max_states=None):
@@ -133,7 +136,13 @@ class MentionExtractor:
                 continue
             for match in matches:
                 try:
-                    payload = fact_payload(match.fact)
+                    # fact_payload(match.fact) without building the Fact:
+                    # a Fact's JSON is its builder's
+                    result = match.tree.interpret()
+                    if isinstance(result, FactResult):
+                        payload = result.as_json
+                    else:
+                        payload = fact_payload(result.normalized)
                 except TypeError:
                     # mixed-type interpretation — quarantine, don't fail
                     continue
