@@ -1,14 +1,16 @@
 """A/B CPU time of the extraction kernel at two checkouts.
 
-    python scripts/kernel_ab.py A B [--rounds N]
+    python scripts/kernel_ab.py A B [--rounds N] [--seed S]
+                                    [--corpus {distinct,repeat}]
 
 ``A`` and ``B`` are checkout directories (say, the parent commit and the
-change). The script writes the benchmark's seed-7 distinct corpus once
-(``perfbench.corpus``, as ``scripts/kernel_hashes.py`` does), then runs
-``N`` rounds. Each round starts two processes at once, one per checkout;
-each imports ``yargy_ray`` from its checkout, runs a fresh
-``TripleExtractor`` over every batch of the corpus and reports its
-process CPU time. Because both sides run at the same time they see the
+change). The script writes one benchmark corpus once
+(``perfbench.corpus``, as ``scripts/kernel_hashes.py`` does): by default
+seed 7, ``distinct`` (without turns whose text appeared earlier), or
+``repeat`` (as generated). It then runs ``N`` rounds. Each round starts
+two processes at once, one per checkout; each imports ``yargy_ray``
+from its checkout, runs a fresh ``TripleExtractor`` over every batch of
+the corpus and reports its process CPU time. Because both sides run at the same time they see the
 same host drift; which side starts first alternates by round. The
 script prints every round, each side's median CPU time and how many
 rounds each side won, and warns if the sides' output row counts differ.
@@ -25,7 +27,6 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SEED = 7
 BATCH_ROWS = 256
 
 
@@ -51,8 +52,8 @@ def worker(checkout, corpus):
     print(json.dumps({'cpu_s': cpu, 'rows': rows}))
 
 
-def write_corpus(path):
-    """The seed-7 distinct corpus under ``path``; returns its directory."""
+def write_corpus(path, seed, corpus):
+    """The seed's ``corpus`` under ``path``; returns its directory."""
     sys.path.insert(0, ROOT)
     import ray
     from perfbench.corpus import generate, keep_first_texts
@@ -60,11 +61,12 @@ def write_corpus(path):
              log_to_driver=False, logging_level='ERROR')
     try:
         repeat = os.path.join(path, 'repeat')
-        generate(repeat, SEED)
-        keep_first_texts(repeat, os.path.join(path, 'distinct'))
+        generate(repeat, seed)
+        if corpus == 'distinct':
+            keep_first_texts(repeat, os.path.join(path, 'distinct'))
     finally:
         ray.shutdown()
-    return os.path.join(path, 'distinct')
+    return os.path.join(path, corpus)
 
 
 def run_round(sides, corpus):
@@ -88,6 +90,9 @@ def main(argv=None):
     parser.add_argument('a', help='checkout directory A')
     parser.add_argument('b', help='checkout directory B')
     parser.add_argument('--rounds', type=int, default=8)
+    parser.add_argument('--seed', type=int, default=7, help='corpus seed')
+    parser.add_argument('--corpus', choices=('distinct', 'repeat'),
+                        default='distinct')
     parser.add_argument('--worker', action='store_true',
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -98,7 +103,8 @@ def main(argv=None):
     cpu = {'A': [], 'B': []}
     wins = {'A': 0, 'B': 0}
     with tempfile.TemporaryDirectory() as tmp:
-        corpus = write_corpus(tmp)
+        corpus = write_corpus(tmp, args.seed, args.corpus)
+        print(f'seed {args.seed}, {args.corpus} corpus', flush=True)
         for i in range(args.rounds):
             result = run_round(sides if i % 2 == 0 else sides[::-1], corpus)
             if result['A']['rows'] != result['B']['rows']:

@@ -10,6 +10,10 @@ values pinned with the eager forest and per-parser masks. The garbage-free
 kernel (integer column indices, mask-bit scans, no agreement pass without
 relations, payloads straight from the interpretation result) is checked
 against the same rows.
+
+Required bit sets skip a chart before it is built, so the pinned counts
+are taken from ``_chart_tokens``, which never skips on them; the sets
+are checked for soundness against the unskipped chart.
 """
 
 import gc
@@ -20,7 +24,15 @@ import pyarrow as pa
 import pytest
 
 from yargy_ray.grammars import GrammarSpec, build_specs
-from yargy_ray.kernel import Parser, StateOverflow, empty, fact, or_, rule
+from yargy_ray.kernel import (
+    Parser,
+    StateOverflow,
+    empty,
+    fact,
+    forward,
+    or_,
+    rule,
+)
 from yargy_ray.kernel import earley
 from yargy_ray.kernel.gazetteer import morph_pipeline, pipeline
 from yargy_ray.kernel.interp import custom
@@ -31,6 +43,7 @@ from yargy_ray.kernel.relations import gnc_relation
 from yargy_ray.kernel.tagging import Tagger
 from yargy_ray.kernel.tokenizer import MorphTokenizer
 from yargy_ray.pipelines.kg import TripleExtractor
+from yargy_ray.sources.transcripts import generate_conversation
 from yargy_ray.stages.extract import (
     CAPPED_RULE,
     MentionExtractor,
@@ -92,11 +105,16 @@ def test_pushed_states_pinned(specs):
 
 def test_state_budget_counts_pushed_states(specs):
     grammar = specs['money'].rule
-    n = sum(column_sizes(Parser(grammar), MONEY_TURN))
-    assert n == PUSHED['money'][0]
+    text = TURNS[1]
+    n = sum(column_sizes(Parser(grammar), text))
+    assert n == PUSHED['money'][1]
     with pytest.raises(StateOverflow):
-        list(Parser(grammar, max_states=n - 1).findall(MONEY_TURN))
-    list(Parser(grammar, max_states=n).findall(MONEY_TURN))
+        list(Parser(grammar, max_states=n - 1).findall(text))
+    list(Parser(grammar, max_states=n).findall(text))
+    # MONEY_TURN charts more states, but it has no currency token: the
+    # required sets skip its chart, so no budget overflows on it
+    assert sum(column_sizes(Parser(grammar), MONEY_TURN)) > n
+    assert list(Parser(grammar, max_states=n - 1).findall(MONEY_TURN)) == []
 
 
 def test_empty_rule_shared_by_two_rules():
@@ -241,13 +259,13 @@ def test_prepare_only_kept_spans_without_relations(monkeypatch):
     ))
     assert not parser._relations
     prepared = []
-    prepare = earley._prepare_plain
+    init = earley.Match.__init__
 
-    def recording(tree):
+    def recording(self, tree):
         prepared.append(tree.range)
-        return prepare(tree)
+        init(self, tree)
 
-    monkeypatch.setattr(earley, '_prepare_plain', recording)
+    monkeypatch.setattr(earley.Match, '__init__', recording)
 
     def no_agreement(tree):
         raise AssertionError('agreement pass without relations')
@@ -352,15 +370,24 @@ def test_overflow_in_one_grammar_keeps_the_others(standalone):
     extractor = ungated_extractor()
     names = [spec.name for spec, _, _ in extractor.parsers]
     extractor.parsers[names.index('money')][1].max_states = 5
-    rows = extractor._extract_text(MONEY_TURN)
-    capped = [row for row in rows if row[0] == CAPPED_RULE]
-    assert capped == [(CAPPED_RULE, 0, 0, [], '{"grammar": "money"}')]
-    tokens = list(MorphTokenizer()(MONEY_TURN))
-    expected = [row for name in names if name != 'money'
+
+    def others(text):
+        tokens = list(MorphTokenizer()(text))
+        return [row for name in names if name != 'money'
                 for row in rows_of(name, standalone[name].findall_tokens(
                     tokens))]
+
+    # TURNS[2] charts money (20 states) beside a title match
+    rows = extractor._extract_text(TURNS[2])
+    capped = [row for row in rows if row[0] == CAPPED_RULE]
+    assert capped == [(CAPPED_RULE, 0, 0, [], '{"grammar": "money"}')]
+    expected = others(TURNS[2])
     assert [row for row in rows if row[0] != CAPPED_RULE] == expected
-    assert any(row[0] == 'date' for row in expected)
+    assert any(row[0] == 'title' for row in expected)
+    # MONEY_TURN would push 27 money states, but its chart is skipped
+    rows = extractor._extract_text(MONEY_TURN)
+    assert rows == others(MONEY_TURN)
+    assert any(row[0] == 'date' for row in rows)
 
 
 # -- garbage-free kernel -----------------------------------------------------
@@ -464,3 +491,144 @@ def test_extractor_quarantines_type_errors():
                                        parser.findall_tokens(tokens))]
         assert extractor._extract_text(text) == expected, text
     assert extractor(turns_table(['a 1'])).num_rows == 0
+
+
+# -- required sets -----------------------------------------------------------
+
+def required_labels(parser):
+    """Each required set of ``parser`` as its matchers' sorted labels."""
+    label = {bit: matcher.label for bit, matcher, _ in parser.space.matchers}
+    return [sorted(label[bit] for bit in label if bit & required)
+            for required in parser._required]
+
+
+def test_money_requires_amount_and_currency(specs):
+    parser = Parser(specs['money'].rule)
+    assert required_labels(parser) == [
+        ["type('INT')"],
+        ["caseless('р')", "caseless('руб')", 'dictionary(...)', 'in_(...)'],
+    ]
+
+
+def test_rejected_turn_builds_no_chart(monkeypatch, specs):
+    parser = Parser(specs['money'].rule)
+    tokens = parser.tokenize(MONEY_TURN)
+    # the start pre-scan alone would chart this turn (it has an INT)
+    assert parser._masks(tokens)[1] & parser._start_bits
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError('charted a turn the required sets reject')
+
+    monkeypatch.setattr(parser, '_chart_tokens', unreachable)
+    monkeypatch.setattr(parser, '_resolve', unreachable)
+    assert parser.findall_tokens(tokens) == []
+    assert parser.findall(MONEY_TURN) == []
+    with pytest.raises(AssertionError):
+        parser.findall(TURNS[1])
+    # the extractor's money parser never charts it either
+    extractor = ungated_extractor()
+    for spec, money, _ in extractor.parsers:
+        if spec.name == 'money':
+            monkeypatch.setattr(money, '_chart_tokens', unreachable)
+    assert any(row[0] == 'date'
+               for row in extractor._extract_text(MONEY_TURN))
+
+
+def test_optional_and_nullable_rules_add_no_set():
+    nothing = empty()
+    grammars = [
+        rule(eq('a'), eq('b').optional()),
+        rule(eq('a'), or_(rule(eq('b'), eq('c')), nothing)),
+        rule(rule(eq('b').optional(), eq('c').repeatable().optional()),
+             eq('a')),
+    ]
+    for grammar in grammars:
+        parser = Parser(grammar)
+        assert required_labels(parser) == [["'a'"]]
+        [match] = parser.findall('x a x')
+        assert [t.value for t in match.tokens] == ['a']
+    # a nullable start rule requires nothing
+    assert Parser(rule(eq('a').optional(), eq('b').optional()))._required \
+        == []
+
+
+def test_recursive_rules_derive_in_finite_time():
+    def loop():
+        item = forward()
+        return item.define(or_(rule(eq('x'), item), rule(item, item),
+                               rule(eq('y'))))
+
+    grammars = [
+        rule(eq('a').repeatable(), eq('b')),
+        rule(eq('a'), loop()),
+        rule(loop(), eq('a').repeatable(), loop()),
+    ]
+    for grammar in grammars:
+        parser = Parser(grammar)
+        assert ["'a'"] in required_labels(parser)
+        for text in ('a b', 'a a b', 'x a y', 'y a a x y', 'b x y'):
+            tokens = parser.tokenize(text)
+            found = list(parser._final_states(parser._chart_tokens(tokens)))
+            matches = parser.findall_tokens(tokens)
+            assert bool(found) == bool(matches), text
+
+
+def sweep_texts():
+    texts = list(TURNS)
+    for index in range(40):
+        texts.extend(row['text'] for row in generate_conversation(index, 7))
+    return texts
+
+
+def test_required_sets_are_sound(specs):
+    # whenever the sets reject a turn, the unskipped chart has no final
+    # state, for every shipped grammar
+    tokenizer = MorphTokenizer()
+    texts = sweep_texts()
+    rejected = Counter()
+    for name, spec in specs.items():
+        parser = Parser(spec.rule, tokenizer=tokenizer)
+        for text in texts:
+            tokens = parser.tokenize(text)
+            union = parser._masks(tokens)[1]
+            if all(union & required for required in parser._required):
+                continue
+            rejected[name] += 1
+            columns = parser._chart_tokens(tokens)
+            assert not list(parser._final_states(columns)), (name, text)
+    assert rejected['money'] > len(texts) / 2
+    assert rejected['date'] > 0
+
+
+def same_tree(a, b):
+    if type(a) is earley.ParseLeaf:
+        return a is b
+    return (type(b) is earley.ParseNode and a.rule is b.rule
+            and a.production is b.production and a.rank == b.rank
+            and len(a.children) == len(b.children)
+            and all(map(same_tree, a.children, b.children)))
+
+
+def test_one_pass_tree_equals_pruned_node(specs):
+    nothing = empty()
+    grammars = [spec.rule for spec in specs.values()] + [
+        rule(or_(rule(eq('a')), nothing), or_(rule(eq('b')), nothing),
+             eq('c')),
+        rule(eq('a').optional(), eq('b').optional()),
+    ]
+    texts = TURNS + ['c', 'a b c', 'x b', 'a']
+    built = empty_trees = 0
+    for grammar in grammars:
+        parser = Parser(grammar)
+        for text in texts:
+            memo = {}
+            for state in parser._final_states(parser._chart(text)):
+                expected = earley._prune(earley._node(state, memo))
+                got = earley._pruned(state)
+                if expected is None:
+                    assert got is None
+                    empty_trees += 1
+                else:
+                    assert same_tree(got, expected), text
+                    built += 1
+    assert built > 20 and empty_trees > 0

@@ -31,10 +31,11 @@ DEFAULT_MAX_STATES = 50_000
 class GrammarSpec:
     """name + grammar rule + triple projection for one extraction rule.
 
-    ``gate`` is a cheap regex precondition: a turn whose text does not
-    match it cannot contain a match, so the extractor skips the Earley run
-    entirely (the vectorized analogue is the Arrow prefilter in
-    yargy_ray.stages.extract).
+    ``gate`` is an optional regex hint: a turn whose text does not match
+    it is not tokenized for this grammar. It must never reject a turn
+    that has a match. The parser needs no gate to skip work: it derives
+    its own exact precondition from the grammar (``Parser._required``)
+    and builds no chart for a turn that fails it.
     """
 
     def __init__(self, name, rule_, to_triples, max_states=DEFAULT_MAX_STATES,
@@ -236,7 +237,7 @@ def address_grammar():
         rule(HOUSE_WORD.optional(), HOUSE).optional(),
     ).interpretation(Address)
     # gate fragment 'переул' (not 'переулк') so the nominative/accusative
-    # 'переулок' passes the prefilter along with the oblique forms
+    # 'переулок' passes the gate along with the oblique forms
     return GrammarSpec('address', ADDRESS, address_triples,
                        gate=r'(?i)улиц|проспект|переул|шоссе')
 

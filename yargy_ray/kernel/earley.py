@@ -52,9 +52,24 @@ Additions over the reference:
   predicate's ``constrain`` runs only on a successful scan. Gazetteer
   phrase terms get no bit and are called, so a long phrase list does not
   widen every token's mask.
+* Required sets. ``_build_first`` also derives bit sets every match must
+  meet (each set through at least one token's mask): for money, an INT
+  and a currency token. ``findall`` and ``findall_tokens`` test them
+  against the union of the turn's masks and return no matches without
+  building a chart; the skip is exact, since a rejected turn's chart has
+  no final state. ``_chart_tokens`` does not test them, so it still
+  builds every chart the start pre-scan lets through.
+* One-pass trees. A kept span with a single final state needs no
+  ranking, so a grammar without relations builds its pruned tree straight
+  from the ``prev`` chain (``_pruned``), with no unpruned node. The
+  interpretation fold walks the tree with an accumulator, not a
+  generator per node.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import or_
 
 from .grammar import BNFRule as BNFRuleType
 from .grammar import GrammarNode, is_bnf_rule
@@ -215,19 +230,23 @@ def _prune(item):
     return ParseNode(item.rule, item.production, item.rank, children)
 
 
-def _significant(item):
-    # flatten away nodes without interpretators
+def _significant(item, values):
+    # fold the children that carry interpretation, left to right, into
+    # ``values``, flattening away nodes without interpretators
     for child in item.children:
-        if isinstance(child, ParseLeaf) or child.interpretator:
-            yield child
+        if type(child) is ParseLeaf:
+            values.append(child.token)
+        elif child.rule.interpretator:
+            values.append(_fold(child))
         else:
-            yield from _significant(child)
+            _significant(child, values)
+    return values
 
 
 def _fold(item):
     if isinstance(item, ParseLeaf):
         return item.token
-    values = [_fold(c) for c in _significant(item)]
+    values = _significant(item, [])
     key = (
         item.production.value
         if isinstance(item.production, GazProd)
@@ -310,6 +329,24 @@ def _node(state, memo):
         node = memo[state] = ParseNode(
             state.rule, state.production, state.rank, children)
     return node
+
+
+def _pruned(state):
+    """``_prune(_node(state))`` in one pass over the ``prev`` chain: the
+    pruned tree of a state, or None when it covers no token."""
+    children = []
+    item = state
+    while item.prev is not None:
+        child = item.child
+        if type(child) is not ParseLeaf:
+            child = _pruned(child)
+        if child is not None:
+            children.append(child)
+        item = item.prev
+    if not children:
+        return None
+    children.reverse()
+    return ParseNode(state.rule, state.production, state.rank, children)
 
 
 def _trees(states):
@@ -416,6 +453,52 @@ class MaskSpace:
         return masks, union
 
 
+def _required_sets(start, rules, bits):
+    """Bit sets every match of ``start`` meets (see ``_build_first``).
+
+    A match meets a set when the mask of one of its tokens has a bit of
+    it. ``rules`` are the BNF rules reachable from ``start`` and
+    ``bits`` the space's matcher bits. A gazetteer start rule gets no
+    set: the start pre-scan of ``_chart_tokens`` already tests its bit.
+    """
+    derived = {id(r): [] for r in rules}
+
+    def production_sets(prod):
+        out = []
+        for term in prod.terms:
+            if type(term) is BNFRuleType:
+                found = derived[id(term)]
+            elif id(term) in bits:
+                # a terminal, or a gazetteer rule used atomically: a
+                # match of it starts on a token with its bit
+                found = (bits[id(term)],)
+            else:
+                found = ()  # a gazetteer no FIRST set registered
+            for s in found:
+                if s not in out:
+                    out.append(s)
+        return out
+
+    # Bottom-up from "no sets": a round derives sets that hold for every
+    # match given that the current ones do, so every round is sound and
+    # stopping early only weakens the result. A rule ORs the i-th set of
+    # each production; zip stops at the shortest, so a nullable rule (an
+    # empty production has no set) gives none. Rules are listed parents
+    # first, so one round settles most grammars; the bound stops a
+    # recursive one that does not settle.
+    for _ in range(len(rules) + 1):
+        changed = False
+        for r in reversed(rules):
+            sets = [reduce(or_, column) for column in
+                    zip(*map(production_sets, r.productions))]
+            if sets != derived[id(r)]:
+                derived[id(r)] = sets
+                changed = True
+        if not changed:
+            break
+    return derived.get(id(start), [])
+
+
 class Parser:
     """Compiled grammar + tokenizer context; reusable across documents.
 
@@ -466,6 +549,11 @@ class Parser:
           whose lookahead misses them predicts no start state.
         * ``self._relations`` — whether any rule, gazetteer rules
           included, carries an agreement relation (see ``_resolve``).
+        * ``self._required`` — bit sets every match meets through some
+          token's mask (``_required_sets``). A terminal gives its bit; a
+          production the sets of its symbols; a rule, per set index, the
+          OR of that set over its productions. A nullable rule gives
+          none, and so does a gazetteer whose rule registered no bit.
         """
         # gazetteer rules are atomic matchers, not expanded here
         rules = []
@@ -539,6 +627,7 @@ class Parser:
                     if not term.is_rule:
                         bit(term)
         self._pairs = {}
+        self._required = _required_sets(self.rule, rules, self.space.bits)
 
     def _masks(self, tokens):
         """``(masks, union)`` of ``tokens`` in this parser's space."""
@@ -672,25 +761,34 @@ class Parser:
         Lets an extraction worker running N grammars tokenize (and run
         morphology) once per document instead of once per grammar; with
         ``masks`` (``self.space.masks(tokens)``) it also computes token
-        masks once for every parser on the space.
+        masks once for every parser on the space. A stream whose union
+        mask misses a required set (``_build_first``) gets no chart.
         """
+        if masks is None:
+            masks = self._masks(tokens)
+        union = masks[1]
+        for required in self._required:
+            if not union & required:
+                return []
         return self._resolve(self._chart_tokens(tokens, masks=masks))
 
     def findall(self, text):
         """All non-overlapping matches, maximum-coverage, span order."""
-        return self._resolve(self._chart(text))
+        return self.findall_tokens(self.tokenize(text))
 
     def _resolve(self, columns):
         """Matches as the reference picks them (sort the final trees,
         prepare each span's first valid tree, select spans), building
         trees only for the spans that need them."""
-        memo = {}
         by_span = {}
         for state in self._final_states(columns):
             span = (state.origin, state.column)
             by_span.setdefault(span, []).append(state)
+        if not by_span:
+            return []
         # ParseTree order: start ascending, the longer span first
         spans = sorted(by_span, key=lambda span: (span[0], -span[1]))
+        memo = {}
 
         def ranked(span):
             return sorted(ParseTree(_node(s, memo), span)
@@ -699,11 +797,17 @@ class Parser:
         if not self._relations:
             # Without relations a tree is valid iff it covers a token, and
             # preparing it rewrites no token: prepare only the kept spans,
-            # with no agreement pass.
-            kept = best_nonoverlapping([s for s in spans if s[0] < s[1]])
-            for span in kept:
-                yield _prepare_plain(ranked(span)[0])
-            return
+            # with no agreement pass. A span with one final state needs no
+            # ranking, so its pruned tree is built straight from the chart.
+            matches = []
+            for span in best_nonoverlapping(
+                    [s for s in spans if s[0] < s[1]]):
+                states = by_span[span]
+                if len(states) == 1:
+                    matches.append(Match(ParseTree(_pruned(states[0]), span)))
+                else:
+                    matches.append(_prepare_plain(ranked(span)[0]))
+            return matches
         # constrain() rewrites leaves other spans' trees share, so every
         # span is prepared, in order, before any is dropped
         valid = []
@@ -715,8 +819,7 @@ class Parser:
                     valid.append(span)
                     chosen[span] = match
                     break
-        for span in best_nonoverlapping(valid):
-            yield chosen[span]
+        return [chosen[span] for span in best_nonoverlapping(valid)]
 
     def find(self, text):
         for match in self.findall(text):

@@ -2,9 +2,10 @@
 
 Behavioral contract: /root/reference/yargy/predicates/bank.py (19 public
 predicates + and_/or_/not_ composition, two-phase activation binding
-morphology/tokenizer/tagger context). Evaluated inside the Earley scan
-step; a subset is additionally exported as vectorized Arrow prefilters
-(see yargy_ray.stages.prefilter) to skip batches that cannot match.
+morphology/tokenizer/tagger context). Each terminal predicate of a
+grammar gets a bit in the parser's ``kernel.earley.MaskSpace`` and is
+evaluated once per distinct token key; Earley scans and the parser's
+required-set precondition read those bits.
 """
 
 from __future__ import annotations

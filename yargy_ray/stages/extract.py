@@ -11,8 +11,10 @@ The hot path of the engine. Design (SURVEY §2.7, §3):
   compiled inside the worker; ``custom()`` functions stay importable.
 * Per turn the text is tokenized + morph-analyzed ONCE, and the token
   list and its FIRST-matcher masks (one ``MaskSpace`` for all grammars)
-  are shared by every grammar; each grammar is gated by a cheap regex
-  precondition so most grammar×turn pairs never start an Earley chart.
+  are shared by every grammar. Each parser tests the bit sets every
+  match of its grammar needs against the turn's union mask, so most
+  grammar×turn pairs never start an Earley chart; a grammar's optional
+  regex ``gate`` can skip the turn before it is even tokenized.
 * A per-document state budget bounds worst-case parse work; capped
   turns are reported as ``rule='_capped'`` rows (counted by manifests,
   excluded from triples) instead of failing the job.
