@@ -21,6 +21,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from yargy_ray.grammars import DEFAULT_FACTORIES
+
 
 def _read(sf_dir, table):
     import ray.data
@@ -75,6 +77,39 @@ def _transcripts_for(sf_dir):
         write_transcripts(path, n_convs, giant_every=23, giant_factor=20)
         open(os.path.join(path, '_DONE'), 'w').close()
     return path
+
+
+def _kg_turns(sf_dir):
+    import ray.data
+    return ray.data.read_parquet(_transcripts_for(sf_dir),
+                                 columns=['conv_id', 'turn_idx', 'text'])
+
+
+def _kg_triples(sf_dir, factories=DEFAULT_FACTORIES):
+    """Every triple OCCURRENCE of the transcripts (``extract_mentions``
+    -> ``project_triples``): degrees, weights and conversation counts
+    count occurrences, which the fused extractor's batch-local dedup
+    would drop."""
+    from yargy_ray.stages.extract import extract_mentions, project_triples
+    return project_triples(
+        extract_mentions(_kg_turns(sf_dir), factories, concurrency=_pool()),
+        factories)
+
+
+def _kg_distinct_triples(sf_dir, factories):
+    """Distinct (subj, pred, obj) triples through the fused extractor —
+    the calls of ``run_kg_pipeline``'s triples stage. Projected to the
+    deterministic logical output: provenance columns of a dedup
+    survivor are advisory and would defeat the value-hash compare."""
+    from yargy_ray.pipelines.kg import dedup_triples, extract_triples
+    deduped = dedup_triples(
+        extract_triples(_kg_turns(sf_dir), factories, concurrency=_pool()),
+        prededuped=True)
+
+    def project(batch: pa.Table) -> pa.Table:
+        return batch.select(['subj', 'pred', 'obj'])
+
+    return deduped.map_batches(project, batch_format='pyarrow')
 
 
 # ---------------------------------------------------------------------------
@@ -625,33 +660,14 @@ def q_rolling_fingerprint(sf_dir):
 
 def q_kg_triples(sf_dir):
     """Flagship: distinct (subj, pred, obj) triples from the synthetic
-    transcripts. Projected to the deterministic logical output (span /
-    provenance columns of a dedup survivor are advisory and would
-    defeat the value-hash compare); the SQL oracle re-derives the same
-    triples from the template corpus with regexes + inline mappings."""
-    import ray.data
-    from yargy_ray.pipelines.kg import dedup_triples
-    from yargy_ray.stages.extract import extract_mentions, project_triples
-    tpath = _transcripts_for(sf_dir)
-    turns = ray.data.read_parquet(
-        tpath, columns=['conv_id', 'turn_idx', 'text'])
-    triples = project_triples(extract_mentions(turns, concurrency=_pool()))
-    deduped = dedup_triples(triples)
-
-    def project(batch: pa.Table) -> pa.Table:
-        return batch.select(['subj', 'pred', 'obj'])
-
-    return deduped.map_batches(project, batch_format='pyarrow')
+    transcripts; the SQL oracle re-derives the same triples from the
+    template corpus with regexes + inline mappings."""
+    return _kg_distinct_triples(sf_dir, DEFAULT_FACTORIES)
 
 
 def q_kg_nodes(sf_dir):
-    import ray.data
     from yargy_ray.pipelines.kg import canonicalize_nodes
-    from yargy_ray.stages.extract import extract_mentions, project_triples
-    tpath = _transcripts_for(sf_dir)
-    turns = ray.data.read_parquet(
-        tpath, columns=['conv_id', 'turn_idx', 'text'])
-    triples = project_triples(extract_mentions(turns, concurrency=_pool()))
+    triples = _kg_triples(sf_dir)
     return canonicalize_nodes(triples)
 
 
@@ -660,21 +676,8 @@ def q_kg_address(sf_dir):
     with ONLY the address grammar (street-type morph_pipeline +
     gram('Surn') street name + INT house; grammars/specs.py:
     address_grammar) — distinct (subj, pred, obj) address triples."""
-    import ray.data
-    from yargy_ray.pipelines.kg import dedup_triples
-    from yargy_ray.stages.extract import extract_mentions, project_triples
-    tpath = _transcripts_for(sf_dir)
-    turns = ray.data.read_parquet(
-        tpath, columns=['conv_id', 'turn_idx', 'text'])
-    factories = ('yargy_ray.grammars.specs:address_grammar',)
-    triples = project_triples(
-        extract_mentions(turns, factories, concurrency=_pool()), factories)
-    deduped = dedup_triples(triples)
-
-    def project(batch: pa.Table) -> pa.Table:
-        return batch.select(['subj', 'pred', 'obj'])
-
-    return deduped.map_batches(project, batch_format='pyarrow')
+    return _kg_distinct_triples(
+        sf_dir, ('yargy_ray.grammars.specs:address_grammar',))
 
 
 def q_kg_edges(sf_dir):
@@ -682,13 +685,8 @@ def q_kg_edges(sf_dir):
     weights; endpoint ids are content-hashes of (kind, norm) using the
     SAME kind maps as the node table (pipelines/kg.py:OBJ_KIND), so
     every dst resolves in kg_nodes — pinned here by the SQL oracle."""
-    import ray.data
     from yargy_ray.pipelines.kg import aggregate_edges
-    from yargy_ray.stages.extract import extract_mentions, project_triples
-    tpath = _transcripts_for(sf_dir)
-    turns = ray.data.read_parquet(
-        tpath, columns=['conv_id', 'turn_idx', 'text'])
-    triples = project_triples(extract_mentions(turns, concurrency=_pool()))
+    triples = _kg_triples(sf_dir)
     return aggregate_edges(triples)
 
 
@@ -697,13 +695,8 @@ def q_kg_comention(sf_dir):
     of conversations both appear in (pipelines/kg.py:co_mention_edges —
     two pre-shrunk exchanges, numpy triu pair generation per
     conversation, bounded by MAX_CONV_ENTITIES)."""
-    import ray.data
     from yargy_ray.pipelines.kg import co_mention_edges
-    from yargy_ray.stages.extract import extract_mentions, project_triples
-    tpath = _transcripts_for(sf_dir)
-    turns = ray.data.read_parquet(
-        tpath, columns=['conv_id', 'turn_idx', 'text'])
-    triples = project_triples(extract_mentions(turns, concurrency=_pool()))
+    triples = _kg_triples(sf_dir)
     return co_mention_edges(triples)
 
 
@@ -712,14 +705,9 @@ def q_kg_two_hop(sf_dir):
     exactly two directed hops over the KG edge table (e.g. turn ->
     mentioned person -> their position). stages/graph.py:two_hop_counts
     — two exchanges, vectorized in-partition merges."""
-    import ray.data
     from yargy_ray.pipelines.kg import aggregate_edges
-    from yargy_ray.stages.extract import extract_mentions, project_triples
     from yargy_ray.stages.graph import two_hop_counts
-    tpath = _transcripts_for(sf_dir)
-    turns = ray.data.read_parquet(
-        tpath, columns=['conv_id', 'turn_idx', 'text'])
-    triples = project_triples(extract_mentions(turns, concurrency=_pool()))
+    triples = _kg_triples(sf_dir)
     # two_hop consumes its edge input twice (the two hop roles);
     # materializing the distinct-edge aggregate halves total compute
     # (wall-neutral on an idle single box where the branches overlap,
@@ -803,14 +791,9 @@ def q_kg_triangles(sf_dir):
     (weight >= 2): stages/graph.py:triangle_counts — wedge generation
     oriented from the lowest corner, three pre-shrunk exchanges,
     bounded per-node wedge work."""
-    import ray.data
     from yargy_ray.pipelines.kg import co_mention_edges
-    from yargy_ray.stages.extract import extract_mentions, project_triples
     from yargy_ray.stages.graph import triangle_counts
-    tpath = _transcripts_for(sf_dir)
-    turns = ray.data.read_parquet(
-        tpath, columns=['conv_id', 'turn_idx', 'text'])
-    triples = project_triples(extract_mentions(turns, concurrency=_pool()))
+    triples = _kg_triples(sf_dir)
     # triangle_counts consumes its edge input TWICE (wedge + close
     # branches); materializing the small distinct strong-edge table
     # avoids re-running extraction + co-mention per branch (measured
@@ -824,14 +807,9 @@ def q_kg_top_neighbors(sf_dir):
     """Top-3 co-mention neighbors per entity by (weight desc, dst asc):
     the symmetrized edge table through topk_per_group's single-exchange
     partitioned reduce, routed on the entity id string)."""
-    import ray.data
     from yargy_ray.pipelines.kg import co_mention_edges
-    from yargy_ray.stages.extract import extract_mentions, project_triples
     from yargy_ray.stages.sampling import topk_per_group
-    tpath = _transcripts_for(sf_dir)
-    turns = ray.data.read_parquet(
-        tpath, columns=['conv_id', 'turn_idx', 'text'])
-    triples = project_triples(extract_mentions(turns, concurrency=_pool()))
+    triples = _kg_triples(sf_dir)
     edges = co_mention_edges(triples)
 
     def sym(t: pa.Table) -> pa.Table:
@@ -850,13 +828,8 @@ def q_kg_entity_stats(sf_dir):
     """Per-entity mention statistics (mentions, distinct conversations,
     first/last conversation) — pipelines/kg.py:entity_mention_stats,
     map-side (kind, norm, conv) combine + one entity-keyed exchange."""
-    import ray.data
     from yargy_ray.pipelines.kg import entity_mention_stats
-    from yargy_ray.stages.extract import extract_mentions, project_triples
-    tpath = _transcripts_for(sf_dir)
-    turns = ray.data.read_parquet(
-        tpath, columns=['conv_id', 'turn_idx', 'text'])
-    triples = project_triples(extract_mentions(turns, concurrency=_pool()))
+    triples = _kg_triples(sf_dir)
     return entity_mention_stats(triples)
 
 
@@ -942,14 +915,9 @@ def q_kg_pagerank(sf_dir):
     (tests/test_stages.py::test_pagerank_matches_power_iteration) and
     the determinism assertion there — the driver records the weaker
     rows-only check for this entry."""
-    import ray.data
     from yargy_ray.pipelines.kg import co_mention_edges
-    from yargy_ray.stages.extract import extract_mentions, project_triples
     from yargy_ray.stages.graph import pagerank
-    tpath = _transcripts_for(sf_dir)
-    turns = ray.data.read_parquet(
-        tpath, columns=['conv_id', 'turn_idx', 'text'])
-    triples = project_triples(extract_mentions(turns, concurrency=_pool()))
+    triples = _kg_triples(sf_dir)
     # pagerank consumes its edge input twice (normalize + node
     # universe); materialize the small strong-edge table once
     strong = co_mention_edges(triples).filter(
@@ -1007,14 +975,9 @@ def q_kg_pair_overlap(sf_dir):
     pairwise entity Jaccard, exactly SQL-checkable. Composition:
     co_mention_edges x entity_conv_counts through two broadcast joins
     (the count table is entity-cardinality — the broadcast small side)."""
-    import ray.data
     from yargy_ray.pipelines.kg import co_mention_edges, entity_conv_counts
-    from yargy_ray.stages.extract import extract_mentions, project_triples
     from yargy_ray.stages.joins import broadcast_join
-    tpath = _transcripts_for(sf_dir)
-    turns = ray.data.read_parquet(
-        tpath, columns=['conv_id', 'turn_idx', 'text'])
-    triples = project_triples(extract_mentions(turns, concurrency=_pool()))
+    triples = _kg_triples(sf_dir)
     edges = co_mention_edges(triples)
     counts = entity_conv_counts(triples)
 
@@ -1060,14 +1023,9 @@ def q_kg_communities(sf_dir):
     operator that clusters near-dups, bound to the KG surface. Node
     keys are the first 60 bits of the md5 node id (SQL-reproducible:
     ('0x' || SUBSTR(id, 1, 15))::BIGINT)."""
-    import ray.data
     from yargy_ray.pipelines.kg import co_mention_edges
-    from yargy_ray.stages.extract import extract_mentions, project_triples
     from yargy_ray.stages.graph import connected_components
-    tpath = _transcripts_for(sf_dir)
-    turns = ray.data.read_parquet(
-        tpath, columns=['conv_id', 'turn_idx', 'text'])
-    triples = project_triples(extract_mentions(turns, concurrency=_pool()))
+    triples = _kg_triples(sf_dir)
     strong = co_mention_edges(triples).filter(expr='weight >= 2')
 
     def to_int_keys(batch: pa.Table) -> pa.Table:

@@ -70,14 +70,13 @@ def distributed_demo():
     import pyarrow.parquet as pq
     pq.write_table(pa.Table.from_pylist(rows), f'{corpus}/part-0.parquet')
 
-    from yargy_ray.pipelines.kg import dedup_triples
-    from yargy_ray.stages.extract import extract_mentions, project_triples
+    from yargy_ray.pipelines.kg import dedup_triples, extract_triples
 
     factories = ('examples.custom_grammar_pipeline:ticket_grammar',)
     turns = ray.data.read_parquet(corpus)
-    mentions = extract_mentions(turns, factories, concurrency=(1, 2))
     triples = dedup_triples(
-        project_triples(mentions, factories)).drop_columns(['tkey'])
+        extract_triples(turns, factories, concurrency=(1, 2)),
+        prededuped=True).drop_columns(['tkey'])
     out = sorted((r['subj'], r['pred'], r['obj'])
                  for r in triples.iter_rows())
     print('distributed triples:')

@@ -12,9 +12,12 @@ text appeared earlier) and prints, per corpus:
 
 * sha256 of the in-process ``MentionExtractor`` rows and of the
   ``TripleExtractor`` rows, in input order;
-* per shipped grammar, the chart states pushed over every turn its gate
-  lets through (a standalone ``Parser`` per grammar) and the number of
-  ``StateOverflow`` capped rows in the mention output.
+* per shipped grammar, the chart states pushed over the charts the
+  extractor really builds (a standalone ``Parser`` per grammar; like
+  ``Parser.findall_tokens``, a turn whose union token mask misses one
+  of the parser's required bit sets gets no chart), the charts that
+  overflowed, and the number of ``StateOverflow`` capped rows in the
+  mention output.
 
 Writing the corpora starts a two-CPU local Ray (stopped at the end):
 the files' layout, and so the batches and the triple hash, depend on
@@ -27,7 +30,6 @@ import argparse
 import hashlib
 import json
 import os
-import re
 import sys
 import tempfile
 
@@ -67,26 +69,23 @@ def table_digest(digest, table):
 
 
 def chart_states(path):
-    """Pushed chart states and overflows per grammar, behind its gate."""
+    """Pushed chart states and overflows per grammar, over the charts
+    ``findall_tokens`` builds."""
     tokenizer = MorphTokenizer()
-    grammars = []
-    for spec in build_specs():
-        gate = re.compile(spec.gate) if spec.gate else None
-        parser = Parser(spec.rule, tokenizer=tokenizer,
-                        max_states=spec.max_states)
-        grammars.append((spec.name, parser, gate))
-    states = {name: 0 for name, _, _ in grammars}
-    overflows = {name: 0 for name, _, _ in grammars}
+    grammars = [(spec.name, Parser(spec.rule, tokenizer=tokenizer,
+                                   max_states=spec.max_states))
+                for spec in build_specs()]
+    states = {name: 0 for name, _ in grammars}
+    overflows = {name: 0 for name, _ in grammars}
     for batch in batches(path):
         for text in batch.column('text').to_pylist():
-            tokens = None
-            for name, parser, gate in grammars:
-                if gate is not None and gate.search(text) is None:
+            tokens = list(tokenizer(text))
+            for name, parser in grammars:
+                masks = parser._masks(tokens)
+                if not all(masks[1] & bits for bits in parser._required):
                     continue
-                if tokens is None:
-                    tokens = list(tokenizer(text))
                 try:
-                    columns = parser._chart_tokens(tokens)
+                    columns = parser._chart_tokens(tokens, masks=masks)
                 except StateOverflow:
                     overflows[name] += 1
                     continue

@@ -71,7 +71,7 @@ TURNS = [
     'хорошо договорились',
 ]
 
-# pushed states per TURNS entry, per shipped grammar (no regex gate)
+# pushed states per TURNS entry, per shipped grammar
 PUSHED = {
     'date': [25, 0, 0, 23, 0, 0, 9, 9, 0, 0, 0],
     'money': [27, 20, 20, 19, 19, 19, 27, 11, 0, 11, 0],
@@ -312,15 +312,8 @@ def standalone(specs):
             for name, spec in specs.items()}
 
 
-def ungated_extractor():
-    extractor = MentionExtractor()
-    extractor.parsers = [(spec, parser, None)
-                         for spec, parser, _ in extractor.parsers]
-    return extractor
-
-
 def test_one_mask_pass_per_turn(standalone):
-    extractor = ungated_extractor()
+    extractor = MentionExtractor()
     space = extractor.space
     assert {p.space for _, p, _ in extractor.parsers} == {space}
     evaluated = Counter()
@@ -348,7 +341,6 @@ def test_one_mask_pass_per_turn(standalone):
         return masks(tokens)
 
     space.masks = counting_masks
-    gated = MentionExtractor()
     for text in TURNS:
         evaluated.clear()
         passes.clear()
@@ -360,14 +352,10 @@ def test_one_mask_pass_per_turn(standalone):
         expected = [row for spec in extractor.specs for row in rows_of(
             spec.name, standalone[spec.name].findall_tokens(tokens))]
         assert rows == expected, text
-        passed = {spec.name for spec, _, gate in gated.parsers
-                  if gate is None or gate.search(text)}
-        assert gated._extract_text(text) == [
-            row for row in expected if row[0] in passed], text
 
 
 def test_overflow_in_one_grammar_keeps_the_others(standalone):
-    extractor = ungated_extractor()
+    extractor = MentionExtractor()
     names = [spec.name for spec, _, _ in extractor.parsers]
     extractor.parsers[names.index('money')][1].max_states = 5
 
@@ -473,7 +461,7 @@ def test_extractor_quarantines_type_errors():
     # beside the shipped ones: they yield no row and raise nothing, and
     # every other row's payload is fact_payload(match.fact)
     F = fact('F', ['a'])
-    extractor = ungated_extractor()
+    extractor = MentionExtractor()
     shipped = list(extractor.parsers)
     for name, interpretation in (('attribute', F.a), ('custom', custom(str))):
         grammar = rule('a', eq('1').interpretation(custom(int))) \
@@ -526,7 +514,7 @@ def test_rejected_turn_builds_no_chart(monkeypatch, specs):
     with pytest.raises(AssertionError):
         parser.findall(TURNS[1])
     # the extractor's money parser never charts it either
-    extractor = ungated_extractor()
+    extractor = MentionExtractor()
     for spec, money, _ in extractor.parsers:
         if spec.name == 'money':
             monkeypatch.setattr(money, '_chart_tokens', unreachable)

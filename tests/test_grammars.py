@@ -57,10 +57,28 @@ def test_address_triples():
     assert uid.startswith('c1')
 
 
-def test_address_gate():
-    spec = address_grammar()
-    import re
-    gate = re.compile(spec.gate)
-    assert gate.search('встреча по адресу шоссе Павлова д. 9')
-    assert gate.search('офис находится на улице Иванова дом 3')
-    assert not gate.search('это стоит 300 руб.')
+def test_user_gate_skips_turn():
+    """A user grammar's optional regex gate (the example's
+    ``ticket_grammar``) skips a turn before it is tokenized; a turn the
+    gate lets through is extracted."""
+    import json
+
+    from yargy_ray.stages.extract import MentionExtractor
+
+    extractor = MentionExtractor(
+        ('examples.custom_grammar_pipeline:ticket_grammar',))
+    tokenize = extractor.tokenizer
+    tokenized = []
+
+    def counting(text):
+        tokenized.append(text)
+        return tokenize(text)
+
+    extractor.tokenizer = counting
+    assert extractor._extract_text('ничего интересного - 7') == []
+    assert tokenized == []
+    rows = extractor._extract_text('начнем с proj - 7')
+    assert tokenized == ['начнем с proj - 7']
+    assert [(rule, json.loads(payload))
+            for rule, _, _, _, payload in rows] == [
+        ('ticket', {'project': 'PROJ', 'number': 7})]

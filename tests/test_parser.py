@@ -123,3 +123,19 @@ def test_forward_recursion():
     assert parser.match('[ x x ]')
     assert parser.match('[ [ x ] x ]')
     assert parser.match('x')
+
+
+def test_grammar_with_forward_compiles_twice():
+    """Compiling leaves the user's forward() as it was: a second parser
+    over the same grammar object builds and matches like the first."""
+    from yargy_ray.kernel import forward
+    loop = forward()
+    loop.define(or_(rule(eq('x'), loop), rule(eq('y'))))
+    grammar = rule(eq('a'), loop)
+    target = loop.inner
+    first = Parser(grammar)
+    second = Parser(grammar)
+    for parser in (first, second):
+        assert parser.match('a x y')
+        assert not parser.match('a x')
+    assert loop.inner is target

@@ -4,6 +4,10 @@ Every factory is a top-level callable (picklable by reference); each
 extraction worker compiles the grammar once per Dataset. Triple emitters
 are plain functions from the fact's JSON dict + provenance to
 (subj, pred, obj) rows.
+
+The shipped grammars carry no regex ``gate``: each parser derives the
+token bits every match needs (``Parser._required``) and builds no chart
+for a turn that lacks them.
 """
 
 from __future__ import annotations
@@ -96,7 +100,7 @@ def date_grammar():
         # 2016 г.
         rule(YEAR, caseless('г'), eq('.')),
     ).interpretation(Date)
-    return GrammarSpec('date', DATE, date_triples, gate=r'\d')
+    return GrammarSpec('date', DATE, date_triples)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +149,7 @@ def money_grammar():
     MONEY = rule(
         AMOUNT, MULT.optional(), CURRENCY,
     ).interpretation(Money)
-    return GrammarSpec('money', MONEY, money_triples, gate=r'\d')
+    return GrammarSpec('money', MONEY, money_triples)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +198,7 @@ def person_grammar():
         FIRST,
         LAST,
     ).interpretation(Person)
-    return GrammarSpec('person', PERSON, person_triples, gate=r'[а-яёА-ЯЁ]')
+    return GrammarSpec('person', PERSON, person_triples)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +240,7 @@ def address_grammar():
         STREET,
         rule(HOUSE_WORD.optional(), HOUSE).optional(),
     ).interpretation(Address)
-    # gate fragment 'переул' (not 'переулк') so the nominative/accusative
-    # 'переулок' passes the gate along with the oblique forms
-    return GrammarSpec('address', ADDRESS, address_triples,
-                       gate=r'(?i)улиц|проспект|переул|шоссе')
+    return GrammarSpec('address', ADDRESS, address_triples)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +271,7 @@ def clause_grammar():
         rule(caseless('п'), eq('.'),
              INT_.interpretation(Clause.sub.custom(int))).optional(),
     ).interpretation(Clause)
-    return GrammarSpec('clause', CLAUSE, clause_triples, gate=r'(?i)ст')
+    return GrammarSpec('clause', CLAUSE, clause_triples)
 
 
 # ---------------------------------------------------------------------------
@@ -294,4 +295,4 @@ def title_grammar():
     ).interpretation(Title)
     # bounded span, but the repeatable body over arbitrary tokens is the
     # classic state-growth shape -> tighter budget
-    return GrammarSpec('title', TITLE, title_triples, max_states=20_000, gate='«')
+    return GrammarSpec('title', TITLE, title_triples, max_states=20_000)

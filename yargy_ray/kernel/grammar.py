@@ -11,7 +11,8 @@ shipped to workers as importable factory callables (picklable), compiled in
 ``__init__`` and reused for every batch.
 
 Passes (all pure, memoized by object identity so shared subrules stay
-shared, with forward rules mutated in place to preserve recursion):
+shared; each forward maps to a fresh forward through the memo, so
+recursion is preserved and the user's grammar is never written to):
 
 1. ``squash``    — collapse stacked ?/+/{m,n} wrappers
 2. ``desugar``   — rewrite ?/+/{m,n} into recursion via fresh forwards
@@ -126,7 +127,7 @@ class GrammarNode:
     def normalized(self):
         root = self
         for step in (squash, desugar, expand_alt, expand_empty, flatten):
-            root = _pass(root, step)
+            root = _visitor(step)(root)
         return root
 
     @property
@@ -303,10 +304,18 @@ def main(term):
 
 
 # ---------------------------------------------------------------------------
-# Pass driver: memoized rewriting with in-place forward redefinition
+# Pass driver: memoized rewriting; forwards are copied, never redefined
 # ---------------------------------------------------------------------------
 
-def _pass(root, step):
+def _visitor(step):
+    """Memoized rewrite ``visit(item)`` of a DSL tree by
+    ``step(item, visit)``.
+
+    A forward maps to a fresh forward, entered in the memo before its
+    target is rewritten, so recursion closes through the memo and the
+    input tree is never written to: one grammar object compiles any
+    number of times.
+    """
     # id(item) -> (item, result). The memo holds every visited item, so
     # no id is freed and reused by another node during the pass: steps
     # visit temporaries they build themselves.
@@ -314,14 +323,19 @@ def _pass(root, step):
 
     def visit(item):
         entry = memo.get(id(item))
-        if entry is None:
-            entry = memo[id(item)] = (item, step(item, visit))
-        return entry[1]
+        if entry is not None:
+            return entry[1]
+        if isinstance(item, Fwd):
+            result = Fwd()
+            memo[id(item)] = (item, result)
+            if item.inner is not None:
+                result.define(visit(item.inner))
+            return result
+        result = step(item, visit)
+        memo[id(item)] = (item, result)
+        return result
 
-    for fwd in root.walk(types=Fwd):
-        if fwd.inner is not None:
-            fwd.define(visit(fwd.inner))
-    return visit(root)
+    return visit
 
 
 def _rebuild(item, visit):
@@ -599,15 +613,7 @@ def compile_bnf(root):
         for child in item.children:
             refcount[id(child)] = refcount.get(id(child), 0) + 1
 
-    memo = {}
-
-    def visit(item):
-        key = id(item)
-        if key in memo:
-            return memo[key]
-        result = convert(item)
-        memo[key] = result
-        return result
+    visit = _visitor(lambda item, _: convert(item))
 
     def visit_term(term):
         if isinstance(term, GrammarNode):
@@ -622,7 +628,7 @@ def compile_bnf(root):
     def convert_wrapped(item):
         inner = item.inner
         if isinstance(inner, Fwd):
-            return _wrap_single(inner)
+            return _wrap_single(visit(inner))
         shared = refcount.get(id(inner), 0) > 1
         result = visit(inner)
         if shared:
@@ -652,15 +658,9 @@ def compile_bnf(root):
             return result
         if isinstance(item, GazNode):
             return item.pipeline.as_bnf
-        if isinstance(item, Fwd):
-            return item
         raise TypeError(type(item))
 
-    for fwd in root.walk(types=Fwd):
-        if fwd.inner is not None:
-            fwd.define(visit(fwd.inner))
-    result = visit(root)
-    return unfold_forwards(result)
+    return unfold_forwards(visit(root))
 
 
 def unfold_forwards(root):

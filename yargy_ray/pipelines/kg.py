@@ -1,12 +1,23 @@
 """The knowledge-graph construction pipeline (the engine's flagship).
 
 transcripts parquet
-  -> extraction (task map_batches on warm workers; per-turn, no shuffle)
-  -> triple projection (fused map)
+  -> fused extraction       (:class:`TripleExtractor` tasks on warm
+                             workers: mentions, triple projection and a
+                             batch-local dedup in one map; per-turn, no
+                             shuffle)
   -> exact dedup            (shuffle 1: hash partition on triple key)
   -> node canonicalization  (shuffle 2: groupby normalized form)
   -> edge aggregation       (shuffle 3: groupby edge key)
   -> partitioned parquet writes + lineage manifests (resumable)
+
+:func:`run_kg_pipeline` writes three stages, ``triples``, ``nodes`` and
+``edges``, in three Dataset executions; the triples stage runs the same
+calls as the headline query and step 1 of
+:func:`~yargy_ray.pipelines.incremental.merge_kg_delta`. Mention rows
+(``MentionExtractor``'s output) live only inside the fused map.
+Consumers that need every triple OCCURRENCE (co-mention, entity stats)
+stay on ``extract_mentions`` -> ``project_triples``: the batch-local
+dedup would change their counts.
 
 Scale notes (BASELINE.json north_rule):
 * Extraction is embarrassingly parallel over turns — the dominant cost
@@ -40,11 +51,6 @@ from yargy_ray.stages.exchange import (
     sum_by,
 )
 from yargy_ray.stages.compute import map_cached
-from yargy_ray.stages.extract import (
-    CAPPED_RULE,
-    extract_mentions,
-    project_triples,
-)
 from yargy_ray.state import storage
 from yargy_ray.state.manifests import fingerprint, run_stage
 
@@ -326,36 +332,19 @@ def run_kg_pipeline(transcripts_path, out_root,
     layout = {'num_partitions': num_partitions}
     manifests = {}
 
-    mentions_dir = storage.join(out_root, 'mentions')
     triples_dir = storage.join(out_root, 'triples')
 
-    def build_mentions(out_dir):
+    def build_triples(out_dir):
         turns = ray.data.read_parquet(
             transcripts_path,
             columns=['conv_id', 'turn_idx', 'text'],  # prune at the read
         )
-        mentions = extract_mentions(
-            turns, factory_paths, concurrency=concurrency,
-            batch_size=batch_size)
-        return _write_partitioned(mentions, out_dir, 'conv_id',
-                                  num_partitions), layout
-
-    manifests['mentions'] = run_stage(
-        'mentions', mentions_dir, fp, build_mentions, resume=resume)
-
-    def build_triples(out_dir):
-        mentions = ray.data.read_parquet(mentions_dir)
-        capped = mentions.filter(
-            expr=f"rule == '{CAPPED_RULE}'").count()
-        triples = project_triples(mentions, factory_paths)
-        deduped = dedup_triples(triples)
-        parts = _write_partitioned(
-            deduped.drop_columns(['tkey']), out_dir, 'subj', num_partitions)
-        for p in parts:
-            p['capped_rows'] = 0
-        if parts:
-            parts[0]['capped_rows'] = int(capped)
-        return parts, layout
+        deduped = dedup_triples(
+            extract_triples(turns, factory_paths, concurrency=concurrency,
+                            batch_size=batch_size),
+            prededuped=True)
+        return _write_partitioned(deduped.drop_columns(['tkey']), out_dir,
+                                  'subj', num_partitions), layout
 
     manifests['triples'] = run_stage(
         'triples', triples_dir, fp, build_triples, resume=resume)

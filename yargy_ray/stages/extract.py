@@ -13,11 +13,13 @@ The hot path of the engine. Design (SURVEY §2.7, §3):
   list and its FIRST-matcher masks (one ``MaskSpace`` for all grammars)
   are shared by every grammar. Each parser tests the bit sets every
   match of its grammar needs against the turn's union mask, so most
-  grammar×turn pairs never start an Earley chart; a grammar's optional
-  regex ``gate`` can skip the turn before it is even tokenized.
+  grammar×turn pairs never start an Earley chart. The shipped grammars
+  need no regex ``gate``; a user grammar may set one as a hint that
+  skips the turn for that grammar before it is even tokenized.
 * A per-document state budget bounds worst-case parse work; capped
-  turns are reported as ``rule='_capped'`` rows (counted by manifests,
-  excluded from triples) instead of failing the job.
+  turns are reported as ``rule='_capped'`` mention rows (dropped by
+  triple projection, so the KG build does not count them) instead of
+  failing the job.
 * Output is built with Arrow arrays directly — no pandas detour.
 
 Extraction is per-turn (the reference semantics is per-document over a
