@@ -21,8 +21,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from yargy_ray.grammars import DEFAULT_FACTORIES
-
 
 def _read(sf_dir, table):
     import ray.data
@@ -85,31 +83,25 @@ def _kg_turns(sf_dir):
                                  columns=['conv_id', 'turn_idx', 'text'])
 
 
-def _kg_triples(sf_dir, factories=DEFAULT_FACTORIES):
+def _kg_triples(sf_dir):
     """Every triple OCCURRENCE of the transcripts (``extract_mentions``
     -> ``project_triples``): degrees, weights and conversation counts
     count occurrences, which the fused extractor's batch-local dedup
     would drop."""
     from yargy_ray.stages.extract import extract_mentions, project_triples
     return project_triples(
-        extract_mentions(_kg_turns(sf_dir), factories, concurrency=_pool()),
-        factories)
+        extract_mentions(_kg_turns(sf_dir), concurrency=_pool()))
 
 
 def _kg_distinct_triples(sf_dir, factories):
-    """Distinct (subj, pred, obj) triples through the fused extractor —
-    the calls of ``run_kg_pipeline``'s triples stage. Projected to the
+    """Distinct (subj, pred, obj) triples through ``distinct_triples``,
+    the triples stage of ``run_kg_pipeline``. Projected to the
     deterministic logical output: provenance columns of a dedup
     survivor are advisory and would defeat the value-hash compare."""
-    from yargy_ray.pipelines.kg import dedup_triples, extract_triples
-    deduped = dedup_triples(
-        extract_triples(_kg_turns(sf_dir), factories, concurrency=_pool()),
-        prededuped=True)
-
-    def project(batch: pa.Table) -> pa.Table:
-        return batch.select(['subj', 'pred', 'obj'])
-
-    return deduped.map_batches(project, batch_format='pyarrow')
+    from yargy_ray.pipelines.kg import distinct_triples
+    return distinct_triples(_kg_turns(sf_dir), factories,
+                            concurrency=_pool()).select_columns(
+                                ['subj', 'pred', 'obj'])
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +654,7 @@ def q_kg_triples(sf_dir):
     """Flagship: distinct (subj, pred, obj) triples from the synthetic
     transcripts; the SQL oracle re-derives the same triples from the
     template corpus with regexes + inline mappings."""
+    from yargy_ray.grammars import DEFAULT_FACTORIES
     return _kg_distinct_triples(sf_dir, DEFAULT_FACTORIES)
 
 

@@ -70,13 +70,11 @@ def distributed_demo():
     import pyarrow.parquet as pq
     pq.write_table(pa.Table.from_pylist(rows), f'{corpus}/part-0.parquet')
 
-    from yargy_ray.pipelines.kg import dedup_triples, extract_triples
+    from yargy_ray.pipelines.kg import distinct_triples
 
     factories = ('examples.custom_grammar_pipeline:ticket_grammar',)
     turns = ray.data.read_parquet(corpus)
-    triples = dedup_triples(
-        extract_triples(turns, factories, concurrency=(1, 2)),
-        prededuped=True).drop_columns(['tkey'])
+    triples = distinct_triples(turns, factories, concurrency=(1, 2))
     out = sorted((r['subj'], r['pred'], r['obj'])
                  for r in triples.iter_rows())
     print('distributed triples:')

@@ -12,7 +12,7 @@ shipped to workers as importable factory callables (picklable), compiled in
 
 Passes (all pure, memoized by object identity so shared subrules stay
 shared; each forward maps to a fresh forward through the memo, so
-recursion is preserved and the user's grammar is never written to):
+recursion is preserved and the user's forwards are never redefined):
 
 1. ``squash``    — collapse stacked ?/+/{m,n} wrappers
 2. ``desugar``   — rewrite ?/+/{m,n} into recursion via fresh forwards
@@ -312,9 +312,10 @@ def _visitor(step):
     ``step(item, visit)``.
 
     A forward maps to a fresh forward, entered in the memo before its
-    target is rewritten, so recursion closes through the memo and the
-    input tree is never written to: one grammar object compiles any
-    number of times.
+    target is rewritten, so recursion closes through the memo and no
+    pass redefines the user's forward: a grammar holding ``forward()``
+    compiles more than once. (:func:`activate` still rebinds
+    predicates in place.)
     """
     # id(item) -> (item, result). The memo holds every visited item, so
     # no id is freed and reused by another node during the pass: steps

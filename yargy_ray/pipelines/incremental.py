@@ -11,7 +11,7 @@ driver oracle and ``tests/test_incremental.py``).
 Design (all three merges share one shape):
 
 1. **Delta triples** are extracted and deduped *within the delta* (the
-   normal :func:`~yargy_ray.pipelines.kg.extract_triples` path — no base
+   normal :func:`~yargy_ray.pipelines.kg.distinct_triples` path — no base
    data involved).
 2. **Anti-join against base**: a triple's dedup key ``tkey`` hashes
    (subj, pred, obj), and its layout partition hashes ``subj`` — so any
@@ -46,8 +46,7 @@ from yargy_ray.grammars import DEFAULT_FACTORIES
 from yargy_ray.pipelines.kg import (
     _emit_edge_counts,
     _emit_node_counts,
-    dedup_triples,
-    extract_triples,
+    distinct_triples,
 )
 from yargy_ray.stages.exchange import (
     check_layout,
@@ -210,10 +209,7 @@ def merge_kg_delta(base_root, delta_transcripts_path, out_root,
     #       their layout partition --------------------------------------
     turns = ray.data.read_parquet(
         delta_transcripts_path, columns=['conv_id', 'turn_idx', 'text'])
-    delta = dedup_triples(
-        extract_triples(turns, factory_paths, concurrency=concurrency,
-                        batch_size=batch_size),
-        prededuped=True)
+    delta = distinct_triples(turns, factory_paths, concurrency, batch_size)
 
     def keyed(batch: pa.Table) -> pa.Table:
         return batch.append_column('mpart', layout_partition(

@@ -11,8 +11,8 @@ transcripts parquet
   -> partitioned parquet writes + lineage manifests (resumable)
 
 :func:`run_kg_pipeline` writes three stages, ``triples``, ``nodes`` and
-``edges``, in three Dataset executions; the triples stage runs the same
-calls as the headline query and step 1 of
+``edges``, in three Dataset executions; the triples stage runs
+:func:`distinct_triples`, as do the headline query and step 1 of
 :func:`~yargy_ray.pipelines.incremental.merge_kg_delta`. Mention rows
 (``MentionExtractor``'s output) live only inside the fused map.
 Consumers that need every triple OCCURRENCE (co-mention, entity stats)
@@ -180,6 +180,19 @@ def extract_triples(turns_ds, factory_paths=DEFAULT_FACTORIES,
                       concurrency, batch_size)
 
 
+def distinct_triples(turns_ds, factory_paths=DEFAULT_FACTORIES,
+                     concurrency=(1, 8), batch_size=256):
+    """turns Dataset -> the distinct triple set, one row per (subj,
+    pred, obj) with the provenance of one occurrence: the fused
+    :func:`extract_triples` then the exact :func:`dedup_triples`. The
+    KG build, the delta merge and the ``kg_triples`` query all run
+    this."""
+    return dedup_triples(
+        extract_triples(turns_ds, factory_paths, concurrency=concurrency,
+                        batch_size=batch_size),
+        prededuped=True).drop_columns(['tkey'])
+
+
 # ---------------------------------------------------------------------------
 # Node canonicalization
 # ---------------------------------------------------------------------------
@@ -339,12 +352,10 @@ def run_kg_pipeline(transcripts_path, out_root,
             transcripts_path,
             columns=['conv_id', 'turn_idx', 'text'],  # prune at the read
         )
-        deduped = dedup_triples(
-            extract_triples(turns, factory_paths, concurrency=concurrency,
-                            batch_size=batch_size),
-            prededuped=True)
-        return _write_partitioned(deduped.drop_columns(['tkey']), out_dir,
-                                  'subj', num_partitions), layout
+        triples = distinct_triples(turns, factory_paths, concurrency,
+                                   batch_size)
+        return _write_partitioned(triples, out_dir, 'subj',
+                                  num_partitions), layout
 
     manifests['triples'] = run_stage(
         'triples', triples_dir, fp, build_triples, resume=resume)
