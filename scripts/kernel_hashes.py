@@ -12,6 +12,9 @@ text appeared earlier) and prints, per corpus:
 
 * sha256 of the in-process ``MentionExtractor`` rows and of the
   ``TripleExtractor`` rows, in input order;
+* ``projected``: sha256 of the mention rows projected by
+  ``TripleProjector`` and batch-deduped, batch by batch; the fused
+  extractor must give these very rows, so it equals ``triples``;
 * per shipped grammar, the chart states pushed over the charts the
   extractor really builds (a standalone ``Parser`` per grammar; like
   ``Parser.findall_tokens``, a turn whose union token mask misses one
@@ -46,10 +49,14 @@ from perfbench.corpus import (  # noqa: E402
 from yargy_ray.grammars import build_specs  # noqa: E402
 from yargy_ray.kernel import Parser, StateOverflow  # noqa: E402
 from yargy_ray.kernel.tokenizer import MorphTokenizer  # noqa: E402
-from yargy_ray.pipelines.kg import TripleExtractor  # noqa: E402
+from yargy_ray.pipelines.kg import (  # noqa: E402
+    TripleExtractor,
+    _batch_prededup,
+)
 from yargy_ray.stages.extract import (  # noqa: E402
     CAPPED_RULE,
     MentionExtractor,
+    TripleProjector,
 )
 
 BATCH_ROWS = 256
@@ -95,13 +102,18 @@ def chart_states(path):
 
 def corpus_lines(path):
     mentions, triples = hashlib.sha256(), hashlib.sha256()
+    projected = hashlib.sha256()
     capped = {}
-    n_mentions = n_triples = 0
+    n_mentions = n_triples = n_projected = 0
     extract, fused = MentionExtractor(), TripleExtractor()
+    project = TripleProjector()
     for batch in batches(path):
         rows = extract(batch)
         n_mentions += rows.num_rows
         table_digest(mentions, rows)
+        out = _batch_prededup(project(rows))
+        n_projected += out.num_rows
+        table_digest(projected, out)
         for rule, payload in zip(rows.column('rule').to_pylist(),
                                  rows.column('fact_json').to_pylist()):
             if rule == CAPPED_RULE:
@@ -112,6 +124,7 @@ def corpus_lines(path):
         table_digest(triples, out)
     yield f'mentions {n_mentions} {mentions.hexdigest()}'
     yield f'triples {n_triples} {triples.hexdigest()}'
+    yield f'projected {n_projected} {projected.hexdigest()}'
     states, overflows = chart_states(path)
     for name in states:
         yield (f'grammar {name} states={states[name]} '

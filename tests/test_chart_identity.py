@@ -14,6 +14,16 @@ against the same rows.
 Required bit sets skip a chart before it is built, so the pinned counts
 are taken from ``_chart_tokens``, which never skips on them; the sets
 are checked for soundness against the unskipped chart.
+
+End of input is a token whose mask is bit 0 only, so the last column of
+a chart holds only states that can still complete there. Every pinned
+column before the last keeps the uncompiled parser's size; the last
+ones were re-pinned, and the matches on them did not change.
+
+The fused ``TripleExtractor`` projects triples from the interpretation
+payloads, not from mention rows; its rows are checked against the
+mention path projected and batch-deduped, overflow and quarantine
+included.
 """
 
 import gc
@@ -42,11 +52,12 @@ from yargy_ray.kernel.records import Span, Token, best_nonoverlapping
 from yargy_ray.kernel.relations import gnc_relation
 from yargy_ray.kernel.tagging import Tagger
 from yargy_ray.kernel.tokenizer import MorphTokenizer
-from yargy_ray.pipelines.kg import TripleExtractor
+from yargy_ray.pipelines.kg import TripleExtractor, _batch_prededup
 from yargy_ray.sources.transcripts import generate_conversation
 from yargy_ray.stages.extract import (
     CAPPED_RULE,
     MentionExtractor,
+    TripleProjector,
     fact_payload,
 )
 
@@ -73,12 +84,12 @@ TURNS = [
 
 # pushed states per TURNS entry, per shipped grammar
 PUSHED = {
-    'date': [25, 0, 0, 23, 0, 0, 9, 9, 0, 0, 0],
-    'money': [27, 20, 20, 19, 19, 19, 27, 11, 0, 11, 0],
-    'person': [0, 0, 0, 0, 0, 0, 0, 33, 33, 0, 0],
-    'address': [0, 0, 0, 0, 26, 27, 27, 26, 0, 26, 0],
-    'clause': [0, 0, 0, 0, 0, 0, 18, 0, 0, 0, 0],
-    'title': [0, 0, 18, 0, 0, 0, 0, 0, 0, 18, 0],
+    'date': [20, 0, 0, 18, 0, 0, 4, 4, 0, 0, 0],
+    'money': [24, 17, 17, 16, 8, 8, 24, 8, 0, 8, 0],
+    'person': [0, 0, 0, 0, 0, 0, 0, 19, 19, 0, 0],
+    'address': [0, 0, 0, 0, 21, 22, 22, 21, 0, 21, 0],
+    'clause': [0, 0, 0, 0, 0, 0, 17, 0, 0, 0, 0],
+    'title': [0, 0, 17, 0, 0, 0, 0, 0, 0, 17, 0],
 }
 
 
@@ -100,7 +111,7 @@ def test_pushed_states_pinned(specs):
         assert got == expected, name
     money = Parser(specs['money'].rule, tokenizer=tokenizer)
     assert column_sizes(money, MONEY_TURN) == [0, 3, 5, 3, 5, 3, 5, 0, 0,
-                                               0, 3]
+                                               0, 0]
 
 
 def test_state_budget_counts_pushed_states(specs):
@@ -124,11 +135,11 @@ def test_empty_rule_shared_by_two_rules():
     parser = Parser(rule(or_(rule(eq('a')), nothing),
                          or_(rule(eq('b')), nothing), eq('c')))
     expected = {
-        'c': ([5, 8], [['c']]),
-        'a c': ([6, 8, 9], [['a', 'c']]),
-        'b c': ([6, 7, 9], [['b', 'c']]),
-        'a b c': ([6, 9, 8, 10], [['a', 'b', 'c']]),
-        'x c': ([0, 5, 8], [['c']]),
+        'c': ([5, 1], [['c']]),
+        'a c': ([6, 8, 2], [['a', 'c']]),
+        'b c': ([6, 7, 2], [['b', 'c']]),
+        'a b c': ([6, 9, 8, 3], [['a', 'b', 'c']]),
+        'x c': ([0, 5, 1], [['c']]),
     }
     for text, (sizes, found) in expected.items():
         assert column_sizes(parser, text) == sizes, text
@@ -140,10 +151,10 @@ def test_nullable_start_rule_is_never_skipped():
     # every column predicts the start rule, even with no token to start it
     parser = Parser(rule(eq('a').optional(), eq('b').optional()))
     expected = {
-        '': ([7], []),
-        'x': ([5, 7], []),
-        'a': ([6, 10], [['a']]),
-        'x b': ([5, 6, 9], [['b']]),
+        '': ([5], []),
+        'x': ([5, 5], []),
+        'a': ([6, 8], [['a']]),
+        'x b': ([5, 6, 7], [['b']]),
     }
     for text, (sizes, found) in expected.items():
         assert column_sizes(parser, text) == sizes, text
@@ -203,7 +214,7 @@ def test_grammar_compile_is_deterministic():
         parser = Parser(rule(eq('a').optional().repeatable(),
                              eq('a').optional().repeatable()))
         sizes.add(sum(column_sizes(parser, 'a a ')))
-    assert sizes == {62}
+    assert sizes == {58}
 
 
 # -- lazy parse forest -------------------------------------------------------
@@ -261,9 +272,9 @@ def test_prepare_only_kept_spans_without_relations(monkeypatch):
     prepared = []
     init = earley.Match.__init__
 
-    def recording(self, tree):
+    def recording(self, tree, *args):
         prepared.append(tree.range)
-        init(self, tree)
+        init(self, tree, *args)
 
     monkeypatch.setattr(earley.Match, '__init__', recording)
 
@@ -620,3 +631,134 @@ def test_one_pass_tree_equals_pruned_node(specs):
                     assert same_tree(got, expected), text
                     built += 1
     assert built > 20 and empty_trees > 0
+
+
+# -- end of input ------------------------------------------------------------
+
+def nullable_rules(start):
+    """ids of the rules reachable from ``start`` that derive nothing."""
+    rules, seen, stack = [], set(), [start]
+    while stack:
+        r = stack.pop()
+        if id(r) not in seen:
+            seen.add(id(r))
+            rules.append(r)
+            stack.extend(t for p in r.productions for t in p.terms
+                         if t.is_rule)
+    nullable = set()
+    changed = True
+    while changed:
+        changed = False
+        for r in rules:
+            if id(r) not in nullable and any(
+                    all(t.is_rule and id(t) in nullable for t in p.terms)
+                    for p in r.productions):
+                nullable.add(id(r))
+                changed = True
+    return nullable
+
+
+def test_end_of_input_predicts_only_nullable_productions(specs):
+    # end of input is a token whose mask is bit 0 only: a production
+    # that needs a token is never predicted where none follows
+    nothing = empty()
+    grammars = [spec.rule for spec in specs.values()] + [
+        rule(or_(rule(eq('a')), nothing), or_(rule(eq('b')), nothing),
+             eq('c')),
+        rule(eq('a').optional(), eq('b').optional()),
+    ]
+    tokenizer = MorphTokenizer()
+    texts = sweep_texts() + ['c', 'a b c', 'x b', 'a', '']
+    epsilon = 0
+    for grammar in grammars:
+        parser = Parser(grammar, tokenizer=tokenizer)
+        nullable = nullable_rules(parser.rule)
+        for text in texts:
+            columns = parser._chart_tokens(parser.tokenize(text))
+            for state in columns[-1:][0].states if columns else ():
+                if state.dot == 0:
+                    assert all(t.is_rule and id(t) in nullable
+                               for t in state.production.terms), text
+                    epsilon += 1
+    assert epsilon > 0
+
+
+def test_matches_ending_on_a_nullable_tail_are_found():
+    extractor = MentionExtractor()
+    expected = {
+        'встреча 12 марта':
+            [('date', 8, 16, ['12', 'марта'], '{"day": 12, "month": 3}')],
+        'это стоит 500 руб':
+            [('money', 10, 17, ['500', 'руб'],
+              '{"amount": 500, "currency": "RUB"}')],
+        'офис находится на улице Иванова':
+            [('address', 18, 31, ['улице', 'Иванова'],
+              '{"street": "иванова", "street_type": "улица"}')],
+    }
+    for text, rows in expected.items():
+        assert extractor._extract_text(text) == rows, text
+
+
+def test_title_cap_boundary():
+    # the last title that fits the default state budget, and the first
+    # that overflows it
+    extractor = MentionExtractor()
+    [row] = extractor._extract_text('«' + 'слово ' * 194 + '»')
+    assert row[0] == 'title' and row[3] == ['«'] + ['слово'] * 194 + ['»']
+    assert extractor._extract_text('«' + 'слово ' * 195 + '»') == [
+        (CAPPED_RULE, 0, 0, [], '{"grammar": "title"}')]
+
+
+# -- fused projection --------------------------------------------------------
+
+def planted(extractor):
+    """``extractor`` (a :class:`TripleExtractor`) with a money budget of
+    5 states and a grammar whose interpretation raises TypeError."""
+    mentions = extractor.extract
+    for spec, parser, _ in mentions.parsers:
+        if spec.name == 'money':
+            parser.max_states = 5
+    F = fact('F', ['a'])
+    grammar = rule('a', eq('1').interpretation(custom(int))) \
+        .interpretation(F.a).interpretation(F)
+    spec = GrammarSpec('attribute', grammar,
+                       lambda value, conv, turn: [('s', 'p', 'o')])
+    mentions.parsers.append((spec, Parser(
+        grammar, tokenizer=mentions.tokenizer, space=mentions.space), None))
+    extractor.project.emitters[spec.name] = spec.to_triples
+    return extractor
+
+
+def fused_turns():
+    texts = sweep_texts()[:120]
+    overflow = [TURNS[1], TURNS[2]]       # money charts > 5 states
+    quarantine = ['a 1', 'сумма 1 . a 1 . это стоит 4500 руб.']
+    return texts, overflow + quarantine
+
+
+def test_fused_path_equals_mention_path():
+    texts, plants = fused_turns()
+    for make in (TripleExtractor, lambda: planted(TripleExtractor())):
+        for batch in (TURNS, texts, plants):
+            table = turns_table(batch)
+            reference = make()
+            mentions = reference.extract(table)
+            expected = _batch_prededup(reference.project(mentions))
+            got = make()(table)
+            assert got.num_rows > 0
+            assert got.to_pylist() == expected.to_pylist()
+    planted_mentions = planted(TripleExtractor()).extract(turns_table(plants))
+    rules = Counter(planted_mentions.column('rule').to_pylist())
+    assert rules[CAPPED_RULE] == 3 and 'attribute' not in rules
+
+
+def test_payloads_survive_a_json_round_trip():
+    texts, plants = fused_turns()
+    extractor = MentionExtractor()
+    seen = Counter()
+    for text in TURNS + texts + plants:
+        for rule_name, _, _, payload, _ in extractor.hits(text):
+            assert payload == json.loads(json.dumps(
+                payload, sort_keys=True, ensure_ascii=False)), text
+            seen[rule_name] += 1
+    assert set(seen) == {spec.name for spec in extractor.specs}

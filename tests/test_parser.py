@@ -26,6 +26,7 @@ from yargy_ray.kernel.predicates import (
     tag,
     type_,
 )
+from yargy_ray.kernel.grammar import Seq
 from yargy_ray.kernel.tagging import Tagger
 
 
@@ -139,3 +140,29 @@ def test_grammar_with_forward_compiles_twice():
         assert parser.match('a x y')
         assert not parser.match('a x')
     assert loop.inner is target
+
+
+def test_activation_leaves_the_grammar_as_it_was():
+    """A parser activates a copy of its grammar: a second parser over the
+    same grammar object checks it against its own tokenizer, and a
+    scheme term stays a scheme."""
+    from yargy_ray.kernel.tokenizer import EMAIL_RULE
+    grammar = rule(type_('EMAIL'))
+    [match] = Parser(grammar, tokenizer=MorphTokenizer().add_rules(
+        EMAIL_RULE)).findall('пишите на me@host.ru')
+    assert [t.value for t in match.tokens] == ['me@host.ru']
+    with pytest.raises(ValueError, match='EMAIL'):
+        Parser(grammar, tokenizer=MorphTokenizer())
+
+    word = normalized('слово')
+    grammar = rule(word, eq('x'))
+    [seq] = grammar.walk(types=Seq)
+    terms = list(seq.productions[0].terms)
+    Parser(grammar)
+    assert seq.productions[0].terms == terms
+    assert terms[0] is word and type(word) is normalized
+    # shared subrules stay shared in the activated copy
+    shared = rule(eq('y'))
+    compiled = Parser(rule(shared, shared)).rule
+    [prod] = compiled.productions
+    assert prod.terms[0] is prod.terms[1]

@@ -24,9 +24,18 @@ Additions over the reference:
   whose bits meet the lookahead's mask, cached per (rule, mask); the
   start-rule pre-scan is one AND on the union of the masks. No state is
   ever derived twice, so columns keep no per-state dedup keys (see
-  ``_predict``). Each column holds the same states, in the same order,
-  as plain Earley prediction with per-state dedup would push: the state
-  budget and tree tie-breaking count on that.
+  ``_predict``). Each column but the end-of-input one holds the same
+  states, in the same order, as plain Earley prediction with per-state
+  dedup would push: the state budget and tree tie-breaking count on that.
+* End of input is a token whose mask is bit 0 only. The last column
+  predicts the start rule only when it is nullable, and keeps only the
+  nullable productions of every BNF rule it predicts, as any other
+  column keeps those whose FIRST bits meet its lookahead; gazetteer
+  rules are predicted there as before. A production that needs a token
+  can never complete where none follows, so matches are unchanged. Only
+  the last column differs from plain Earley: it holds a subsequence of
+  that column's states, so a chart's budget count drops by at most the
+  number of the grammar's dotted items.
 * Shared masks. The FIRST bits and the mask memo live in a
   :class:`MaskSpace`; parsers built on one space (the grammars of one
   extractor) share them, so a token stream's masks are computed once
@@ -64,6 +73,10 @@ Additions over the reference:
   from the ``prev`` chain (``_pruned``), with no unpruned node. The
   interpretation fold walks the tree with an accumulator, not a
   generator per node.
+* Lazy match tokens. A chart span ``(i, j)`` consumes exactly the tokens
+  of columns ``i + 1 .. j``, so a :class:`Match` takes its char span
+  from those columns and walks its tree for ``tokens`` only when asked
+  (a grammar with relations takes them when it constrains the tree).
 """
 
 from __future__ import annotations
@@ -75,7 +88,7 @@ from .grammar import BNFRule as BNFRuleType
 from .grammar import GrammarNode, is_bnf_rule
 from .gazetteer import GazProd
 from .interp import Chain
-from .records import best_nonoverlapping, tokens_span
+from .records import Span, best_nonoverlapping
 from .relations import AgreementGraph
 from .tagging import PassTagger
 from .tokenizer import MorphTokenizer, Tokenizer
@@ -355,15 +368,31 @@ def _trees(states):
     return [ParseTree(_node(s, memo), (s.origin, s.column)) for s in states]
 
 
+def _char_span(columns, range_):
+    """Char span of the chart span ``(i, j)``: it consumes exactly the
+    tokens of columns ``i + 1 .. j``."""
+    start, stop = range_
+    return Span(columns[start + 1].token.span.start,
+                columns[stop].token.span.stop)
+
+
 class Match:
-    """One resolved extraction: tokens, char span, lazily interpreted fact."""
+    """One resolved extraction: char span, lazily walked tokens, lazily
+    interpreted fact."""
 
-    __slots__ = ('tree', 'tokens', 'span')
+    __slots__ = ('tree', 'span', '_tokens')
 
-    def __init__(self, tree):
+    def __init__(self, tree, span, tokens=None):
         self.tree = tree
-        self.tokens = [leaf.token for leaf in walk_leaves(tree.root)]
-        self.span = tokens_span(self.tokens)
+        self.span = span
+        self._tokens = tokens
+
+    @property
+    def tokens(self):
+        """The tree's leaf tokens, walked on first use."""
+        if self._tokens is None:
+            self._tokens = [leaf.token for leaf in walk_leaves(self.tree.root)]
+        return self._tokens
 
     @property
     def rule(self):
@@ -379,14 +408,16 @@ class Match:
         return f'Match({[t.value for t in self.tokens]!r}, {self.span!r})'
 
 
-def _prepare_plain(tree):
+def _prepare_plain(tree, columns):
     """``_prepare_match`` for a grammar without relations: its agreement
     graph is empty, so ``validate`` is True and ``constrain`` a no-op."""
     tree = tree.prune_empty()
-    return Match(tree) if tree is not None else None
+    if tree is None:
+        return None
+    return Match(tree, _char_span(columns, tree.range))
 
 
-def _prepare_match(tree):
+def _prepare_match(tree, columns):
     tree = tree.prune_empty()
     if tree is None:
         return None
@@ -394,7 +425,10 @@ def _prepare_match(tree):
     if not graph.validate():
         return None
     tree.constrain(graph)
-    return Match(tree)
+    # the tokens as constrained now: a later span's constrain() may
+    # rewrite leaves this tree shares
+    tokens = [leaf.token for leaf in walk_leaves(tree.root)]
+    return Match(tree, _char_span(columns, tree.range), tokens)
 
 
 class MaskSpace:
@@ -662,7 +696,9 @@ class Parser:
             ahead = lookahead.states if lookahead is not None else ()
             if ci == 0 or everywhere:
                 predicted.add(id(start_rule))
-                if lookahead is None or lookahead.mask & start_bits:
+                # end of input is a token whose mask is bit 0 only
+                if (lookahead.mask if lookahead is not None
+                        else 1) & start_bits:
                     self._predict(column, lookahead, start_rule)
             si = 0
             states = column.states
@@ -700,13 +736,13 @@ class Parser:
             # gazetteer rules prune via their own token index
             pairs = enumerate(rule.productions if lookahead is None
                               else rule.predict(lookahead.token))
-        elif lookahead is None:
-            pairs = [(rank, prod) for rank, prod, _ in self._plan[id(rule)]]
         else:
-            key = (id(rule), lookahead.mask)
+            # end of input has mask 1: only a nullable production, whose
+            # bits hold bit 0, can complete where no token follows
+            mask = lookahead.mask if lookahead is not None else 1
+            key = (id(rule), mask)
             pairs = self._pairs.get(key)
             if pairs is None:
-                mask = lookahead.mask
                 pairs = self._pairs[key] = [
                     (rank, production)
                     for rank, production, first_bits in self._plan[id(rule)]
@@ -804,9 +840,10 @@ class Parser:
                     [s for s in spans if s[0] < s[1]]):
                 states = by_span[span]
                 if len(states) == 1:
-                    matches.append(Match(ParseTree(_pruned(states[0]), span)))
+                    matches.append(Match(ParseTree(_pruned(states[0]), span),
+                                         _char_span(columns, span)))
                 else:
-                    matches.append(_prepare_plain(ranked(span)[0]))
+                    matches.append(_prepare_plain(ranked(span)[0], columns))
             return matches
         # constrain() rewrites leaves other spans' trees share, so every
         # span is prepared, in order, before any is dropped
@@ -814,7 +851,7 @@ class Parser:
         chosen = {}
         for span in spans:
             for tree in ranked(span):
-                match = _prepare_match(tree)
+                match = _prepare_match(tree, columns)
                 if match is not None:
                     valid.append(span)
                     chosen[span] = match
@@ -844,14 +881,15 @@ class Parser:
         columns = self._chart(text, everywhere=False)
         final = self._final_states(columns, everywhere=False)
         for tree in sorted(_trees(final)):
-            m = _prepare_match(tree)
+            m = _prepare_match(tree, columns)
             if m is not None:
                 return m
         return None
 
     def extract(self, text):
         """Every (possibly overlapping) match — debug mode."""
-        for tree in _trees(self._final_states(self._chart(text))):
-            m = _prepare_match(tree)
+        columns = self._chart(text)
+        for tree in _trees(self._final_states(columns)):
+            m = _prepare_match(tree, columns)
             if m is not None:
                 yield m

@@ -21,6 +21,10 @@ recursion is preserved and the user's forwards are never redefined):
 5. ``flatten``   — splice trivial single-term wrappers
 6. ``to_bnf``    — context-free IR, shared-subrule lifting, annotation lift
 7. ``unfold_forwards`` — replace forward placeholders with their targets
+
+Activation (:func:`activate`, run by every parser) binds predicate and
+gazetteer schemes to a tokenizer through the same memoized driver: it
+builds a copy and leaves the user's grammar as it was.
 """
 
 from __future__ import annotations
@@ -314,8 +318,7 @@ def _visitor(step):
     A forward maps to a fresh forward, entered in the memo before its
     target is rewritten, so recursion closes through the memo and no
     pass redefines the user's forward: a grammar holding ``forward()``
-    compiles more than once. (:func:`activate` still rebinds
-    predicates in place.)
+    compiles more than once.
     """
     # id(item) -> (item, result). The memo holds every visited item, so
     # no id is freed and reused by another node during the pass: steps
@@ -699,15 +702,27 @@ def unfold_forwards(root):
 # ---------------------------------------------------------------------------
 
 def activate(root, context):
-    """In-place activation of predicate schemes and gazetteer schemes."""
-    for item in root.walk():
+    """A copy of ``root`` with its predicate and gazetteer schemes bound
+    to ``context``.
+
+    Runs through :func:`_visitor` as the normalizing passes do, so shared
+    nodes stay shared and the user's grammar is left as it was: it can be
+    activated again, for another tokenizer, and is checked against that
+    tokenizer's types, grams and lemmas.
+    """
+    def step(item, visit):
         if isinstance(item, Seq):
-            for prod in item.productions:
-                if type(prod) is Prod or isinstance(prod, EpsilonProd):
-                    prod.terms = [
-                        t.activate(context) if is_predicate(t) else t
-                        for t in prod.terms
-                    ]
-        elif isinstance(item, GazNode):
-            item.pipeline = item.pipeline.activate(context)
-    return root
+            return Seq([_activate_prod(p, visit, context)
+                        for p in item.productions])
+        if isinstance(item, GazNode):
+            return GazNode(item.pipeline.activate(context))
+        return _rebuild(item, visit)
+
+    return _visitor(step)(root)
+
+
+def _activate_prod(prod, visit, context):
+    if type(prod) is not Prod:  # epsilon and gazetteer productions
+        return prod
+    return Prod([visit(t) if isinstance(t, GrammarNode) else
+                 t.activate(context) for t in prod.terms], prod.main)

@@ -2,9 +2,10 @@
 
 transcripts parquet
   -> fused extraction       (:class:`TripleExtractor` tasks on warm
-                             workers: mentions, triple projection and a
-                             batch-local dedup in one map; per-turn, no
-                             shuffle)
+                             workers: extraction, triple projection
+                             straight from the interpretation payloads
+                             and a batch-local dedup in one map;
+                             per-turn, no shuffle)
   -> exact dedup            (shuffle 1: hash partition on triple key)
   -> node canonicalization  (shuffle 2: groupby normalized form)
   -> edge aggregation       (shuffle 3: groupby edge key)
@@ -13,8 +14,8 @@ transcripts parquet
 :func:`run_kg_pipeline` writes three stages, ``triples``, ``nodes`` and
 ``edges``, in three Dataset executions; the triples stage runs
 :func:`distinct_triples`, as do the headline query and step 1 of
-:func:`~yargy_ray.pipelines.incremental.merge_kg_delta`. Mention rows
-(``MentionExtractor``'s output) live only inside the fused map.
+:func:`~yargy_ray.pipelines.incremental.merge_kg_delta`. The fused map
+builds no mention rows, no JSON text and no token value lists.
 Consumers that need every triple OCCURRENCE (co-mention, entity stats)
 stay on ``extract_mentions`` -> ``project_triples``: the batch-local
 dedup would change their counts.
@@ -51,6 +52,12 @@ from yargy_ray.stages.exchange import (
     sum_by,
 )
 from yargy_ray.stages.compute import map_cached
+from yargy_ray.stages.extract import (
+    TRIPLE_SCHEMA,
+    MentionExtractor,
+    TripleProjector,
+    rows_table,
+)
 from yargy_ray.state import storage
 from yargy_ray.state.manifests import fingerprint, run_stage
 
@@ -147,25 +154,36 @@ def dedup_triples(triples_ds, num_partitions=64, prededuped=False,
 class TripleExtractor:
     """Fused extractor: turns -> deduped triple rows with ``tkey``.
 
-    Runs mention extraction, triple projection and the map-side dedup
-    combine inside ONE map operator. Rationale (measured at 32 cpus,
-    sf0.1): extraction capped at ``cpus - 1`` leaves a single CPU for
-    every downstream task operator; keeping projection/prededup as
-    separate task stages serialized ~19s of work behind extraction and
-    capped 8->32 cpu scaling at ~0.55. Fused, the only post-extraction
-    work is the partition exchange + vectorized reduce + write (~2s).
+    Runs extraction, triple projection and the map-side dedup combine
+    inside ONE map operator. Rationale (measured at 32 cpus, sf0.1):
+    extraction capped at ``cpus - 1`` leaves a single CPU for every
+    downstream task operator; keeping projection/prededup as separate
+    task stages serialized ~19s of work behind extraction and capped
+    8->32 cpu scaling at ~0.55. Fused, the only post-extraction work is
+    the partition exchange + vectorized reduce + write (~2s).
+
+    Triples come straight from the interpretation payloads of
+    :meth:`MentionExtractor.hits`, through the projector's own
+    :meth:`TripleProjector.emit`: the fused path builds no mention rows,
+    no JSON text and no token value lists, and walks no tree for its
+    tokens. Its rows equal ``_batch_prededup(project(extract(batch)))``,
+    which ``extract`` and ``project`` still compute on their own.
     """
 
     def __init__(self, factory_paths=DEFAULT_FACTORIES, max_states=None):
-        from yargy_ray.stages.extract import (
-            MentionExtractor,
-            TripleProjector,
-        )
         self.extract = MentionExtractor(factory_paths, max_states)
         self.project = TripleProjector(factory_paths)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        return _batch_prededup(self.project(self.extract(batch)))
+        conv_ids = batch.column('conv_id').to_pylist()
+        turn_idxs = batch.column('turn_idx').to_pylist()
+        texts = batch.column('text').to_pylist()
+        hits, emit = self.extract.hits, self.project.emit
+        out = []
+        for conv_id, turn_idx, text in zip(conv_ids, turn_idxs, texts):
+            for rule, start, stop, payload, _ in hits(text):
+                emit(out, rule, payload, conv_id, turn_idx, start, stop)
+        return _batch_prededup(rows_table(out, TRIPLE_SCHEMA))
 
 
 def extract_triples(turns_ds, factory_paths=DEFAULT_FACTORIES,

@@ -20,6 +20,12 @@ The hot path of the engine. Design (SURVEY §2.7, §3):
   turns are reported as ``rule='_capped'`` mention rows (dropped by
   triple projection, so the KG build does not count them) instead of
   failing the job.
+* The per-text memo (``MentionExtractor.hits``) keeps each match's
+  interpretation payload and covered tokens, not rows. Mention rows
+  (token values, ``fact_json``) are built from it on demand; the fused
+  ``pipelines.kg.TripleExtractor`` feeds the payloads straight to
+  ``TripleProjector.emit`` and builds no mention rows, no JSON text and
+  no token value lists.
 * Output is built with Arrow arrays directly — no pandas detour.
 
 Extraction is per-turn (the reference semantics is per-document over a
@@ -108,8 +114,13 @@ class MentionExtractor:
             self.parsers.append((spec, parser, gate))
         self._result_cache = OrderedDict()
 
-    def _extract_text(self, text):
-        """All (rule, start, stop, tokens, fact_json) rows for one text.
+    def hits(self, text):
+        """Every ``(rule, start, stop, payload, tokens)`` of one text.
+
+        ``payload`` is the interpretation result's JSON-serializable
+        value and ``tokens`` the turn's tokens the match covers (a chart
+        span consumes exactly its columns' tokens); a capped grammar
+        gives ``(CAPPED_RULE, 0, 0, {'grammar': name}, ())``.
 
         Memoized per instance in an LRU of ``RESULT_CACHE_SIZE`` texts:
         extraction output is TEXT-INTRINSIC (spans, rules and facts carry
@@ -124,7 +135,7 @@ class MentionExtractor:
         if cached is not None:
             cache.move_to_end(text)
             return cached
-        rows = []
+        hits = []
         tokens = None
         for spec, parser, gate in self.parsers:
             if gate is not None and gate.search(text) is None:
@@ -133,10 +144,9 @@ class MentionExtractor:
                 tokens = list(self.tokenizer(text))
                 masks = self.space.masks(tokens)
             try:
-                matches = list(parser.findall_tokens(tokens, masks))
+                matches = parser.findall_tokens(tokens, masks)
             except StateOverflow:
-                rows.append((CAPPED_RULE, 0, 0, [],
-                             json.dumps({'grammar': spec.name})))
+                hits.append((CAPPED_RULE, 0, 0, {'grammar': spec.name}, ()))
                 continue
             for match in matches:
                 try:
@@ -150,20 +160,20 @@ class MentionExtractor:
                 except TypeError:
                     # mixed-type interpretation — quarantine, don't fail
                     continue
-                rows.append((
-                    spec.name, match.span.start, match.span.stop,
-                    [t.value for t in match.tokens],
-                    json.dumps(payload, ensure_ascii=False, sort_keys=True),
-                ))
-        cache[text] = rows
+                first, last = match.tree.range
+                hits.append((spec.name, match.span.start, match.span.stop,
+                             payload, tokens[first:last]))
+        cache[text] = hits
         if len(cache) > RESULT_CACHE_SIZE:
             cache.popitem(last=False)
-        return rows
+        return hits
 
-    def extract_turn(self, conv_id, turn_idx, text, out):
-        for rule, start, stop, tokens, payload in self._extract_text(text):
-            out.append((conv_id, turn_idx, rule, start, stop, tokens,
-                        payload))
+    def _extract_text(self, text):
+        """The mention rows ``(rule, start, stop, token values,
+        fact_json)`` of one text, from its memoized :meth:`hits`."""
+        return [(rule, start, stop, [t.value for t in tokens],
+                 json.dumps(payload, ensure_ascii=False, sort_keys=True))
+                for rule, start, stop, payload, tokens in self.hits(text)]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         conv_ids = batch.column('conv_id').to_pylist()
@@ -171,16 +181,9 @@ class MentionExtractor:
         texts = batch.column('text').to_pylist()
         out = []
         for conv_id, turn_idx, text in zip(conv_ids, turn_idxs, texts):
-            self.extract_turn(conv_id, turn_idx, text, out)
-        if out:
-            columns = list(zip(*out))
-        else:
-            columns = [[] for _ in MENTION_SCHEMA]
-        arrays = [
-            pa.array(col, type=field.type)
-            for col, field in zip(columns, MENTION_SCHEMA)
-        ]
-        return pa.Table.from_arrays(arrays, schema=MENTION_SCHEMA)
+            for row in self._extract_text(text):
+                out.append((conv_id, turn_idx) + row)
+        return rows_table(out, MENTION_SCHEMA)
 
 
 class TripleProjector:
@@ -193,6 +196,24 @@ class TripleProjector:
     def __init__(self, factory_paths=DEFAULT_FACTORIES):
         self.emitters = {s.name: s.to_triples for s in build_specs(factory_paths)}
 
+    def emit(self, out, rule, payload, conv_id, turn_idx, start, stop):
+        """Append the triple rows of one mention's payload to ``out``.
+
+        The one projection of a payload: :meth:`__call__` feeds it the
+        parsed ``fact_json`` of mention rows, the fused
+        :class:`~yargy_ray.pipelines.kg.TripleExtractor` the payloads of
+        :meth:`MentionExtractor.hits`. Payloads are ``as_json`` dicts,
+        which a JSON round trip leaves equal, so both give the same rows;
+        an emitter must not modify its payload, which every memo hit of
+        the text shares. ``_capped`` and unknown rules carry no facts.
+        """
+        emitter = self.emitters.get(rule)
+        if emitter is None or not isinstance(payload, dict):
+            return
+        for subj, pred, obj in emitter(payload, conv_id, turn_idx):
+            out.append((str(subj), str(pred), str(obj),
+                        conv_id, turn_idx, rule, start, stop))
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         rules = batch.column('rule').to_pylist()
         conv_ids = batch.column('conv_id').to_pylist()
@@ -203,24 +224,17 @@ class TripleProjector:
         out = []
         for rule, conv_id, turn_idx, start, stop, payload in zip(
                 rules, conv_ids, turn_idxs, starts, stops, facts):
-            emit = self.emitters.get(rule)
-            if emit is None:  # _capped and unknown rules carry no facts
-                continue
-            value = json.loads(payload)
-            if not isinstance(value, dict):
-                continue
-            for subj, pred, obj in emit(value, conv_id, turn_idx):
-                out.append((str(subj), str(pred), str(obj),
-                            conv_id, turn_idx, rule, start, stop))
-        if out:
-            columns = list(zip(*out))
-        else:
-            columns = [[] for _ in TRIPLE_SCHEMA]
-        arrays = [
-            pa.array(col, type=field.type)
-            for col, field in zip(columns, TRIPLE_SCHEMA)
-        ]
-        return pa.Table.from_arrays(arrays, schema=TRIPLE_SCHEMA)
+            self.emit(out, rule, json.loads(payload), conv_id, turn_idx,
+                      start, stop)
+        return rows_table(out, TRIPLE_SCHEMA)
+
+
+def rows_table(rows, schema):
+    """Arrow table of ``schema`` from row tuples."""
+    columns = list(zip(*rows)) if rows else [[] for _ in schema]
+    return pa.Table.from_arrays(
+        [pa.array(col, type=field.type)
+         for col, field in zip(columns, schema)], schema=schema)
 
 
 class IntTokenExtractor:
