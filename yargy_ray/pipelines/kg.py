@@ -15,7 +15,7 @@ transcripts parquet
 ``edges``, in three Dataset executions; the triples stage runs
 :func:`distinct_triples`, as do the headline query and step 1 of
 :func:`~yargy_ray.pipelines.incremental.merge_kg_delta`. The fused map
-builds no mention rows, no JSON text and no token value lists.
+builds no mention rows and no JSON text, and walks no tree for tokens.
 Consumers that need every triple OCCURRENCE (co-mention, entity stats)
 stay on ``extract_mentions`` -> ``project_triples``: the batch-local
 dedup would change their counts.
@@ -164,10 +164,10 @@ class TripleExtractor:
 
     Triples come straight from the interpretation payloads of
     :meth:`MentionExtractor.hits`, through the projector's own
-    :meth:`TripleProjector.emit`: the fused path builds no mention rows,
-    no JSON text and no token value lists, and walks no tree for its
-    tokens. Its rows equal ``_batch_prededup(project(extract(batch)))``,
-    which ``extract`` and ``project`` still compute on their own.
+    :meth:`TripleProjector.emit`: the fused path builds no mention rows
+    and no JSON text, and walks no tree for tokens. Its rows equal
+    ``_batch_prededup(project(extract(batch)))``, which ``extract`` and
+    ``project`` still compute on their own.
     """
 
     def __init__(self, factory_paths=DEFAULT_FACTORIES, max_states=None):

@@ -21,11 +21,11 @@ The hot path of the engine. Design (SURVEY §2.7, §3):
   triple projection, so the KG build does not count them) instead of
   failing the job.
 * The per-text memo (``MentionExtractor.hits``) keeps each match's
-  interpretation payload and covered tokens, not rows. Mention rows
-  (token values, ``fact_json``) are built from it on demand; the fused
+  interpretation payload and covered token values, not rows: mention
+  rows and their ``fact_json`` are built from it on demand. The fused
   ``pipelines.kg.TripleExtractor`` feeds the payloads straight to
-  ``TripleProjector.emit`` and builds no mention rows, no JSON text and
-  no token value lists.
+  ``TripleProjector.emit``: it builds no mention rows and no JSON text,
+  and walks no tree for tokens.
 * Output is built with Arrow arrays directly — no pandas detour.
 
 Extraction is per-turn (the reference semantics is per-document over a
@@ -115,12 +115,13 @@ class MentionExtractor:
         self._result_cache = OrderedDict()
 
     def hits(self, text):
-        """Every ``(rule, start, stop, payload, tokens)`` of one text.
+        """Every ``(rule, start, stop, payload, values)`` of one text.
 
         ``payload`` is the interpretation result's JSON-serializable
-        value and ``tokens`` the turn's tokens the match covers (a chart
-        span consumes exactly its columns' tokens); a capped grammar
-        gives ``(CAPPED_RULE, 0, 0, {'grammar': name}, ())``.
+        value and ``values`` those of the turn's tokens the match covers
+        (a chart span consumes exactly its columns' tokens, so no tree
+        is walked for them); a capped grammar gives ``(CAPPED_RULE, 0,
+        0, {'grammar': name}, [])``.
 
         Memoized per instance in an LRU of ``RESULT_CACHE_SIZE`` texts:
         extraction output is TEXT-INTRINSIC (spans, rules and facts carry
@@ -146,7 +147,7 @@ class MentionExtractor:
             try:
                 matches = parser.findall_tokens(tokens, masks)
             except StateOverflow:
-                hits.append((CAPPED_RULE, 0, 0, {'grammar': spec.name}, ()))
+                hits.append((CAPPED_RULE, 0, 0, {'grammar': spec.name}, []))
                 continue
             for match in matches:
                 try:
@@ -162,7 +163,7 @@ class MentionExtractor:
                     continue
                 first, last = match.tree.range
                 hits.append((spec.name, match.span.start, match.span.stop,
-                             payload, tokens[first:last]))
+                             payload, [t.value for t in tokens[first:last]]))
         cache[text] = hits
         if len(cache) > RESULT_CACHE_SIZE:
             cache.popitem(last=False)
@@ -171,9 +172,9 @@ class MentionExtractor:
     def _extract_text(self, text):
         """The mention rows ``(rule, start, stop, token values,
         fact_json)`` of one text, from its memoized :meth:`hits`."""
-        return [(rule, start, stop, [t.value for t in tokens],
+        return [(rule, start, stop, values,
                  json.dumps(payload, ensure_ascii=False, sort_keys=True))
-                for rule, start, stop, payload, tokens in self.hits(text)]
+                for rule, start, stop, payload, values in self.hits(text)]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         conv_ids = batch.column('conv_id').to_pylist()
