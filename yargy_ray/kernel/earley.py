@@ -693,12 +693,13 @@ class Parser:
             predicted = column.predicted
             lookahead = columns[ci + 1] if ci + 1 < n else None
             # states go only to this column and the next one
-            ahead = lookahead.states if lookahead is not None else ()
+            if lookahead is not None:
+                ahead, mask = lookahead.states, lookahead.mask
+            else:  # end of input: a token whose mask is bit 0 only
+                ahead, mask = (), 1
             if ci == 0 or everywhere:
                 predicted.add(id(start_rule))
-                # end of input is a token whose mask is bit 0 only
-                if (lookahead.mask if lookahead is not None
-                        else 1) & start_bits:
+                if mask & start_bits:
                     self._predict(column, lookahead, start_rule)
             si = 0
             states = column.states
