@@ -10,15 +10,17 @@ seed 7, ``distinct`` (without turns whose text appeared earlier), or
 ``repeat`` (as generated). It then runs ``N`` rounds. Each round starts
 two processes at once, one per checkout; each imports ``yargy_ray``
 from its checkout, runs a fresh ``TripleExtractor`` over every batch of
-the corpus and reports its process CPU time. Because both sides run at the same time they see the
-same host drift; which side starts first alternates by round. The
-script prints every round, each side's median CPU time and how many
-rounds each side won, and warns if the sides' output row counts differ.
+the corpus and reports its process CPU time and a sha256 of its output
+rows. Because both sides run at the same time they see the same host
+drift; which side starts first alternates by round. The script prints
+every round, each side's median CPU time and how many rounds each side
+won, and warns if the sides' output rows differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -31,7 +33,8 @@ BATCH_ROWS = 256
 
 
 def worker(checkout, corpus):
-    """One side of a round: print ``{"cpu_s", "rows"}`` as JSON."""
+    """One side of a round: print ``{"cpu_s", "rows", "sha256"}`` as
+    JSON; the digest is taken after the timed extraction."""
     import time
     sys.path.insert(0, checkout)
     import pyarrow.parquet as pq
@@ -44,12 +47,17 @@ def worker(checkout, corpus):
             for offset in range(0, table.num_rows, BATCH_ROWS):
                 batches.append(table.slice(offset, BATCH_ROWS))
     extractor = TripleExtractor()
-    rows = 0
     start = time.process_time()
-    for batch in batches:
-        rows += extractor(batch).num_rows
+    outputs = [extractor(batch) for batch in batches]
     cpu = time.process_time() - start
-    print(json.dumps({'cpu_s': cpu, 'rows': rows}))
+    digest = hashlib.sha256()
+    for table in outputs:
+        for row in zip(*(col.to_pylist() for col in table.columns)):
+            digest.update(json.dumps(row, ensure_ascii=False).encode())
+            digest.update(b'\n')
+    print(json.dumps({'cpu_s': cpu,
+                      'rows': sum(t.num_rows for t in outputs),
+                      'sha256': digest.hexdigest()}))
 
 
 def write_corpus(path, seed, corpus):
@@ -107,7 +115,8 @@ def main(argv=None):
         print(f'seed {args.seed}, {args.corpus} corpus', flush=True)
         for i in range(args.rounds):
             result = run_round(sides if i % 2 == 0 else sides[::-1], corpus)
-            if result['A']['rows'] != result['B']['rows']:
+            if any(result['A'][key] != result['B'][key]
+                   for key in ('rows', 'sha256')):
                 print(f'WARNING: output rows differ: {result}')
             for label in cpu:
                 cpu[label].append(result[label]['cpu_s'])

@@ -96,7 +96,7 @@ def chart_states(path):
                 except StateOverflow:
                     overflows[name] += 1
                     continue
-                states[name] += sum(len(c.states) for c in columns)
+                states[name] += sum(map(len, columns))
     return states, overflows
 
 

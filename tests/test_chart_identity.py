@@ -27,6 +27,7 @@ included.
 """
 
 import gc
+import hashlib
 import json
 from collections import Counter
 
@@ -51,7 +52,7 @@ from yargy_ray.kernel.predicates import eq, gram, tag
 from yargy_ray.kernel.records import Span, Token, best_nonoverlapping
 from yargy_ray.kernel.relations import gnc_relation
 from yargy_ray.kernel.tagging import Tagger
-from yargy_ray.kernel.tokenizer import MorphTokenizer
+from yargy_ray.kernel.tokenizer import MorphTokenizer, Tokenizer
 from yargy_ray.pipelines.kg import TripleExtractor, _batch_prededup
 from yargy_ray.sources.transcripts import generate_conversation
 from yargy_ray.stages.extract import (
@@ -94,8 +95,7 @@ PUSHED = {
 
 
 def column_sizes(parser, text):
-    return [len(c.states)
-            for c in parser._chart_tokens(parser.tokenize(text))]
+    return [len(c) for c in parser._chart_tokens(parser.tokenize(text))]
 
 
 @pytest.fixture(scope='module')
@@ -229,8 +229,9 @@ def test_shared_child_breaks_rank_tie():
             rule(eq('b'), eq('c')))
     parser = Parser(rule(a, b))
     text = 'x y b c'
-    final = list(parser._final_states(parser._chart(text)))
-    assert [s.child.rank for s in final] == [1, 0]
+    _, columns = parser._chart(text)
+    final = [parser.view(s) for _, s in parser._final_states(columns)]
+    assert [parser.view(s.child).rank for s in final] == [1, 0]
     trees = parser.trees(text)
     assert [t.range for t in trees] == [(0, 4), (0, 4)]
     assert [t.root.rank for t in trees] == [0, 0]
@@ -254,7 +255,7 @@ def test_chart_builds_no_parse_nodes(monkeypatch, specs):
     monkeypatch.setattr(earley.ParseNode, '__init__', counting)
     parser = Parser(specs['money'].rule)
     columns = parser._chart_tokens(parser.tokenize(MONEY_TURN))
-    assert sum(len(c.states) for c in columns) == PUSHED['money'][0]
+    assert sum(map(len, columns)) == PUSHED['money'][0]
     assert built == []
     # the counter does see the nodes a match needs
     assert list(parser.findall(TURNS[1]))
@@ -336,28 +337,29 @@ def test_one_mask_pass_per_turn(standalone):
             self.matcher = matcher
 
         def __call__(self, token):
-            evaluated[self.index, id(token)] += 1
+            evaluated[self.index, token.value, token.type] += 1
             return self.matcher(token)
 
         def predict(self, token):
-            evaluated[self.index, id(token)] += 1
+            evaluated[self.index, token.value, token.type] += 1
             return self.matcher.predict(token)
 
     space.matchers = [(bit, Counting(i, m), gaz)
                       for i, (bit, m, gaz) in enumerate(space.matchers)]
-    masks = space.masks
+    lex = extractor.lex
 
-    def counting_masks(tokens):
-        passes.append(len(tokens))
-        return masks(tokens)
+    def counting_lex(text):
+        passes.append(text)
+        return lex(text)
 
-    space.masks = counting_masks
+    extractor.lex = counting_lex
     for text in TURNS:
         evaluated.clear()
         passes.clear()
-        space._memo.clear()
+        lex._memo.clear()
         rows = extractor._extract_text(text)
-        assert len(passes) == 1, text
+        # one lexer pass, and each matcher runs once per distinct token
+        assert passes == [text], text
         assert evaluated and max(evaluated.values()) == 1, text
         tokens = list(MorphTokenizer()(text))
         expected = [row for spec in extractor.specs for row in rows_of(
@@ -453,8 +455,7 @@ def test_scans_read_mask_bits():
     # ... and the chart only reads bits: the terminal after eq('a') is
     # never called
     for parser in shared:
-        assert sum(len(c.states) for c in parser._chart_tokens(
-            tokens, masks=masks))
+        assert sum(map(len, parser._chart_tokens(tokens, masks=masks)))
     assert not calls
     rows = [[[t.value for t in m.tokens]
              for m in parser.findall_tokens(tokens, masks)]
@@ -621,9 +622,11 @@ def test_one_pass_tree_equals_pruned_node(specs):
         parser = Parser(grammar)
         for text in texts:
             memo = {}
-            for state in parser._final_states(parser._chart(text)):
-                expected = earley._prune(earley._node(state, memo))
-                got = earley._pruned(state)
+            _, columns = parser._chart(text)
+            for _, state in parser._final_states(columns):
+                expected = earley._prune(
+                    earley._node(state, memo, parser._table))
+                got = earley._pruned(state, memo, parser._table)
                 if expected is None:
                     assert got is None
                     empty_trees += 1
@@ -675,12 +678,22 @@ def test_end_of_input_predicts_only_nullable_productions(specs):
         nullable = nullable_rules(parser.rule)
         for text in texts:
             columns = parser._chart_tokens(parser.tokenize(text))
-            for state in columns[-1:][0].states if columns else ():
+            for state in map(parser.view, columns[-1] if columns else ()):
                 if state.dot == 0:
                     assert all(t.is_rule and id(t) in nullable
                                for t in state.production.terms), text
                     epsilon += 1
     assert epsilon > 0
+
+
+def test_gazetteer_rule_at_end_of_input_predicts_only_empty_phrases():
+    # no phrase of a gazetteer can complete where no token follows
+    streets = ['улица'] + [f'проезд {i}' for i in range(499)]
+    parser = Parser(rule(eq('на'), morph_pipeline(streets)))
+    assert column_sizes(parser, 'встреча на') == [0, 1, 1]
+    assert not parser.findall('встреча на')
+    [match] = parser.findall('встреча на улице')
+    assert [t.value for t in match.tokens] == ['на', 'улице']
 
 
 def test_matches_ending_on_a_nullable_tail_are_found():
@@ -762,3 +775,99 @@ def test_payloads_survive_a_json_round_trip():
                 payload, sort_keys=True, ensure_ascii=False)), text
             seen[rule_name] += 1
     assert set(seen) == {spec.name for spec in extractor.specs}
+
+
+# -- flat kernel -------------------------------------------------------------
+
+# Per shipped grammar, over TURNS and the first 120 generated turns: the
+# states charted (standalone parser, no required-set skip) and a sha256
+# of each column's (rule label or name, rank, dot, origin, len(terms))
+# sequence, both taken from the object-per-state chart this one
+# replaced. The labels print grammemes sorted.
+SIGNATURES = {
+    'date': (668, '9051de0ffb4caec81b6bb2005f27b144'
+                  '589f8b22e58f1f3bdd6c0a1e76762a8c'),
+    'money': (1571, '048f0a87d7be9c0910276244ea4e4560'
+                    'befd65d684367c4b0921759fb1408014'),
+    'person': (399, '3ecbf2de400a579fbf1b83e1f9d10cc0'
+                    'adc5743d21337027c30be9ced7e84fe0'),
+    'address': (854, '16ee66358204be2f1c4d6290e7af9156'
+                     '79881918d7715c9a4b7eba645fc94f2c'),
+    'clause': (238, '2ddb0f6a7f4d3fd98b500c4af336bd0a'
+                    'd4240667c75dcdc2642605c59e170fba'),
+    'title': (340, '00200118b699289082cbae6e042c3a48'
+                   '62c1e4251c1e42a3a2099d1229102b14'),
+}
+
+# Per shipped grammar: a TURNS entry it charts, and the line count and
+# sha256 of ``Parser.explain`` on it, from the same chart.
+EXPLAINED = {
+    'date': (3, 38, '7d7417821abf1d1778e01065ee786682'
+                    '98eb7a455f0ba0352d39d4ebc82502b8'),
+    'money': (1, 34, '848af80e0891754aeb4d09596094b7e5'
+                     '4099d92c3312b262487c5faba292ec04'),
+    'person': (8, 39, '93fea9bb810b4067e35d45245d2e2d8e'
+                      'ce544e24fd5ea3f49d3a177c680dab7d'),
+    'address': (4, 44, '7a2617123bd26b66ce056e2448a19bd0'
+                       'e53b21631a4e0b86aeebe15a05c91267'),
+    'clause': (6, 70, '963a0d0c92965659ca1541525116b0c8'
+                      'daffcdb234c2f0878bcede17377ce353'),
+    'title': (2, 55, '8638710890cfca95a407ffc6e5272edb'
+                     'bfa3db765d78f82114d5dd0b9f093b7a'),
+}
+
+
+def signature_texts():
+    texts = sweep_texts()[:len(TURNS) + 120]
+    assert texts[:len(TURNS)] == TURNS
+    return texts
+
+
+def test_chart_signatures_pinned(specs):
+    tokenizer = MorphTokenizer()
+    texts = signature_texts()
+    for name, (states, expected) in SIGNATURES.items():
+        parser = Parser(specs[name].rule, tokenizer=tokenizer)
+        digest = hashlib.sha256()
+        charted = 0
+        for text in texts:
+            for column in parser._chart_tokens(parser.tokenize(text)):
+                rows = [(str(s.rule.label or s.rule.name), s.rank, s.dot,
+                         s.origin, len(s.production.terms))
+                        for s in map(parser.view, column)]
+                charted += len(rows)
+                digest.update(repr(rows).encode())
+                digest.update(b'\n')
+            digest.update(b'--\n')
+        assert (charted, digest.hexdigest()) == (states, expected), name
+
+
+def test_explain_pinned(specs):
+    for name, (index, lines, expected) in EXPLAINED.items():
+        text = Parser(specs[name].rule).explain(TURNS[index])
+        assert len(text.splitlines()) == lines, name
+        assert hashlib.sha256(text.encode()).hexdigest() == expected, name
+
+
+def test_lexer_equals_tokenizer_and_masks():
+    extractor = MentionExtractor()
+    texts = signature_texts() + ['', 'Москва, 5 руб. — ok@x.ru', 'A\n\nb']
+    reference = MorphTokenizer()
+    for text in texts * 2:  # the second round reads the memo
+        tokens, (masks, union) = extractor.lex(text)
+        expected = list(reference(text))
+        assert [t.key() for t in tokens] == [t.key() for t in expected]
+        assert [type(t) for t in tokens] == [type(t) for t in expected]
+        assert (masks, union) == extractor.space.masks(expected), text
+    # a parser that adds a bit to the space makes the memo stale
+    word = eq('встреча')
+    before = extractor.lex('встреча')[1][0][0]
+    Parser(rule(word), tokenizer=extractor.tokenizer, space=extractor.space)
+    bit = extractor.space.bits[id(word)]
+    assert not before & bit
+    assert extractor.lex('встреча')[1][0] == [before | bit]
+    # a plain tokenizer attaches no morphology
+    plain = earley.Lexer(Tokenizer(), earley.MaskSpace())
+    tokens, _ = plain('встреча 12')
+    assert [t.key() for t in tokens] == [
+        t.key() for t in Tokenizer()('встреча 12')]

@@ -67,14 +67,14 @@ def test_user_gate_skips_turn():
 
     extractor = MentionExtractor(
         ('examples.custom_grammar_pipeline:ticket_grammar',))
-    tokenize = extractor.tokenizer
+    lex = extractor.lex  # tokenizes, with morphology and masks
     tokenized = []
 
     def counting(text):
         tokenized.append(text)
-        return tokenize(text)
+        return lex(text)
 
-    extractor.tokenizer = counting
+    extractor.lex = counting
     assert extractor._extract_text('ничего интересного - 7') == []
     assert tokenized == []
     rows = extractor._extract_text('начнем с proj - 7')

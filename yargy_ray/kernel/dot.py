@@ -193,17 +193,20 @@ def dot2svg(source):
     return proc.stdout.decode()
 
 
-def chart_source(columns):
+def chart_source(columns, tokens, view):
     """Chart dump for debugging (reference parser.py:107-124): one
-    section per column — index, token, then every Earley state."""
-    for column in columns:
-        yield f'{column.index!r} {column.token!r}'
+    section per column — index, token, then every Earley state.
+    ``view`` reads a state through its parser's item table
+    (``Parser.view``)."""
+    for index, column in enumerate(columns):
+        token = tokens[index - 1] if index else None
+        yield f'{index!r} {token!r}'
         yield '----------------'
-        for state in column.states:
+        for state in map(view, column):
             rule = state.rule.label or state.rule.name
             terms = [getattr(t, 'label', None) or getattr(t, 'name', '?')
                      for t in state.production.terms]
             terms.insert(state.dot, '·')
             yield (f'{rule} -> {" ".join(str(t) for t in terms)} '
-                   f'[{state.origin}:{state.column}]')
+                   f'[{state.origin}:{index}]')
         yield ''

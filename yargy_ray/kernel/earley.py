@@ -20,19 +20,21 @@ Additions over the reference:
   once per :class:`Parser` (``_build_first``): every distinct FIRST
   matcher gets a bit, each token gets the mask of the matchers it
   satisfies (memoized by token features), and each rule a plan of
-  ``(rank, production, first_bits)``. Prediction keeps the productions
-  whose bits meet the lookahead's mask, cached per (rule, mask); the
-  start-rule pre-scan is one AND on the union of the masks. No state is
-  ever derived twice, so columns keep no per-state dedup keys (see
-  ``_predict``). Each column but the end-of-input one holds the same
+  ``(first_bits, item)`` per production. Prediction keeps the
+  productions whose bits meet the lookahead's mask, cached per (rule,
+  mask) (``_firsts``); the start-rule pre-scan is one AND on the union
+  of the masks. No state is ever derived twice, so columns keep no
+  per-state dedup keys (see ``_chart_tokens``). Each column but the
+  end-of-input one holds the same
   states, in the same order, as plain Earley prediction with per-state
   dedup would push: the state budget and tree tie-breaking count on that.
 * End of input is a token whose mask is bit 0 only. The last column
   predicts the start rule only when it is nullable, and keeps only the
   nullable productions of every BNF rule it predicts, as any other
-  column keeps those whose FIRST bits meet its lookahead; gazetteer
-  rules are predicted there as before. A production that needs a token
-  can never complete where none follows, so matches are unchanged. Only
+  column keeps those whose FIRST bits meet its lookahead; a gazetteer
+  rule predicted there keeps only its empty phrase productions, if any.
+  A production that needs a token can never complete where none
+  follows, so matches are unchanged. Only
   the last column differs from plain Earley: it holds a subsequence of
   that column's states, so a chart's budget count drops by at most the
   number of the grammar's dotted items.
@@ -40,25 +42,36 @@ Additions over the reference:
   :class:`MaskSpace`; parsers built on one space (the grammars of one
   extractor) share them, so a token stream's masks are computed once
   for all of them and passed to each (``findall_tokens(tokens, masks)``).
-* Lazy parse forest. A state holds its production's rank, the state it
-  advanced from (``prev``) and what it advanced over (``child``: a
-  :class:`ParseLeaf` or the completed :class:`EarleyState`); the chart
-  allocates no :class:`ParseNode`. Trees are built on demand by walking
-  ``prev`` back (``_node``), memoized per chart by state, so parents
-  sharing a completed child share its node as they did when every
-  state carried one. ``_resolve`` groups final states by span and
+* Flat chart over item tables. ``_build_first`` numbers every dotted
+  item of the grammar ahead of time (:class:`ItemTable`: next term,
+  waiting key, scan bit, completion key, start-rule flag per item id;
+  a gazetteer production's items are numbered on first prediction). A
+  state is a tuple ``(item, origin, prev, child)`` and a column a plain
+  list, so ``_chart_tokens`` is one loop with predict, scan and
+  complete inlined, allocating one tuple per state; a column's waiting
+  dict exists only once a state in it waits. ``Parser.view`` reads a
+  state back as a :class:`StateView`.
+* Lazy parse forest. A state holds the state it advanced from
+  (``prev``) and what it advanced over (``child``: the scanned token or
+  the completed state); the chart allocates no :class:`ParseNode` and
+  no :class:`ParseLeaf`. Trees are built on demand by walking ``prev``
+  back (``_node``), memoized per chart by state id, so parents sharing
+  a completed child share its node, and trees sharing a scanned state
+  its leaf, whose token the leaf's predicate constrains then.
+  ``_resolve`` groups final states by span and
   builds and sorts trees only within a span; for a grammar without
   relations it prepares a match only for the spans
   ``best_nonoverlapping`` keeps, and with no agreement pass
   (``_prepare_plain``).
-* Acyclic chart. A state holds its origin and stop column as indices,
-  not column objects, and the tree passes are module-level functions,
-  not recursive closures; parsing a document leaves no reference cycle,
-  so the cyclic GC finds nothing to free.
+* Acyclic chart. A state holds its origin as a column index; its stop
+  is the index of the column holding it. States are tuples of ints,
+  tokens and older states, and the tree passes are module-level
+  functions, not recursive closures; parsing a document leaves no
+  reference cycle, so the cyclic GC finds nothing to free.
 * Scans by mask bit. Every terminal predicate of a BNF rule has a bit in
   the :class:`MaskSpace`, not only the FIRST ones, so a scan tests the
-  lookahead's mask instead of calling the predicate (``_scan``); the
-  predicate's ``constrain`` runs only on a successful scan. Gazetteer
+  lookahead's mask instead of calling the predicate; the predicate's
+  ``constrain`` runs only when a tree takes the scanned token. Gazetteer
   phrase terms get no bit and are called, so a long phrase list does not
   widen every token's mask.
 * Required sets. ``_build_first`` also derives bit sets every match must
@@ -74,24 +87,28 @@ Additions over the reference:
   interpretation fold walks the tree with an accumulator, not a
   generator per node.
 * Lazy match tokens. A chart span ``(i, j)`` consumes exactly the tokens
-  of columns ``i + 1 .. j``, so a :class:`Match` takes its char span
-  from those columns and walks its tree for ``tokens`` only when asked
-  (a grammar with relations takes them when it constrains the tree).
+  ``i .. j - 1``, so a :class:`Match` takes its char span from those
+  tokens and walks its tree for ``tokens`` only when asked (a grammar
+  with relations takes them when it constrains the tree).
+* One lexer pass. :class:`Lexer` tokenizes a text, attaches morphology
+  and computes token masks in one regex loop, memoized by ``(value,
+  regex group)``; the extraction stage runs it once per turn for all
+  its grammars.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from operator import or_
+from typing import NamedTuple
 
 from .grammar import BNFRule as BNFRuleType
 from .grammar import GrammarNode, is_bnf_rule
 from .gazetteer import GazProd
-from .interp import Chain
-from .records import Span, best_nonoverlapping
+from .records import MorphToken, Span, Token, best_nonoverlapping
 from .relations import AgreementGraph
 from .tagging import PassTagger
-from .tokenizer import MorphTokenizer, Tokenizer
+from .tokenizer import RU, MorphTokenizer, Tokenizer
 
 
 # token-feature -> mask memo entries kept per MaskSpace (cleared when full)
@@ -272,108 +289,170 @@ def _fold(item):
 # Chart
 # ---------------------------------------------------------------------------
 
-class EarleyState:
-    __slots__ = ('rule', 'production', 'dot', 'origin', 'column', 'rank',
-                 'prev', 'child', 'completed', 'next_term')
+# A chart state is a plain tuple ``(item, origin, prev, child)``:
+#
+# * ``item`` — its dotted item's id in the parser's :class:`ItemTable`;
+# * ``origin`` — the index of the column it started in; the column
+#   holding it is its stop;
+# * ``prev`` — the state it advanced from (None at dot 0);
+# * ``child`` — what it advanced over: the token it scanned, or the
+#   completed state (a tuple).
+#
+# A column is a plain list of states. Indices, not column objects, keep
+# the chart free of reference cycles.
 
-    def __init__(self, rule, production, dot, origin, column, rank, prev,
-                 child):
-        self.rule = rule
-        self.production = production
-        self.dot = dot
-        # start and stop column indices: ints, not column objects, so
-        # the chart (columns hold states) has no reference cycle
-        self.origin = origin
-        self.column = column
-        self.rank = rank         # index of production in rule.productions
-        # the state this one advanced from (None at dot 0) and the
-        # ParseLeaf or completed EarleyState it advanced over
-        self.prev = prev
-        self.child = child
-        # plain attributes, not properties: the chart loop reads these
-        # millions of times per batch
+
+class ItemTable:
+    """The dotted items of one parser, numbered ahead of time.
+
+    Each ``(rule, rank, production)`` gets consecutive ids for dots
+    0..len(terms), so the item after ``i`` is ``i + 1``. The lists are
+    indexed by item id:
+
+    * ``rule``, ``production``, ``rank``, ``dot`` — what the item is;
+    * ``term`` — the term after the dot, None for a completed item;
+    * ``wait`` — ``id`` of that term when it is a rule (the key the
+      state waits under in its column), else None;
+    * ``bit`` — its ``MaskSpace`` bit when it is a terminal of a BNF
+      rule; None for a gazetteer phrase term, which is called;
+    * ``done`` — ``id`` of the rule of a completed item (the key its
+      waiting parents sit under), else None;
+    * ``final`` — whether it is a completed item of the start rule.
+    """
+
+    __slots__ = ('start', 'rule', 'production', 'rank', 'dot', 'term',
+                 'wait', 'bit', 'done', 'final')
+
+    def __init__(self, start):
+        self.start = start
+        self.rule = []
+        self.production = []
+        self.rank = []
+        self.dot = []
+        self.term = []
+        self.wait = []
+        self.bit = []
+        self.done = []
+        self.final = []
+
+    def add(self, rule, rank, production, bits):
+        """The first id of the items of ``(rule, rank, production)``.
+
+        ``bits`` maps ``id`` of a terminal to its mask bit; None for a
+        gazetteer rule's phrase terms, which have none.
+        """
+        first = len(self.rule)
         terms = production.terms
-        if dot >= len(terms):
-            self.completed = True
-            self.next_term = None
-        else:
-            self.completed = False
-            self.next_term = terms[dot]
+        for dot in range(len(terms) + 1):
+            self.rule.append(rule)
+            self.production.append(production)
+            self.rank.append(rank)
+            self.dot.append(dot)
+            if dot < len(terms):
+                term = terms[dot]
+                self.term.append(term)
+                self.wait.append(id(term) if term.is_rule else None)
+                self.bit.append(None if term.is_rule or bits is None
+                                else bits[id(term)])
+                self.done.append(None)
+                self.final.append(False)
+            else:
+                self.term.append(None)
+                self.wait.append(None)
+                self.bit.append(None)
+                self.done.append(id(rule))
+                self.final.append(rule is self.start)
+        return first
 
 
-class EarleyColumn:
-    __slots__ = ('index', 'token', 'mask', 'states', 'waiting', 'predicted')
+class StateView(NamedTuple):
+    """A chart state read through its parser's item table
+    (``Parser.view``): the debug and test view of the tuple."""
 
-    def __init__(self, index, token, mask):
-        self.index = index
-        self.token = token
-        # FIRST-matcher bits of ``token`` (see Parser._build_first)
-        self.mask = mask
-        self.states = []
-        # waiting[id(rule)] -> states whose dot is before that rule
-        self.waiting = {}
-        # rules already expanded at this column (predictions are a pure
-        # function of (rule, column), so re-predicting is wasted work)
-        self.predicted = set()
-
-    def push(self, state):
-        self.states.append(state)
-        term = state.next_term
-        if term is not None and term.is_rule:
-            self.waiting.setdefault(id(term), []).append(state)
+    rule: object
+    production: object
+    rank: int
+    dot: int
+    origin: int
+    prev: object
+    child: object
 
 
-def _node(state, memo):
+def _leaf(state, memo, table):
+    """The leaf a scanned ``state`` advanced over, one per state in a
+    ``memo``: trees that share the state share the leaf, whose token a
+    relation's ``constrain`` may rewrite. ``-id`` keys it, apart from
+    the nodes, which ``id`` keys (ids are positive)."""
+    leaf = memo.get(-id(state))
+    if leaf is None:
+        predicate = table.term[state[0] - 1]
+        leaf = memo[-id(state)] = ParseLeaf(
+            predicate, predicate.constrain(state[3]))
+    return leaf
+
+
+def _node(state, memo, table):
     """The parse node of ``state``, built from its ``prev`` chain.
 
-    ``memo`` (one per chart) maps a state to its node, so every parent of
-    a completed state gets the same child node object.
+    ``memo`` (one per chart) maps a state's ``id`` to its node, so every
+    parent of a completed state gets the same child node object.
     """
-    node = memo.get(state)
+    node = memo.get(id(state))
     if node is None:
         children = []
         item = state
-        while item.prev is not None:
-            child = item.child
-            children.append(
-                child if type(child) is ParseLeaf else _node(child, memo))
-            item = item.prev
+        prev = item[2]
+        while prev is not None:
+            child = item[3]
+            children.append(_node(child, memo, table)
+                            if type(child) is tuple
+                            else _leaf(item, memo, table))
+            item = prev
+            prev = item[2]
         children.reverse()
-        node = memo[state] = ParseNode(
-            state.rule, state.production, state.rank, children)
+        index = state[0]
+        node = memo[id(state)] = ParseNode(
+            table.rule[index], table.production[index], table.rank[index],
+            children)
     return node
 
 
-def _pruned(state):
+def _pruned(state, memo, table):
     """``_prune(_node(state))`` in one pass over the ``prev`` chain: the
-    pruned tree of a state, or None when it covers no token."""
+    pruned tree of a state, or None when it covers no token. Leaves come
+    from ``memo`` as in ``_node``."""
     children = []
     item = state
-    while item.prev is not None:
-        child = item.child
-        if type(child) is not ParseLeaf:
-            child = _pruned(child)
-        if child is not None:
-            children.append(child)
-        item = item.prev
+    prev = item[2]
+    while prev is not None:
+        child = item[3]
+        if type(child) is tuple:
+            child = _pruned(child, memo, table)
+            if child is not None:
+                children.append(child)
+        else:
+            children.append(_leaf(item, memo, table))
+        item = prev
+        prev = item[2]
     if not children:
         return None
     children.reverse()
-    return ParseNode(state.rule, state.production, state.rank, children)
+    index = state[0]
+    return ParseNode(table.rule[index], table.production[index],
+                     table.rank[index], children)
 
 
-def _trees(states):
-    """One ParseTree per completed start-rule state, sharing one memo."""
+def _trees(finals, table):
+    """One ParseTree per ``(span, state)`` final pair, sharing one memo."""
     memo = {}
-    return [ParseTree(_node(s, memo), (s.origin, s.column)) for s in states]
+    return [ParseTree(_node(s, memo, table), span) for span, s in finals]
 
 
-def _char_span(columns, range_):
+def _char_span(tokens, range_):
     """Char span of the chart span ``(i, j)``: it consumes exactly the
-    tokens of columns ``i + 1 .. j``."""
+    tokens ``i .. j - 1``."""
     start, stop = range_
-    return Span(columns[start + 1].token.span.start,
-                columns[stop].token.span.stop)
+    return Span(tokens[start].span.start, tokens[stop - 1].span.stop)
 
 
 class Match:
@@ -408,16 +487,16 @@ class Match:
         return f'Match({[t.value for t in self.tokens]!r}, {self.span!r})'
 
 
-def _prepare_plain(tree, columns):
+def _prepare_plain(tree, tokens):
     """``_prepare_match`` for a grammar without relations: its agreement
     graph is empty, so ``validate`` is True and ``constrain`` a no-op."""
     tree = tree.prune_empty()
     if tree is None:
         return None
-    return Match(tree, _char_span(columns, tree.range))
+    return Match(tree, _char_span(tokens, tree.range))
 
 
-def _prepare_match(tree, columns):
+def _prepare_match(tree, tokens):
     tree = tree.prune_empty()
     if tree is None:
         return None
@@ -427,8 +506,8 @@ def _prepare_match(tree, columns):
     tree.constrain(graph)
     # the tokens as constrained now: a later span's constrain() may
     # rewrite leaves this tree shares
-    tokens = [leaf.token for leaf in walk_leaves(tree.root)]
-    return Match(tree, _char_span(columns, tree.range), tokens)
+    leaves = [leaf.token for leaf in walk_leaves(tree.root)]
+    return Match(tree, _char_span(tokens, tree.range), leaves)
 
 
 class MaskSpace:
@@ -438,7 +517,8 @@ class MaskSpace:
     gets one bit; bit 0 is set in every token mask. A standalone
     :class:`Parser` owns a space of its own; the grammars of one
     extractor share one, so ``masks`` runs once per token stream for
-    all of them.
+    all of them. ``generation`` counts the bits added: a memo of masks
+    kept outside the space (a :class:`Lexer`'s) is stale once it moves.
     """
 
     def __init__(self):
@@ -447,6 +527,7 @@ class MaskSpace:
         self.matchers = []
         # id(matcher) -> bit; the matchers list keeps the ids alive
         self.bits = {}
+        self.generation = 0
         self._memo = {}
 
     def bit(self, matcher):
@@ -454,8 +535,19 @@ class MaskSpace:
         if bit is None:
             bit = self.bits[id(matcher)] = 2 << len(self.bits)
             self.matchers.append((bit, matcher, is_bnf_rule(matcher)))
+            self.generation += 1
             self._memo.clear()  # cached masks lack the new bit
         return bit
+
+    def mask(self, token):
+        """The OR of the bits of the matchers ``token`` satisfies, and
+        bit 0."""
+        mask = 1
+        for bit, matcher, gazetteer in self.matchers:
+            if (len(matcher.predict(token)) > 0 if gazetteer
+                    else matcher(token)):
+                mask |= bit
+        return mask
 
     def masks(self, tokens):
         """FIRST mask per token, and their union; memoized by token features.
@@ -474,17 +566,71 @@ class MaskSpace:
                    getattr(token, 'tag', None))
             entry = memo.get(key)
             if entry is None or entry[0] is not forms:
-                mask = 1
-                for bit, matcher, gazetteer in self.matchers:
-                    if (len(matcher.predict(token)) > 0 if gazetteer
-                            else matcher(token)):
-                        mask |= bit
                 if len(memo) >= MASK_MEMO_SIZE:
                     memo.clear()
-                entry = memo[key] = (forms, mask)
+                entry = memo[key] = (forms, self.mask(token))
             masks.append(entry[1])
             union |= entry[1]
         return masks, union
+
+
+class Lexer:
+    """Tokens, morphology and masks of a text in one regex pass.
+
+    ``Lexer(tokenizer, space)(text)`` returns what
+    ``list(tokenizer(text))`` and ``space.masks`` of those tokens give
+    (equal ``Token.key()``s, equal masks) for a :class:`Tokenizer` or
+    :class:`MorphTokenizer`, without tagging. A token's class, type,
+    morphology and mask depend only on its value and the regex group it
+    matched, so a memo keyed by ``(value, group)`` holds ``(type,
+    forms, mask)``: a repeated word costs one lookup and one token. The
+    memo is bounded like ``MASK_MEMO_SIZE`` and cleared whenever the
+    space adds a bit.
+    """
+
+    def __init__(self, tokenizer, space):
+        self.regexp = tokenizer.regexp
+        self.mapping = tokenizer.mapping
+        self.morph = getattr(tokenizer, 'morph', None)
+        self.space = space
+        self._generation = space.generation
+        self._memo = {}
+
+    def __call__(self, text):
+        """``(tokens, (masks, union))`` of ``text``."""
+        memo = self._memo
+        if self._generation != self.space.generation:
+            memo.clear()
+            self._generation = self.space.generation
+        tokens = []
+        masks = []
+        union = 0
+        new_span = tuple.__new__  # Span(*match.span()) without its __new__
+        for match in self.regexp.finditer(text):
+            value = match.group()
+            key = (value, match.lastgroup)
+            entry = memo.get(key)
+            if entry is None:
+                entry = self._entry(value, match.lastgroup)
+                if len(memo) >= MASK_MEMO_SIZE:
+                    memo.clear()
+                memo[key] = entry
+            type_, forms, mask = entry
+            span = new_span(Span, match.span())
+            tokens.append(Token(value, span, type_) if forms is None
+                          else MorphToken(value, span, type_, forms))
+            masks.append(mask)
+            union |= mask
+        return tokens, (masks, union)
+
+    def _entry(self, value, group):
+        type_ = self.mapping[group]
+        forms = None
+        token = Token(value, Span(0, len(value)), type_)
+        if type_ == RU and self.morph is not None:
+            forms = self.morph(value)
+            token = token.morphed(forms)
+        return type_, forms, self.space.mask(token)
 
 
 def _required_sets(start, rules, bits):
@@ -562,7 +708,7 @@ class Parser:
         self._build_first()
 
     def _build_first(self):
-        """Compile prediction once per parser: FIRST bits, plans, start bits.
+        """Compile once per parser: FIRST bits, item table, plans, start bits.
 
         FIRST of a production is the set of terminal matchers (predicates,
         plus gazetteer rules used atomically via their token index) that
@@ -571,11 +717,16 @@ class Parser:
         bits of each nullable production, so a nullable production
         survives any lookahead.
 
-        * ``self._plan[id(rule)]`` — ``(rank, production, first_bits)``
-          per production of a BNF rule. ``_predict`` keeps those whose
-          bits meet the lookahead's mask, cached per ``(id(rule), mask)``:
-          a dropped production could never scan nor complete, so pruning
-          is exact, and ranks keep their un-pruned indices.
+        * ``self._table`` — the :class:`ItemTable`: the items of every
+          ``(rule, rank, production)`` of a BNF rule, numbered now, and
+          those of gazetteer productions as ``_gazetteer_firsts`` first
+          predicts them.
+        * ``self._plan[id(rule)]`` — ``(first_bits, item)`` per
+          production of a BNF rule, ``item`` its dot-0 item. ``_firsts``
+          keeps those whose bits meet the lookahead's mask, cached per
+          rule and mask: a dropped production could never scan nor
+          complete, so pruning is exact, and ranks keep their un-pruned
+          indices.
         * ``self._start_bits`` — the start rule's FIRST bits (its own bit
           for a gazetteer start rule). Unless the start rule is nullable,
           a token stream none of whose masks meets them needs no chart
@@ -637,30 +788,37 @@ class Parser:
                         rule_bits[id(r)] |= first & ~1
                         changed = True
 
-        self._plan = {}
+        plans = []
         for r in rules:
-            plan = self._plan[id(r)] = []
+            plan = []
             listed = set()
             for rank, prod in enumerate(r.productions):
                 if id(prod) not in listed:  # a repeat is predicted once
                     listed.add(id(prod))
                     plan.append((rank, prod, first_bits(prod)))
+            plans.append((r, plan))
         if type(self.rule) is BNFRuleType:
             start = 0
-            for _, _, first in self._plan[id(self.rule)]:
+            for _, _, first in plans[0][1]:
                 start |= first
             self._start_bits = start
         else:
             self._start_bits = bit(self.rule)
         # every terminal predicate of a BNF rule gets a bit too, so a scan
         # tests the lookahead's mask instead of calling the predicate;
-        # gazetteer phrase terms stay out and are called (see ``_scan``)
+        # gazetteer phrase terms stay out and are called (see ItemTable)
         for r in rules:
             for prod in r.productions:
                 for term in prod.terms:
                     if not term.is_rule:
                         bit(term)
-        self._pairs = {}
+        self._table = ItemTable(self.rule)
+        self._plan = {
+            id(r): [(first, self._table.add(r, rank, prod, self.space.bits))
+                    for rank, prod, first in plan]
+            for r, plan in plans}
+        self._firsts_memo = {id(r): {} for r in rules}
+        self._gazetteer_items = {}
         self._required = _required_sets(self.rule, rules, self.space.bits)
 
     def _masks(self, tokens):
@@ -669,128 +827,185 @@ class Parser:
 
     # -- chart construction --------------------------------------------------
 
-    def _chart(self, text, everywhere=True):
-        return self._chart_tokens(self.tokenize(text), everywhere)
-
     def _chart_tokens(self, tokens, everywhere=True, masks=None):
         """Earley columns over ``tokens`` (``[]`` when the start rule
-        cannot begin anywhere). ``masks`` is the tokens' ``(masks,
-        union)`` pair from this parser's space, when already known."""
+        cannot begin anywhere): column ``i`` lists the states that stop
+        before token ``i``. ``masks`` is the tokens' ``(masks, union)``
+        pair from this parser's space, when already known."""
         masks, union = masks if masks is not None else self._masks(tokens)
         start_bits = self._start_bits
         if everywhere and not start_bits & 1 and not union & start_bits:
             return []
-        columns = [EarleyColumn(0, None, 0)]
-        for i, token in enumerate(tokens):
-            columns.append(EarleyColumn(i + 1, token, masks[i]))
-
-        budget = self.max_states
-        done = 0  # states in the columns already processed
-        n = len(columns)
+        n = len(tokens) + 1
+        columns = [[] for _ in range(n)]
+        # waits[i][key]: the states of column i whose dot is before the
+        # rule with id ``key``, in push order; a dict once column i is
+        # reached with a state, or when a scan pushes a waiting state
+        waits = [None] * n
+        table = self._table
+        done, wait, bits, terms = table.done, table.wait, table.bit, table.term
+        firsts = self._firsts
         start_rule = self.rule
+        start_key = id(start_rule)
+        budget = self.max_states
+        pushed = 0  # states in the columns already processed
         for ci in range(n):
             column = columns[ci]
-            predicted = column.predicted
-            lookahead = columns[ci + 1] if ci + 1 < n else None
             # states go only to this column and the next one
-            if lookahead is not None:
-                ahead, mask = lookahead.states, lookahead.mask
+            if ci + 1 < n:
+                ahead, token, mask = columns[ci + 1], tokens[ci], masks[ci]
             else:  # end of input: a token whose mask is bit 0 only
-                ahead, mask = (), 1
-            if ci == 0 or everywhere:
-                predicted.add(id(start_rule))
-                if mask & start_bits:
-                    self._predict(column, lookahead, start_rule)
-            si = 0
-            states = column.states
-            while si < len(states):
-                state = states[si]
-                si += 1
-                if state.completed:
-                    self._complete(columns, column, state)
+                ahead, token, mask = (), None, 1
+            starting = ci == 0 or everywhere
+            seeds = firsts(start_rule, mask, token) if (
+                starting and mask & start_bits) else ()
+            if not column and not seeds:
+                continue
+            current = waits[ci]
+            if current is None:
+                current = waits[ci] = {}
+            # rules already expanded here: predictions are a pure function
+            # of (rule, column), so re-predicting is wasted work
+            predicted = {start_key} if starting else set()
+            for item, key in seeds:
+                new = (item, ci, None, None)
+                column.append(new)
+                if key is not None:
+                    waiting = current.get(key)
+                    if waiting is None:
+                        current[key] = [new]
+                    else:
+                        waiting.append(new)
+            # a list iterator sees the states appended while it runs
+            for state in column:
+                item = state[0]
+                key = done[item]
+                if key is not None:
+                    # complete: advance each parent waiting at the origin
+                    # (when that is this column, the list grows meanwhile)
+                    for parent in waits[state[1]].get(key, ()):
+                        after = parent[0] + 1
+                        new = (after, parent[1], parent, state)
+                        column.append(new)
+                        key = wait[after]
+                        if key is not None:
+                            waiting = current.get(key)
+                            if waiting is None:
+                                current[key] = [new]
+                            else:
+                                waiting.append(new)
                 else:
-                    term = state.next_term
-                    if term.is_rule:
-                        # inline predicted-memo check: most states wait
-                        # on an already-expanded rule
-                        tid = id(term)
-                        if tid not in predicted:
-                            predicted.add(tid)
-                            self._predict(column, lookahead, term)
-                    elif lookahead is not None:
-                        self._scan(lookahead, term, state)
+                    key = wait[item]
+                    if key is not None:
+                        if key not in predicted:
+                            predicted.add(key)
+                            for after, key in firsts(
+                                    terms[item], mask, token):
+                                new = (after, ci, None, None)
+                                column.append(new)
+                                if key is not None:
+                                    waiting = current.get(key)
+                                    if waiting is None:
+                                        current[key] = [new]
+                                    else:
+                                        waiting.append(new)
+                    elif token is not None:
+                        # scan: a BNF terminal's result is the lookahead's
+                        # mask bit (the memo computed it with this very
+                        # predicate); a gazetteer phrase term is called
+                        bit = bits[item]
+                        if (mask & bit if bit is not None
+                                else terms[item](token)):
+                            after = item + 1
+                            new = (after, state[1], state, token)
+                            ahead.append(new)
+                            key = wait[after]
+                            if key is not None:
+                                following = waits[ci + 1]
+                                if following is None:
+                                    following = waits[ci + 1] = {}
+                                waiting = following.get(key)
+                                if waiting is None:
+                                    following[key] = [new]
+                                else:
+                                    waiting.append(new)
                 if budget is not None and (
-                        done + len(states) + len(ahead) > budget):
-                    raise StateOverflow(done + len(states) + len(ahead))
-            done += len(states)
+                        pushed + len(column) + len(ahead) > budget):
+                    raise StateOverflow(pushed + len(column) + len(ahead))
+            pushed += len(column)
         return columns
 
     # No state is ever derived twice, so the chart keeps no dedup set: a
     # rule is predicted once per column from a duplicate-free plan, a
-    # scan advances over a fresh leaf, and each completed state meets
+    # scan advances over a fresh token, and each completed state meets
     # each waiting parent once. Distinct (prev, child) pairs give distinct
     # (rule, production, dot, origin, children) states, so the chart is
     # the one a per-state signature dedup builds.
 
-    def _predict(self, column, lookahead, rule):
-        if type(rule) is not BNFRuleType:
-            # gazetteer rules prune via their own token index
-            pairs = enumerate(rule.productions if lookahead is None
-                              else rule.predict(lookahead.token))
-        else:
+    def _firsts(self, rule, mask, token):
+        """``(item, waiting key)`` of each dot-0 item ``rule`` predicts
+        before ``token`` (None at end of input) with ``mask``."""
+        memo = self._firsts_memo.get(id(rule))
+        if memo is None:
+            return self._gazetteer_firsts(rule, token)
+        firsts = memo.get(mask)
+        if firsts is None:
             # end of input has mask 1: only a nullable production, whose
             # bits hold bit 0, can complete where no token follows
-            mask = lookahead.mask if lookahead is not None else 1
-            key = (id(rule), mask)
-            pairs = self._pairs.get(key)
-            if pairs is None:
-                pairs = self._pairs[key] = [
-                    (rank, production)
-                    for rank, production, first_bits in self._plan[id(rule)]
-                    if first_bits & mask]
-        ci = column.index
-        for rank, production in pairs:
-            column.push(EarleyState(
-                rule, production, 0, ci, ci, rank, None, None))
+            wait = self._table.wait
+            firsts = memo[mask] = [(item, wait[item])
+                                   for first_bits, item in self._plan[id(rule)]
+                                   if first_bits & mask]
+        return firsts
 
-    def _scan(self, lookahead, predicate, state):
-        # a BNF terminal's result is the lookahead's mask bit (the memo
-        # computed it with this very predicate); a gazetteer phrase term
-        # has no bit and is called
-        bit = self.space.bits.get(id(predicate))
-        token = lookahead.token
-        if (lookahead.mask & bit) if bit is not None else predicate(token):
-            leaf = ParseLeaf(predicate, predicate.constrain(token))
-            lookahead.push(EarleyState(
-                state.rule, state.production, state.dot + 1,
-                state.origin, lookahead.index, state.rank, state, leaf))
-
-    def _complete(self, columns, column, completed):
-        waiting = columns[completed.origin].waiting.get(id(completed.rule))
-        if not waiting:
-            return
-        ci = column.index
-        wi = 0
-        while wi < len(waiting):
-            state = waiting[wi]
-            wi += 1
-            column.push(EarleyState(
-                state.rule, state.production, state.dot + 1,
-                state.origin, ci, state.rank, state, completed))
+    def _gazetteer_firsts(self, rule, token):
+        # a gazetteer rule predicts through its own token index, ranks
+        # counted within that prediction; where no token follows only an
+        # empty phrase could complete. Its items are numbered on first use.
+        if token is None:
+            predicted = [(rank, production)
+                         for rank, production in enumerate(rule.productions)
+                         if not production.terms]
+        else:
+            predicted = enumerate(rule.predict(token))
+        items = self._gazetteer_items
+        table = self._table
+        firsts = []
+        for rank, production in predicted:
+            key = (id(rule), rank, id(production))
+            item = items.get(key)
+            if item is None:
+                item = items[key] = table.add(rule, rank, production, None)
+            firsts.append((item, table.wait[item]))
+        return firsts
 
     def _final_states(self, columns, everywhere=True):
-        search = columns if everywhere else columns[-1:]
-        start_rule = self.rule
-        for column in search:
-            for s in column.states:
-                if s.completed and s.rule is start_rule:
-                    yield s
+        """``((origin, stop), state)`` of every completed start-rule state
+        (in the last column only unless ``everywhere``)."""
+        final = self._table.final
+        first = 0 if everywhere else max(len(columns) - 1, 0)
+        for stop in range(first, len(columns)):
+            for state in columns[stop]:
+                if final[state[0]]:
+                    yield (state[1], stop), state
+
+    def view(self, state):
+        """``state`` as a :class:`StateView` (debug aid)."""
+        table = self._table
+        item = state[0]
+        return StateView(table.rule[item], table.production[item],
+                         table.rank[item], table.dot[item], *state[1:])
 
     # -- public API ----------------------------------------------------------
 
     def tokenize(self, text):
         """Tokenize + tag once; reusable across parsers sharing a tokenizer."""
         return list(self.tagger(self.tokenizer(text)))
+
+    def _chart(self, text, everywhere=True):
+        """``(tokens, columns)`` of ``text``."""
+        tokens = self.tokenize(text)
+        return tokens, self._chart_tokens(tokens, everywhere)
 
     def findall_tokens(self, tokens, masks=None):
         """``findall`` over a pre-tokenized stream.
@@ -807,28 +1022,28 @@ class Parser:
         for required in self._required:
             if not union & required:
                 return []
-        return self._resolve(self._chart_tokens(tokens, masks=masks))
+        return self._resolve(self._chart_tokens(tokens, masks=masks), tokens)
 
     def findall(self, text):
         """All non-overlapping matches, maximum-coverage, span order."""
         return self.findall_tokens(self.tokenize(text))
 
-    def _resolve(self, columns):
+    def _resolve(self, columns, tokens):
         """Matches as the reference picks them (sort the final trees,
         prepare each span's first valid tree, select spans), building
         trees only for the spans that need them."""
         by_span = {}
-        for state in self._final_states(columns):
-            span = (state.origin, state.column)
+        for span, state in self._final_states(columns):
             by_span.setdefault(span, []).append(state)
         if not by_span:
             return []
         # ParseTree order: start ascending, the longer span first
         spans = sorted(by_span, key=lambda span: (span[0], -span[1]))
+        table = self._table
         memo = {}
 
         def ranked(span):
-            return sorted(ParseTree(_node(s, memo), span)
+            return sorted(ParseTree(_node(s, memo, table), span)
                           for s in by_span[span])
 
         if not self._relations:
@@ -841,10 +1056,11 @@ class Parser:
                     [s for s in spans if s[0] < s[1]]):
                 states = by_span[span]
                 if len(states) == 1:
-                    matches.append(Match(ParseTree(_pruned(states[0]), span),
-                                         _char_span(columns, span)))
+                    matches.append(Match(
+                        ParseTree(_pruned(states[0], memo, table), span),
+                        _char_span(tokens, span)))
                 else:
-                    matches.append(_prepare_plain(ranked(span)[0], columns))
+                    matches.append(_prepare_plain(ranked(span)[0], tokens))
             return matches
         # constrain() rewrites leaves other spans' trees share, so every
         # span is prepared, in order, before any is dropped
@@ -852,7 +1068,7 @@ class Parser:
         chosen = {}
         for span in spans:
             for tree in ranked(span):
-                match = _prepare_match(tree, columns)
+                match = _prepare_match(tree, tokens)
                 if match is not None:
                     valid.append(span)
                     chosen[span] = match
@@ -867,30 +1083,31 @@ class Parser:
     def trees(self, text):
         """All final parse trees, deterministic order (debug aid;
         feeds ``kernel.dot.tree_as_dot``)."""
-        return sorted(_trees(self._final_states(self._chart(text))))
+        _, columns = self._chart(text)
+        return sorted(_trees(self._final_states(columns), self._table))
 
     def explain(self, text):
         """Chart dump as text — the reference's chart pretty-printing
         (parser.py:107-124): per column, its token and every Earley
         state with a dotted production. Debug aid only."""
         from .dot import chart_source
-        columns = self._chart(text)
-        return '\n'.join(chart_source(columns))
+        tokens, columns = self._chart(text)
+        return '\n'.join(chart_source(columns, tokens, self.view))
 
     def match(self, text):
         """Whole-string parse; best tree only."""
-        columns = self._chart(text, everywhere=False)
+        tokens, columns = self._chart(text, everywhere=False)
         final = self._final_states(columns, everywhere=False)
-        for tree in sorted(_trees(final)):
-            m = _prepare_match(tree, columns)
+        for tree in sorted(_trees(final, self._table)):
+            m = _prepare_match(tree, tokens)
             if m is not None:
                 return m
         return None
 
     def extract(self, text):
         """Every (possibly overlapping) match — debug mode."""
-        columns = self._chart(text)
-        for tree in _trees(self._final_states(columns)):
-            m = _prepare_match(tree, columns)
+        tokens, columns = self._chart(text)
+        for tree in _trees(self._final_states(columns), self._table):
+            m = _prepare_match(tree, tokens)
             if m is not None:
                 yield m

@@ -196,7 +196,8 @@ class InflectedNormalizer(Normalizer):
 
     @property
     def label(self):
-        return 'inflected({})'.format(', '.join(self.grams))
+        # sorted: a frozenset's order changes with the string hash seed
+        return 'inflected({})'.format(', '.join(sorted(self.grams or ())))
 
 
 class ConstNormalizer(Normalizer):

@@ -9,13 +9,17 @@ The hot path of the engine. Design (SURVEY §2.7, §3):
   memos (the text -> rows LRU) never outlive their Dataset.
 * Grammars arrive as factory dotted-names (strings) — cheap to pickle,
   compiled inside the worker; ``custom()`` functions stay importable.
-* Per turn the text is tokenized + morph-analyzed ONCE, and the token
-  list and its FIRST-matcher masks (one ``MaskSpace`` for all grammars)
-  are shared by every grammar. Each parser tests the bit sets every
-  match of its grammar needs against the turn's union mask, so most
-  grammar×turn pairs never start an Earley chart. The shipped grammars
-  need no regex ``gate``; a user grammar may set one as a hint that
-  skips the turn for that grammar before it is even tokenized.
+* Per turn one lexer pass (``kernel.earley.Lexer``) tokenizes the text,
+  attaches morphology and computes every token's FIRST-matcher mask (one
+  ``MaskSpace`` for all grammars) in a single regex loop. A memo keyed
+  by a token's value and regex group holds its type, morphological
+  forms and mask, so a word seen before costs one lookup; the memo is
+  bounded and cleared when a parser adds a bit to the space. The token
+  list and masks are shared by every grammar. Each parser tests the bit
+  sets every match of its grammar needs against the turn's union mask,
+  so most grammar×turn pairs never start an Earley chart. The shipped
+  grammars need no regex ``gate``; a user grammar may set one as a hint
+  that skips the turn for that grammar before it is even tokenized.
 * A per-document state budget bounds worst-case parse work; capped
   turns are reported as ``rule='_capped'`` mention rows (dropped by
   triple projection, so the KG build does not count them) instead of
@@ -44,7 +48,7 @@ import pyarrow as pa
 
 from yargy_ray.grammars import DEFAULT_FACTORIES, build_specs
 from yargy_ray.kernel import Parser, StateOverflow
-from yargy_ray.kernel.earley import MaskSpace
+from yargy_ray.kernel.earley import Lexer, MaskSpace
 from yargy_ray.kernel.interp import Fact, FactResult
 from yargy_ray.kernel.tokenizer import MorphTokenizer
 from yargy_ray.stages.compute import map_cached
@@ -112,6 +116,8 @@ class MentionExtractor:
             )
             gate = re.compile(spec.gate) if spec.gate else None
             self.parsers.append((spec, parser, gate))
+        # one regex pass per turn: tokens, morphology and masks
+        self.lex = Lexer(self.tokenizer, self.space)
         self._result_cache = OrderedDict()
 
     def hits(self, text):
@@ -142,8 +148,7 @@ class MentionExtractor:
             if gate is not None and gate.search(text) is None:
                 continue
             if tokens is None:
-                tokens = list(self.tokenizer(text))
-                masks = self.space.masks(tokens)
+                tokens, masks = self.lex(text)
             try:
                 matches = parser.findall_tokens(tokens, masks)
             except StateOverflow:
