@@ -84,13 +84,11 @@ def _kg_turns(sf_dir):
 
 
 def _kg_triples(sf_dir):
-    """Every triple OCCURRENCE of the transcripts (``extract_mentions``
-    -> ``project_triples``): degrees, weights and conversation counts
-    count occurrences, which the fused extractor's batch-local dedup
-    would drop."""
-    from yargy_ray.stages.extract import extract_mentions, project_triples
-    return project_triples(
-        extract_mentions(_kg_turns(sf_dir), concurrency=_pool()))
+    """Every triple OCCURRENCE of the transcripts, as the fused
+    ``extract_triples`` stage emits them (``tkey`` included): degrees,
+    weights and conversation counts count occurrences."""
+    from yargy_ray.pipelines.kg import extract_triples
+    return extract_triples(_kg_turns(sf_dir), concurrency=_pool())
 
 
 def _kg_distinct_triples(sf_dir, factories):

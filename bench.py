@@ -137,7 +137,7 @@ def run_headline(corpus_path):
     n_turns = turns.count()
 
     start = time.time()
-    # ONE fused extraction stage (extract+project+prededup) capped at
+    # ONE fused extraction stage (extract+project+tkey) capped at
     # cpus-1 concurrent tasks: everything left after it is the small
     # exchange + write, so a single free CPU doesn't serialize pipeline
     # work behind extraction.

@@ -11,10 +11,12 @@ For each seed it builds both benchmark corpora with ``perfbench.corpus``
 text appeared earlier) and prints, per corpus:
 
 * sha256 of the in-process ``MentionExtractor`` rows and of the
-  ``TripleExtractor`` rows, in input order;
+  ``TripleExtractor`` rows (every triple occurrence), in input order;
 * ``projected``: sha256 of the mention rows projected by
-  ``TripleProjector`` and batch-deduped, batch by batch; the fused
-  extractor must give these very rows, so it equals ``triples``;
+  ``TripleProjector`` with their ``tkey`` appended, batch by batch; the
+  fused extractor must give these very rows, so it equals ``triples``;
+* ``distinct``: sha256 of the sorted distinct (subj, pred, obj) set of
+  the ``TripleExtractor`` rows;
 * per shipped grammar, the chart states pushed over the charts the
   extractor really builds (a standalone ``Parser`` per grammar; like
   ``Parser.findall_tokens``, a turn whose union token mask misses one
@@ -49,10 +51,8 @@ from perfbench.corpus import (  # noqa: E402
 from yargy_ray.grammars import build_specs  # noqa: E402
 from yargy_ray.kernel import Parser, StateOverflow  # noqa: E402
 from yargy_ray.kernel.tokenizer import MorphTokenizer  # noqa: E402
-from yargy_ray.pipelines.kg import (  # noqa: E402
-    TripleExtractor,
-    _batch_prededup,
-)
+from yargy_ray.pipelines.kg import TripleExtractor, _triple_key  # noqa: E402
+from yargy_ray.stages.exchange import _hash64  # noqa: E402
 from yargy_ray.stages.extract import (  # noqa: E402
     CAPPED_RULE,
     MentionExtractor,
@@ -103,7 +103,7 @@ def chart_states(path):
 def corpus_lines(path):
     mentions, triples = hashlib.sha256(), hashlib.sha256()
     projected = hashlib.sha256()
-    capped = {}
+    capped, spo = {}, set()
     n_mentions = n_triples = n_projected = 0
     extract, fused = MentionExtractor(), TripleExtractor()
     project = TripleProjector()
@@ -111,7 +111,8 @@ def corpus_lines(path):
         rows = extract(batch)
         n_mentions += rows.num_rows
         table_digest(mentions, rows)
-        out = _batch_prededup(project(rows))
+        out = project(rows)
+        out = out.append_column('tkey', _hash64(_triple_key(out)))
         n_projected += out.num_rows
         table_digest(projected, out)
         for rule, payload in zip(rows.column('rule').to_pylist(),
@@ -122,9 +123,16 @@ def corpus_lines(path):
         out = fused(batch)
         n_triples += out.num_rows
         table_digest(triples, out)
+        spo.update(zip(*(out.column(name).to_pylist()
+                         for name in ('subj', 'pred', 'obj'))))
     yield f'mentions {n_mentions} {mentions.hexdigest()}'
     yield f'triples {n_triples} {triples.hexdigest()}'
     yield f'projected {n_projected} {projected.hexdigest()}'
+    distinct = hashlib.sha256()
+    for row in sorted(spo):
+        distinct.update(json.dumps(row, ensure_ascii=False).encode())
+        distinct.update(b'\n')
+    yield f'distinct {len(spo)} {distinct.hexdigest()}'
     states, overflows = chart_states(path)
     for name in states:
         yield (f'grammar {name} states={states[name]} '

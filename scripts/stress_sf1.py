@@ -69,8 +69,7 @@ def main():
         report['ops']['kg_triples']['n_triples'] = n_triples
 
     # ---- 2. co-mention edges over the same 10x corpus ------------------
-    from yargy_ray.pipelines.kg import co_mention_edges
-    from yargy_ray.stages.extract import extract_mentions, project_triples
+    from yargy_ray.pipelines.kg import co_mention_edges, extract_triples
 
     edges = None
     if 'comention' in want or 'tri' in want:
@@ -79,9 +78,9 @@ def main():
             override_num_blocks=bench.NUM_CPUS * 8 * mult)
         n_turns = turns.count()
         t0 = time.time()
-        triples = project_triples(extract_mentions(
+        triples = extract_triples(
             turns, concurrency=max(1, bench.NUM_CPUS - 1),
-            batch_size=256))
+            batch_size=256)
         edges = co_mention_edges(triples).materialize()
         sec = time.time() - t0
         if 'comention' in want:

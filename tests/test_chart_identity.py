@@ -22,7 +22,7 @@ ones were re-pinned, and the matches on them did not change.
 
 The fused ``TripleExtractor`` projects triples from the interpretation
 payloads, not from mention rows; its rows are checked against the
-mention path projected and batch-deduped, overflow and quarantine
+mention path projected with ``tkey`` appended, overflow and quarantine
 included.
 """
 
@@ -53,7 +53,7 @@ from yargy_ray.kernel.records import Span, Token, best_nonoverlapping
 from yargy_ray.kernel.relations import gnc_relation
 from yargy_ray.kernel.tagging import Tagger
 from yargy_ray.kernel.tokenizer import MorphTokenizer, Tokenizer
-from yargy_ray.pipelines.kg import TripleExtractor, _batch_prededup
+from yargy_ray.pipelines.kg import TripleExtractor, _with_tkey
 from yargy_ray.sources.transcripts import generate_conversation
 from yargy_ray.stages.extract import (
     CAPPED_RULE,
@@ -756,7 +756,7 @@ def test_fused_path_equals_mention_path():
             table = turns_table(batch)
             reference = make()
             mentions = reference.extract(table)
-            expected = _batch_prededup(reference.project(mentions))
+            expected = _with_tkey(reference.project(mentions))
             got = make()(table)
             assert got.num_rows > 0
             assert got.to_pylist() == expected.to_pylist()

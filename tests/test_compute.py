@@ -277,10 +277,10 @@ def _extraction(tmp):
     import ray.data
 
     from yargy_ray.pipelines.kg import extract_triples
-    from yargy_ray.stages.extract import extract_mentions, project_triples
+    from yargy_ray.stages.extract import extract_mentions
     turns = ray.data.from_items([{'conv_id': 'c0', 'turn_idx': 0,
                                   'text': 'это стоит 4500 руб.'}])
-    project_triples(extract_mentions(turns)).materialize()
+    extract_mentions(turns).materialize()
     extract_triples(turns).materialize()
 
 
@@ -307,8 +307,7 @@ STAGES = {
     'broadcast_join': (_join, {'BroadcastLookup'}),
     'tagging': (_tagging, {'BIOTagTokens', 'TaggedPhraseExtractor'}),
     'similarity': (_similarity, {'BatchTopK', 'IVFAssigner'}),
-    'extraction': (_extraction, {'MentionExtractor', 'TripleProjector',
-                                 'TripleExtractor'}),
+    'extraction': (_extraction, {'MentionExtractor', 'TripleExtractor'}),
     'extract_ints': (_extract_ints, {'IntTokenExtractor'}),
 }
 

@@ -2,8 +2,8 @@
 
 The dedup family uses ``tkey = hash64(subj|pred|obj)`` ONLY to route
 rows to partitions; survival is decided on the full (subj, pred, obj)
-values. These tests force hash collisions (monkeypatched ``_hash64``)
-and hand-build anti-join partitions to prove that distinct triples
+values. These tests give distinct triples one ``tkey`` and hand-build
+anti-join partitions to prove that distinct triples
 sharing a hash both survive, and that the incremental merge never
 discards a genuinely-new fact.
 
@@ -36,17 +36,6 @@ def _spo(table):
     return sorted(zip(table.column('subj').to_pylist(),
                       table.column('pred').to_pylist(),
                       table.column('obj').to_pylist()))
-
-
-def test_batch_prededup_survives_forced_hash_collision(monkeypatch):
-    # every tkey collides onto 0: the two DISTINCT triples must both
-    # survive, while the exact duplicate still collapses
-    monkeypatch.setattr(kg, '_hash64', lambda arr: pa.array(
-        np.zeros(len(arr), dtype=np.int64)))
-    t = _triples([('a', 'p', 'x'), ('b', 'p', 'y'), ('a', 'p', 'x')])
-    out = kg._batch_prededup(t)
-    assert _spo(out) == [('a', 'p', 'x'), ('b', 'p', 'y')]
-    assert out.column('tkey').to_pylist() == [0, 0]
 
 
 def test_dedup_block_survives_colliding_tkeys():

@@ -105,28 +105,20 @@ def test_one_build_per_worker_per_dataset(ray_session):
 
 @pytest.mark.parametrize('concurrency', [2, (1, 2)])
 def test_extraction_concurrency_int_or_pair(ray_session, concurrency):
-    """``concurrency`` is an int or ``(lo, hi)`` for all three stages;
-    both run as tasks capped at 2 and match the in-process classes."""
+    """``concurrency`` is an int or ``(lo, hi)`` for both extraction
+    stages; both run as tasks capped at 2 and match the in-process
+    classes."""
     import ray.data
     from ray.data._internal.compute import TaskPoolStrategy
 
     from yargy_ray.pipelines.kg import TripleExtractor, extract_triples
-    from yargy_ray.stages.extract import (
-        MentionExtractor,
-        TripleProjector,
-        extract_mentions,
-        project_triples,
-    )
+    from yargy_ray.stages.extract import MentionExtractor, extract_mentions
 
     table = _turns(24)
     ds = ray.data.from_arrow(table).repartition(4)
-    mentions = MentionExtractor()(table)
     cases = [
         (extract_mentions(ds, concurrency=concurrency, batch_size=8),
-         mentions),
-        (project_triples(ray.data.from_arrow(mentions),
-                         concurrency=concurrency),
-         TripleProjector()(mentions)),
+         MentionExtractor()(table)),
         (extract_triples(ds, concurrency=concurrency, batch_size=8),
          TripleExtractor()(table)),
     ]
@@ -137,8 +129,44 @@ def test_extraction_concurrency_int_or_pair(ray_session, concurrency):
             (mapped,) = mapped.input_dependencies
         assert mapped._compute.size == 2
         got = pa.Table.from_pylist(out.take_all(), schema=serial.schema)
-        if 'tkey' in serial.column_names:
-            # TripleExtractor dedups within a batch: compare distinct rows
-            assert set(_rows(got)) == set(_rows(serial))
-        else:
-            assert _rows(got) == _rows(serial)
+        assert _rows(got) == _rows(serial)
+
+
+def test_triple_stage_keeps_every_occurrence(ray_session):
+    """One batch with the same ``has_position`` sentence in two
+    conversations: the triple stage emits the triple once per
+    conversation, the conversation counts see both, and the distinct
+    set holds it once."""
+    import ray.data
+
+    from yargy_ray.pipelines.kg import (
+        distinct_triples,
+        entity_conv_counts,
+        extract_triples,
+        node_id_of,
+    )
+
+    text = 'на встрече был директор Иван Петров'
+    ds = ray.data.from_arrow(pa.table({
+        'conv_id': ['c0', 'c1'],
+        'turn_idx': pa.array([0, 0], type=pa.int32()),
+        'text': [text, text],
+    }))
+    fact = ('иван петров', 'has_position', 'директор')
+
+    def spo(rows):
+        return [(r['subj'], r['pred'], r['obj']) for r in rows]
+
+    triples = extract_triples(ds, concurrency=1).materialize()
+    occurrences = triples.take_all()
+    assert spo(occurrences).count(fact) == 2
+    assert sorted(r['conv_id'] for r in occurrences
+                  if r['pred'] == 'has_position') == ['c0', 'c1']
+
+    convs = {r['node_id']: r['convs']
+             for r in entity_conv_counts(triples).take_all()}
+    assert convs[node_id_of('person:иван петров')] == 2
+    assert convs[node_id_of('position:директор')] == 2
+
+    assert spo(distinct_triples(ds, concurrency=1).take_all()).count(
+        fact) == 1

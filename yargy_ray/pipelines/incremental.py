@@ -314,16 +314,29 @@ def merge_kg_delta(base_root, delta_transcripts_path, out_root,
     return manifests
 
 
+def _comention_edges(transcripts_path, factory_paths, concurrency,
+                     batch_size):
+    """Co-mention edges of one transcripts parquet: read -> every triple
+    occurrence (:func:`~yargy_ray.pipelines.kg.extract_triples`) ->
+    :func:`~yargy_ray.pipelines.kg.co_mention_edges`."""
+    import ray.data
+
+    from yargy_ray.pipelines.kg import co_mention_edges, extract_triples
+
+    turns = ray.data.read_parquet(
+        transcripts_path, columns=['conv_id', 'turn_idx', 'text'])
+    return co_mention_edges(extract_triples(
+        turns, factory_paths, concurrency=concurrency,
+        batch_size=batch_size))
+
+
 def run_comention_pipeline(transcripts_path, out_root,
                            factory_paths=DEFAULT_FACTORIES,
                            concurrency=(1, 8), batch_size=128,
                            num_partitions=16, resume=True):
     """Co-mention edge table as a CHECKPOINTED, hash-partitioned build
     (the base a :func:`merge_comention_delta` increments)."""
-    import ray.data
-
-    from yargy_ray.pipelines.kg import _write_partitioned, co_mention_edges
-    from yargy_ray.stages.extract import extract_mentions, project_triples
+    from yargy_ray.pipelines.kg import _write_partitioned
 
     check_layout(num_partitions)
     fp = fingerprint('comention', transcripts_path, tuple(factory_paths),
@@ -331,16 +344,8 @@ def run_comention_pipeline(transcripts_path, out_root,
     out_dir = storage.join(out_root, 'comention')
 
     def build(d):
-        turns = ray.data.read_parquet(
-            transcripts_path, columns=['conv_id', 'turn_idx', 'text'])
-        # NOT the fused prededuped extractor: a (person, has_position,
-        # position) triple repeats VERBATIM across conversations, and
-        # prededup would drop the later conversation's entity
-        triples = project_triples(
-            extract_mentions(turns, factory_paths,
-                             concurrency=concurrency,
-                             batch_size=batch_size), factory_paths)
-        edges = co_mention_edges(triples)
+        edges = _comention_edges(transcripts_path, factory_paths,
+                                 concurrency, batch_size)
         return _write_partitioned(edges, d, 'src', num_partitions), {
             'num_partitions': num_partitions}
 
@@ -361,11 +366,6 @@ def merge_comention_delta(base_root, delta_transcripts_path, out_root,
     Exactly equals a full rebuild (the per-conversation
     MAX_CONV_ENTITIES cap is conversation-local, so it commutes with
     the split)."""
-    import ray.data
-
-    from yargy_ray.pipelines.kg import co_mention_edges
-    from yargy_ray.stages.extract import extract_mentions, project_triples
-
     base_dir = storage.join(base_root, 'comention')
     _validate_layout(base_dir, num_partitions)
 
@@ -375,14 +375,9 @@ def merge_comention_delta(base_root, delta_transcripts_path, out_root,
     out_dir = storage.join(out_root, 'comention')
 
     def build(d):
-        turns = ray.data.read_parquet(
-            delta_transcripts_path,
-            columns=['conv_id', 'turn_idx', 'text'])
-        triples = project_triples(
-            extract_mentions(turns, factory_paths,
-                             concurrency=concurrency,
-                             batch_size=batch_size), factory_paths)
-        delta_edges = co_mention_edges(triples)
+        delta_edges = _comention_edges(delta_transcripts_path,
+                                       factory_paths, concurrency,
+                                       batch_size)
         parts, touched, carried = _merge_sum(
             base_dir, delta_edges, ('src', 'dst'), 'weight',
             d, num_partitions)

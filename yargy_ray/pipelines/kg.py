@@ -2,31 +2,38 @@
 
 transcripts parquet
   -> fused extraction       (:class:`TripleExtractor` tasks on warm
-                             workers: extraction, triple projection
+                             workers: extraction and triple projection
                              straight from the interpretation payloads
-                             and a batch-local dedup in one map;
-                             per-turn, no shuffle)
+                             in one map; every occurrence plus its
+                             ``tkey``; per-turn, no shuffle)
   -> exact dedup            (shuffle 1: hash partition on triple key)
   -> node canonicalization  (shuffle 2: groupby normalized form)
   -> edge aggregation       (shuffle 3: groupby edge key)
   -> partitioned parquet writes + lineage manifests (resumable)
 
-:func:`run_kg_pipeline` writes three stages, ``triples``, ``nodes`` and
-``edges``, in three Dataset executions; the triples stage runs
-:func:`distinct_triples`, as do the headline query and step 1 of
-:func:`~yargy_ray.pipelines.incremental.merge_kg_delta`. The fused map
-builds no mention rows and no JSON text, and walks no tree for tokens.
-Consumers that need every triple OCCURRENCE (co-mention, entity stats)
-stay on ``extract_mentions`` -> ``project_triples``: the batch-local
-dedup would change their counts.
+:func:`extract_triples` is the one triple stage. :func:`run_kg_pipeline`
+writes three stages, ``triples``, ``nodes`` and ``edges``, in three
+Dataset executions; the triples stage runs :func:`distinct_triples`
+(:func:`extract_triples` then :func:`dedup_triples`), as do the headline
+query and step 1 of
+:func:`~yargy_ray.pipelines.incremental.merge_kg_delta`. Consumers that
+count triple OCCURRENCES (co-mention, entity stats, degrees, weights)
+read :func:`extract_triples` directly. The fused map builds no mention
+rows and no JSON text, and walks no tree for tokens.
 
 Scale notes (BASELINE.json north_rule):
 * Extraction is embarrassingly parallel over turns — the dominant cost
   at 10^12 turns — and streams: no stage materializes the full input.
-* Both wide stages pre-aggregate inside ``map_batches`` (map-side
-  combine) before the shuffle, so shuffle volume is proportional to the
-  number of DISTINCT triples/nodes/edges per block, not to raw row
-  count.
+* The node and edge stages pre-aggregate inside ``map_batches``
+  (map-side combine) before the shuffle, so their shuffle volume is
+  proportional to the number of DISTINCT nodes/edges per block, not to
+  raw row count. The triple dedup has no combine: its subjects are turn
+  ids, so only repeats within a turn and ``has_position`` triples
+  repeat inside a batch. A batch-local dedup of the seed-7 benchmark
+  corpus in 256-turn batches removed 1.4-1.5% of its 9,931 rows (how
+  many depends on where batch boundaries fall; the distinct set is
+  9,131). A combine before the shuffle pays only when it shrinks the
+  data; this one did not.
 * Giant conversations don't matter to extraction (per-turn); document
   reconstruction (documents.py) hashes every conversation to one
   partition and reduces it in one vectorized pass, giants included.
@@ -110,16 +117,13 @@ def _exact_first_indices(key_arr) -> 'pa.Array':
 # Triple dedup
 # ---------------------------------------------------------------------------
 
-def _batch_prededup(batch: pa.Table) -> pa.Table:
-    """Map-side combiner: drop duplicate triples within a batch and add
-    the 64-bit shuffle key. Runs before the exchange, shrinking it.
+def _with_tkey(batch: pa.Table) -> pa.Table:
+    """Append the 64-bit shuffle key of every row's triple.
 
     ``tkey`` only ROUTES (identical triples co-locate); identity is the
-    full (subj, pred, obj) value — a 64-bit collision between distinct
-    triples cannot drop either one."""
-    key = _triple_key(batch)
-    batch = batch.append_column('tkey', _hash64(key))
-    return batch.take(_exact_first_indices(key))
+    full (subj, pred, obj) value, decided by :func:`_dedup_block` — a
+    64-bit collision between distinct triples cannot drop either one."""
+    return batch.append_column('tkey', _hash64(_triple_key(batch)))
 
 
 def _dedup_block(table: pa.Table) -> pa.Table:
@@ -131,42 +135,38 @@ def _dedup_block(table: pa.Table) -> pa.Table:
 
 def dedup_triples(triples_ds, num_partitions=64, prededuped=False,
                   coalesce='auto'):
-    """Exact global dedup: map-side combine, ONE partition-wise shuffle,
-    vectorized first-per-key reduce.
+    """Exact global dedup: ONE partition-wise shuffle on ``tkey``, then
+    a vectorized first-per-triple reduce.
 
     The (s,p,o) triple is the unit of correctness; provenance columns of
     the surviving row are advisory (rows in a key group are equal on the
     key by construction).
 
-    ``prededuped=True`` means the input already carries ``tkey`` and is
-    batch-deduped (e.g. it came from :class:`TripleExtractor`), so only
-    the exchange + reduce remain.
+    ``prededuped=True`` means the input already carries ``tkey`` (it
+    came from :func:`extract_triples`); otherwise it is appended here.
     """
-    if prededuped:
-        combined = triples_ds
-    else:
-        combined = triples_ds.map_batches(
-            _batch_prededup, batch_format='pyarrow', batch_size=8192)
-    return partitioned_reduce(combined, 'tkey', _dedup_block,
+    keyed = triples_ds if prededuped else triples_ds.map_batches(
+        _with_tkey, batch_format='pyarrow', batch_size=8192)
+    return partitioned_reduce(keyed, 'tkey', _dedup_block,
                               num_partitions, coalesce=coalesce)
 
 
 class TripleExtractor:
-    """Fused extractor: turns -> deduped triple rows with ``tkey``.
+    """Fused extractor: turns -> every triple occurrence, with ``tkey``.
 
-    Runs extraction, triple projection and the map-side dedup combine
-    inside ONE map operator. Rationale (measured at 32 cpus, sf0.1):
-    extraction capped at ``cpus - 1`` leaves a single CPU for every
-    downstream task operator; keeping projection/prededup as separate
-    task stages serialized ~19s of work behind extraction and capped
-    8->32 cpu scaling at ~0.55. Fused, the only post-extraction work is
-    the partition exchange + vectorized reduce + write (~2s).
+    Runs extraction and triple projection inside ONE map operator.
+    Rationale (measured at 32 cpus, sf0.1): extraction capped at
+    ``cpus - 1`` leaves a single CPU for every downstream task operator;
+    keeping projection as a separate task stage serialized work behind
+    extraction and capped 8->32 cpu scaling at ~0.55. Fused, the only
+    post-extraction work is the partition exchange + vectorized reduce
+    + write (~2s).
 
     Triples come straight from the interpretation payloads of
     :meth:`MentionExtractor.hits`, through the projector's own
     :meth:`TripleProjector.emit`: the fused path builds no mention rows
     and no JSON text, and walks no tree for tokens. Its rows equal
-    ``_batch_prededup(project(extract(batch)))``, which ``extract`` and
+    ``_with_tkey(project(extract(batch)))``, which ``extract`` and
     ``project`` still compute on their own.
     """
 
@@ -183,15 +183,16 @@ class TripleExtractor:
         for conv_id, turn_idx, text in zip(conv_ids, turn_idxs, texts):
             for rule, start, stop, payload, _ in hits(text):
                 emit(out, rule, payload, conv_id, turn_idx, start, stop)
-        return _batch_prededup(rows_table(out, TRIPLE_SCHEMA))
+        return _with_tkey(rows_table(out, TRIPLE_SCHEMA))
 
 
 def extract_triples(turns_ds, factory_paths=DEFAULT_FACTORIES,
                     concurrency=(1, 8), batch_size=256, max_states=None):
-    """turns Dataset -> batch-deduped triples (+``tkey``) in one fused
+    """turns Dataset -> every triple occurrence (+``tkey``) in one fused
     stage of :class:`TripleExtractor` tasks on warm workers, at most
-    ``concurrency`` at a time; feed into
-    ``dedup_triples(..., prededuped=True)``."""
+    ``concurrency`` at a time. Occurrence counts (degrees, weights,
+    conversation counts) read it as is; the distinct set is
+    ``dedup_triples(..., prededuped=True)`` of it."""
     return map_cached(turns_ds, TripleExtractor,
                       {'factory_paths': tuple(factory_paths),
                        'max_states': max_states},

@@ -1,4 +1,5 @@
-"""Extraction stage: transcript turns -> mention rows -> triple rows.
+"""Extraction stage: transcript turns -> mention rows, and the triple
+projection of their interpretation payloads.
 
 The hot path of the engine. Design (SURVEY §2.7, §3):
 
@@ -26,10 +27,14 @@ The hot path of the engine. Design (SURVEY §2.7, §3):
   failing the job.
 * The per-text memo (``MentionExtractor.hits``) keeps each match's
   interpretation payload and covered token values, not rows: mention
-  rows and their ``fact_json`` are built from it on demand. The fused
-  ``pipelines.kg.TripleExtractor`` feeds the payloads straight to
-  ``TripleProjector.emit``: it builds no mention rows and no JSON text,
-  and walks no tree for tokens.
+  rows and their ``fact_json`` are built from it on demand. Triples
+  have one production stage, the fused ``pipelines.kg.TripleExtractor``
+  (``extract_triples``): it feeds the payloads straight to
+  ``TripleProjector.emit`` and emits every occurrence, building no
+  mention rows and no JSON text, and walking no tree for tokens. Mention
+  rows (``extract_mentions``) serve the document-scope queries;
+  ``TripleProjector()`` over them is the in-process reference the fused
+  rows are tested against.
 * Output is built with Arrow arrays directly — no pandas detour.
 
 Extraction is per-turn (the reference semantics is per-document over a
@@ -193,7 +198,8 @@ class MentionExtractor:
 
 
 class TripleProjector:
-    """Stateless-ish mention -> triple projection (fuses with extraction).
+    """Mention -> triple projection: :meth:`emit` inside the fused
+    extractor, :meth:`__call__` over mention rows in-process.
 
     Needs the grammar specs only for their ``to_triples`` functions;
     construction is cheap but still done once per worker process.
@@ -278,14 +284,5 @@ def extract_mentions(turns_ds, factory_paths=DEFAULT_FACTORIES,
     """turns Dataset -> mentions Dataset (:class:`MentionExtractor`
     tasks, at most ``concurrency`` at a time)."""
     return map_cached(turns_ds, MentionExtractor,
-                      {'factory_paths': tuple(factory_paths)},
-                      concurrency, batch_size)
-
-
-def project_triples(mentions_ds, factory_paths=DEFAULT_FACTORIES,
-                    batch_size=4096, concurrency=None):
-    """mentions Dataset -> triples Dataset (:class:`TripleProjector`
-    tasks)."""
-    return map_cached(mentions_ds, TripleProjector,
                       {'factory_paths': tuple(factory_paths)},
                       concurrency, batch_size)

@@ -6,10 +6,12 @@ check_tag) and /root/reference/tests/test_tagger.py:23-34 — a tagger
 annotates the token stream BETWEEN tokenization and parsing, and the
 ``tag()`` predicate consumes the annotations. The reference runs the
 tagger inline inside one process; here tagging is its own stage, run
-as tasks on warm workers, whose output carries ``tokens``/``tags`` as
-aligned ``list<string>`` Arrow columns, so a downstream extraction
-stage (or a model-backed NER stage swapped in at the same seam) can
-consume the tags without retagging. That is the 100 TB shape: the
+as tasks on warm workers, whose output carries the per-token ``tags``
+as a ``list<string>`` Arrow column, so a downstream extraction stage
+(or a model-backed NER stage swapped in at the same seam) can consume
+the tags without retagging. The consumer re-tokenizes ``text`` with
+the same deterministic tokenizer, so tags align with its tokens
+positionally and no token column travels. That is the 100 TB shape: the
 expensive tagger (in production: a model forward pass) runs once,
 its output is a narrow columnar annotation that travels through the
 object store, and any number of tag()-grammar consumers read it.
@@ -75,8 +77,8 @@ class SequenceTagger(Tagger):
 
 
 class BIOTagTokens:
-    """Stage 1: text -> aligned ``tokens``/``tags``
-    ``list<string>`` columns (original id + text preserved)."""
+    """Stage 1: text -> a ``tags`` ``list<string>`` column, one tag per
+    token (original id + text preserved)."""
 
     def __init__(self, vocab, name='ENT', id_column='doc_id',
                  text_column='text'):
@@ -88,15 +90,11 @@ class BIOTagTokens:
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch.column(self.id_column)
         texts = batch.column(self.text_column).to_pylist()
-        tokens_col, tags_col = [], []
-        for text in texts:
-            tagged = list(self.tagger(self.tokenizer(text)))
-            tokens_col.append([t.value for t in tagged])
-            tags_col.append([t.tag for t in tagged])
+        tags_col = [[t.tag for t in self.tagger(self.tokenizer(text))]
+                    for text in texts]
         return pa.table({
             self.id_column: ids,
             self.text_column: batch.column(self.text_column),
-            'tokens': pa.array(tokens_col, type=pa.list_(pa.string())),
             'tags': pa.array(tags_col, type=pa.list_(pa.string())),
         })
 
@@ -137,7 +135,7 @@ class TaggedPhraseExtractor:
 def bio_tag_tokens(ds, vocab, name='ENT', id_column='doc_id',
                    text_column='text', concurrency=(1, 8),
                    batch_size=256):
-    """documents Dataset -> same rows + ``tokens``/``tags`` columns."""
+    """documents Dataset -> same rows + a ``tags`` column."""
     return map_cached(ds, BIOTagTokens,
                       {'vocab': tuple(vocab), 'name': name,
                        'id_column': id_column, 'text_column': text_column},
