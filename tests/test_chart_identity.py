@@ -46,7 +46,7 @@ from yargy_ray.kernel import (
 )
 from yargy_ray.kernel import earley
 from yargy_ray.kernel.gazetteer import morph_pipeline, pipeline
-from yargy_ray.kernel.interp import custom
+from yargy_ray.kernel.interp import attribute, custom, normalized
 from yargy_ray.kernel.predicates import custom as custom_predicate
 from yargy_ray.kernel.predicates import eq, gram, tag
 from yargy_ray.kernel.records import Span, Token, best_nonoverlapping
@@ -244,22 +244,35 @@ def test_shared_child_breaks_rank_tie():
     assert len(list(parser.extract(text))) == 2
 
 
+def counting_constructors(monkeypatch):
+    """Count the ParseNode, ParseLeaf, ParseTree and Match objects built
+    from now on, by class name."""
+    built = Counter()
+    for cls in (earley.ParseNode, earley.ParseLeaf, earley.ParseTree,
+                earley.Match):
+        def counting(self, *args, init=cls.__init__, name=cls.__name__):
+            built[name] += 1
+            init(self, *args)
+        monkeypatch.setattr(cls, '__init__', counting)
+    return built
+
+
 def test_chart_builds_no_parse_nodes(monkeypatch, specs):
-    built = []
-    init = earley.ParseNode.__init__
-
-    def counting(self, *args):
-        built.append(self)
-        init(self, *args)
-
-    monkeypatch.setattr(earley.ParseNode, '__init__', counting)
+    built = counting_constructors(monkeypatch)
     parser = Parser(specs['money'].rule)
     columns = parser._chart_tokens(parser.tokenize(MONEY_TURN))
     assert sum(map(len, columns)) == PUSHED['money'][0]
-    assert built == []
+    assert not built
+    # the fused entry point folds a payload with no tree object either
+    tokens = parser.tokenize(TURNS[1])
+    [(span, state)] = parser.findall_spans(tokens)
+    assert span == (2, 5) and type(state) is tuple
+    assert parser.interpret(span, state).as_json == {
+        'amount': 4500, 'currency': 'RUB'}
+    assert not built
     # the counter does see the nodes a match needs
     assert list(parser.findall(TURNS[1]))
-    assert built
+    assert built['ParseNode'] and built['ParseTree'] and built['Match']
 
 
 def test_prepare_only_kept_spans_without_relations(monkeypatch):
@@ -290,6 +303,95 @@ def test_prepare_only_kept_spans_without_relations(monkeypatch):
     assert prepared == best_nonoverlapping(spans) == [(0, 1), (1, 3)]
     assert [[t.value for t in m.tokens] for m in matches] == [
         ['a'], ['b', 'c']]
+    # the fused entry point keeps the same spans, and prepares none
+    prepared.clear()
+    kept = parser.findall_spans(parser.tokenize('a b c'))
+    assert [span for span, _ in kept] == best_nonoverlapping(spans)
+    assert all(type(state) is tuple for _, state in kept)
+    assert prepared == []
+
+
+def test_fused_path_builds_no_trees(monkeypatch, specs):
+    # every relation-free shipped grammar folds each match of the sweep
+    # straight from the chart; person (relations) and a span with two
+    # final states still go through trees
+    built = counting_constructors(monkeypatch)
+    tokenizer = MorphTokenizer()
+    texts = sweep_texts()
+    folded = Counter()
+    for name, spec in specs.items():
+        parser = Parser(spec.rule, tokenizer=tokenizer)
+        for text in texts:
+            tokens = parser.tokenize(text)
+            built.clear()
+            kept = parser.findall_spans(tokens)
+            payloads = [parser.interpret(span, m).as_json for span, m in kept]
+            folded[name] += len(kept)
+            if name == 'person':
+                # every valid span is prepared before the selection
+                assert built['Match'] >= len(kept), text
+                assert all(type(m) is earley.Match for _, m in kept)
+                continue
+            assert not built, (name, text)
+            assert payloads == [m.tree.interpret().as_json for m in
+                                parser.findall_tokens(tokens)], text
+    assert set(folded) == set(specs) and all(folded.values())
+    # the grammar of test_shared_child_breaks_rank_tie: two final states
+    # for one span
+    a = rule(eq('x'), eq('y'))
+    b = or_(rule(eq('b'), or_(rule(eq('c')), rule(eq('z')))),
+            rule(eq('b'), eq('c')))
+    parser = Parser(rule(a, b))
+    assert not parser._relations
+    built.clear()
+    [(span, match)] = parser.findall_spans(parser.tokenize('x y b c'))
+    assert span == (0, 4) and type(match) is earley.Match
+    assert match.tree.root.children[1].rank == 0
+    # two ranked trees, then the pruned copy of the first
+    assert built['ParseTree'] == 3 and built['Match'] == 1
+
+
+def test_chart_fold_equals_tree_fold():
+    # the fold read from the chart gives what the pruned tree's fold
+    # gives: nested facts, a pruned nullable child that carries an
+    # interpretation, a gazetteer key, grammemes narrowed by gram()
+    F = fact('F', ['kind', 'word', 'number', 'tail'])
+    G = fact('G', ['inner', attribute('words').repeatable()])
+    kind = morph_pipeline(['улица', 'проспект']).interpretation(
+        F.kind.normalized())
+    word = gram('NOUN').interpretation(F.word.inflected({'plur'}))
+    number = eq('1').interpretation(F.number.custom(int))
+    nothing = empty().interpretation(F.tail.const('none'))
+    inner = rule(kind, word.optional(), number.optional(),
+                 nothing).interpretation(F)
+    grammars = [
+        rule(inner.interpretation(G.inner),
+             rule(gram('NOUN')).interpretation(G.words).repeatable()
+             .optional()).interpretation(G),
+        inner,
+        morph_pipeline(['улица', 'проспект']).interpretation(normalized()),
+    ]
+    texts = ['на улицы дома 1', 'на улице доме', 'проспект 1 дом дома',
+             'улица', 'x']
+    compared = 0
+    for grammar in grammars:
+        parser = Parser(grammar)
+        for text in texts:
+            tokens = parser.tokenize(text)
+            finals = []
+            parser._chart_tokens(tokens, finals=finals)
+            for span, state in finals:
+                if span[0] == span[1]:
+                    continue
+                tree = earley.ParseTree(
+                    earley._pruned(state, {}, parser._table), span)
+                expected = tree.interpret()
+                got = earley._fold_state(state, span[1], parser._table)
+                assert type(got) is type(expected), text
+                assert got.as_json == expected.as_json, text
+                assert got.normalized == expected.normalized, text
+                compared += 1
+    assert compared > 10
 
 
 def test_relation_grammar_falls_back_to_next_tree():
@@ -763,6 +865,20 @@ def test_fused_path_equals_mention_path():
     planted_mentions = planted(TripleExtractor()).extract(turns_table(plants))
     rules = Counter(planted_mentions.column('rule').to_pylist())
     assert rules[CAPPED_RULE] == 3 and 'attribute' not in rules
+
+
+def test_extractor_counts_what_it_drops():
+    # one pathological turn (money over its 5-state budget) and one bad
+    # fact (a TypeError in the interpretation) count once each; a memo
+    # hit repeats their rows but counts nothing
+    extractor = planted(TripleExtractor()).extract
+    assert (extractor.quarantined, extractor.capped) == (0, 0)
+    rows = extractor(turns_table([TURNS[1], 'a 1', TURNS[1], 'a 1',
+                                  TURNS[0]]))
+    assert (extractor.quarantined, extractor.capped) == (1, 1)
+    rules = rows.column('rule').to_pylist()
+    assert rules.count(CAPPED_RULE) == 2 and 'attribute' not in rules
+    assert 'date' in rules
 
 
 def test_payloads_survive_a_json_round_trip():

@@ -22,9 +22,11 @@ Additions over the reference:
   satisfies (memoized by token features), and each rule a plan of
   ``(first_bits, item)`` per production. Prediction keeps the
   productions whose bits meet the lookahead's mask, cached per (rule,
-  mask) (``_firsts``); the start-rule pre-scan is one AND on the union
-  of the masks. No state is ever derived twice, so columns keep no
-  per-state dedup keys (see ``_chart_tokens``). Each column but the
+  mask) (``_firsts``); the chart reads that memo inline, through the
+  item table, and calls ``_firsts`` only on a miss or for a gazetteer
+  rule. The start-rule pre-scan is one AND on the union of the masks.
+  No state is ever derived twice, so columns keep no per-state dedup
+  keys (see ``_chart_tokens``). Each column but the
   end-of-input one holds the same
   states, in the same order, as plain Earley prediction with per-state
   dedup would push: the state budget and tree tie-breaking count on that.
@@ -57,11 +59,12 @@ Additions over the reference:
   no :class:`ParseLeaf`. Trees are built on demand by walking ``prev``
   back (``_node``), memoized per chart by state id, so parents sharing
   a completed child share its node, and trees sharing a scanned state
-  its leaf, whose token the leaf's predicate constrains then.
-  ``_resolve`` groups final states by span and
-  builds and sorts trees only within a span; for a grammar without
-  relations it prepares a match only for the spans
-  ``best_nonoverlapping`` keeps, and with no agreement pass
+  its leaf, whose token the leaf's predicate constrains then. The chart
+  collects its final states (completed start-rule states) as it
+  completes them, so resolving rescans no column. ``_resolve`` groups
+  final states by span and builds and sorts trees only within a span;
+  for a grammar without relations it prepares a match only for the
+  spans ``best_nonoverlapping`` keeps, and with no agreement pass
   (``_prepare_plain``).
 * Acyclic chart. A state holds its origin as a column index; its stop
   is the index of the column holding it. States are tuples of ints,
@@ -81,15 +84,26 @@ Additions over the reference:
   building a chart; the skip is exact, since a rejected turn's chart has
   no final state. ``_chart_tokens`` does not test them, so it still
   builds every chart the start pre-scan lets through.
-* One-pass trees. A kept span with a single final state needs no
-  ranking, so a grammar without relations builds its pruned tree straight
-  from the ``prev`` chain (``_pruned``), with no unpruned node. The
-  interpretation fold walks the tree with an accumulator, not a
-  generator per node.
-* Lazy match tokens. A chart span ``(i, j)`` consumes exactly the tokens
-  ``i .. j - 1``, so a :class:`Match` takes its char span from those
-  tokens and walks its tree for ``tokens`` only when asked (a grammar
-  with relations takes them when it constrains the tree).
+* Folds straight from the chart. A kept span with a single final state
+  needs no ranking, so for a grammar without relations
+  ``findall_spans`` hands out the state itself, and ``interpret`` folds
+  its interpretation result by walking the ``prev`` chain once
+  (``_fold_state``): a completed child that covers no token is skipped
+  (the one ``_pruned`` drops), each scanned token goes through its
+  predicate's ``constrain`` (as ``_leaf``), and a gazetteer
+  production's key comes from the item table. No :class:`ParseNode`,
+  :class:`ParseLeaf`, :class:`ParseTree` or :class:`Match` is built.
+  Trees remain for a span with several final states (ranked by
+  ``ParseTree.__lt__``), for every span of a grammar with relations,
+  and for ``findall``, ``trees``, ``match``, ``extract`` and
+  ``explain``; ``findall`` builds a single-final span's pruned tree
+  straight from the ``prev`` chain (``_pruned``), with no unpruned
+  node.
+* Match tokens from the span. A chart span ``(i, j)`` consumes exactly
+  the tokens ``i .. j - 1``, so a match's char span and token values
+  come from those tokens; a :class:`Match` walks its tree for
+  ``tokens`` only when asked (a grammar with relations takes them when
+  it constrains the tree).
 * One lexer pass. :class:`Lexer` tokenizes a text, attaches morphology
   and computes token masks in one regex loop, memoized by ``(value,
   regex group)``; the extraction stage runs it once per turn for all
@@ -100,6 +114,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import or_
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .grammar import BNFRule as BNFRuleType
@@ -317,14 +332,24 @@ class ItemTable:
       rule; None for a gazetteer phrase term, which is called;
     * ``done`` — ``id`` of the rule of a completed item (the key its
       waiting parents sit under), else None;
-    * ``final`` — whether it is a completed item of the start rule.
+    * ``final`` — whether it is a completed item of the start rule;
+    * ``firsts`` — the prediction memo (lookahead mask -> ``(item,
+      waiting key)`` list, see ``Parser._firsts``) of the BNF rule after
+      the dot; an empty read-only mapping for anything else, so a
+      gazetteer rule (which predicts by token) always misses;
+    * ``interp`` — the rule's interpretator, and ``key`` the gazetteer
+      key of the production (None unless it is a :class:`GazProd`): what
+      the interpretation fold reads of a completed item.
     """
 
-    __slots__ = ('start', 'rule', 'production', 'rank', 'dot', 'term',
-                 'wait', 'bit', 'done', 'final')
+    __slots__ = ('start', 'memos', 'rule', 'production', 'rank', 'dot',
+                 'term', 'wait', 'bit', 'done', 'final', 'firsts',
+                 'interp', 'key')
 
-    def __init__(self, start):
+    def __init__(self, start, memos):
         self.start = start
+        # id(BNF rule) -> its prediction memo
+        self.memos = memos
         self.rule = []
         self.production = []
         self.rank = []
@@ -334,6 +359,9 @@ class ItemTable:
         self.bit = []
         self.done = []
         self.final = []
+        self.firsts = []
+        self.interp = []
+        self.key = []
 
     def add(self, rule, rank, production, bits):
         """The first id of the items of ``(rule, rank, production)``.
@@ -343,11 +371,14 @@ class ItemTable:
         """
         first = len(self.rule)
         terms = production.terms
+        key = production.value if isinstance(production, GazProd) else None
         for dot in range(len(terms) + 1):
             self.rule.append(rule)
             self.production.append(production)
             self.rank.append(rank)
             self.dot.append(dot)
+            self.interp.append(rule.interpretator)
+            self.key.append(key)
             if dot < len(terms):
                 term = terms[dot]
                 self.term.append(term)
@@ -356,13 +387,19 @@ class ItemTable:
                                 else bits[id(term)])
                 self.done.append(None)
                 self.final.append(False)
+                self.firsts.append(self.memos.get(id(term), _NO_MEMO))
             else:
                 self.term.append(None)
                 self.wait.append(None)
                 self.bit.append(None)
                 self.done.append(id(rule))
                 self.final.append(rule is self.start)
+                self.firsts.append(_NO_MEMO)
         return first
+
+
+# the prediction memo of what has none: every lookup misses
+_NO_MEMO = MappingProxyType({})
 
 
 class StateView(NamedTuple):
@@ -446,6 +483,42 @@ def _trees(finals, table):
     """One ParseTree per ``(span, state)`` final pair, sharing one memo."""
     memo = {}
     return [ParseTree(_node(s, memo, table), span) for span, s in finals]
+
+
+def _fold_state(state, stop, table):
+    """``_fold`` of the pruned tree of ``state``, a completed state that
+    stops before token ``stop`` and covers a token, read straight from
+    the chart: no :class:`ParseNode` and no :class:`ParseLeaf`."""
+    values = _significant_back(state, stop, [], table)
+    values.reverse()
+    item = state[0]
+    return table.interp[item](values, table.key[item])
+
+
+def _significant_back(state, stop, values, table):
+    """``_significant`` of the pruned node of ``state`` (stopping before
+    token ``stop``), appended to ``values`` right to left, as its
+    ``prev`` chain runs. A completed child that covers no token is the
+    one ``_pruned`` drops; a scanned token goes through its predicate's
+    ``constrain``, as ``_leaf`` does."""
+    interp = table.interp
+    prev = state[2]
+    while prev is not None:
+        child = state[3]
+        if type(child) is tuple:
+            origin = child[1]
+            if origin < stop:
+                if interp[child[0]]:
+                    values.append(_fold_state(child, stop, table))
+                else:
+                    _significant_back(child, stop, values, table)
+            stop = origin
+        else:
+            values.append(table.term[state[0] - 1].constrain(child))
+            stop -= 1
+        state = prev
+        prev = state[2]
+    return values
 
 
 def _char_span(tokens, range_):
@@ -724,9 +797,10 @@ class Parser:
         * ``self._plan[id(rule)]`` — ``(first_bits, item)`` per
           production of a BNF rule, ``item`` its dot-0 item. ``_firsts``
           keeps those whose bits meet the lookahead's mask, cached per
-          rule and mask: a dropped production could never scan nor
-          complete, so pruning is exact, and ranks keep their un-pruned
-          indices.
+          rule and mask (``self._firsts_memo[id(rule)]``, which the
+          chart reads through ``ItemTable.firsts``): a dropped
+          production could never scan nor complete, so pruning is exact,
+          and ranks keep their un-pruned indices.
         * ``self._start_bits`` — the start rule's FIRST bits (its own bit
           for a gazetteer start rule). Unless the start rule is nullable,
           a token stream none of whose masks meets them needs no chart
@@ -812,12 +886,12 @@ class Parser:
                 for term in prod.terms:
                     if not term.is_rule:
                         bit(term)
-        self._table = ItemTable(self.rule)
+        self._firsts_memo = {id(r): {} for r in rules}
+        self._table = ItemTable(self.rule, self._firsts_memo)
         self._plan = {
             id(r): [(first, self._table.add(r, rank, prod, self.space.bits))
                     for rank, prod, first in plan]
             for r, plan in plans}
-        self._firsts_memo = {id(r): {} for r in rules}
         self._gazetteer_items = {}
         self._required = _required_sets(self.rule, rules, self.space.bits)
 
@@ -827,12 +901,17 @@ class Parser:
 
     # -- chart construction --------------------------------------------------
 
-    def _chart_tokens(self, tokens, everywhere=True, masks=None):
+    def _chart_tokens(self, tokens, everywhere=True, masks=None,
+                      finals=None):
         """Earley columns over ``tokens`` (``[]`` when the start rule
         cannot begin anywhere): column ``i`` lists the states that stop
         before token ``i``. ``masks`` is the tokens' ``(masks, union)``
-        pair from this parser's space, when already known."""
+        pair from this parser's space, when already known. A ``finals``
+        list gets ``((origin, stop), state)`` of every completed
+        start-rule state as it completes, in ``_final_states`` order."""
         masks, union = masks if masks is not None else self._masks(tokens)
+        if finals is None:
+            finals = []
         start_bits = self._start_bits
         if everywhere and not start_bits & 1 and not union & start_bits:
             return []
@@ -844,9 +923,11 @@ class Parser:
         waits = [None] * n
         table = self._table
         done, wait, bits, terms = table.done, table.wait, table.bit, table.term
+        memos = table.firsts
         firsts = self._firsts
         start_rule = self.rule
         start_key = id(start_rule)
+        start_memo = self._firsts_memo.get(start_key, _NO_MEMO)
         budget = self.max_states
         pushed = 0  # states in the columns already processed
         for ci in range(n):
@@ -857,8 +938,12 @@ class Parser:
             else:  # end of input: a token whose mask is bit 0 only
                 ahead, token, mask = (), None, 1
             starting = ci == 0 or everywhere
-            seeds = firsts(start_rule, mask, token) if (
-                starting and mask & start_bits) else ()
+            if starting and mask & start_bits:
+                seeds = start_memo.get(mask)
+                if seeds is None:
+                    seeds = firsts(start_rule, mask, token)
+            else:
+                seeds = ()
             if not column and not seeds:
                 continue
             current = waits[ci]
@@ -881,6 +966,8 @@ class Parser:
                 item = state[0]
                 key = done[item]
                 if key is not None:
+                    if key == start_key:
+                        finals.append(((state[1], ci), state))
                     # complete: advance each parent waiting at the origin
                     # (when that is this column, the list grows meanwhile)
                     for parent in waits[state[1]].get(key, ()):
@@ -899,8 +986,10 @@ class Parser:
                     if key is not None:
                         if key not in predicted:
                             predicted.add(key)
-                            for after, key in firsts(
-                                    terms[item], mask, token):
+                            found = memos[item].get(mask)
+                            if found is None:
+                                found = firsts(terms[item], mask, token)
+                            for after, key in found:
                                 new = (after, ci, None, None)
                                 column.append(new)
                                 if key is not None:
@@ -1016,24 +1105,55 @@ class Parser:
         masks once for every parser on the space. A stream whose union
         mask misses a required set (``_build_first``) gets no chart.
         """
+        return [match for _, match in self.findall_spans(tokens, masks,
+                                                         fold=False)]
+
+    def findall_spans(self, tokens, masks=None, fold=True):
+        """The matches of ``findall_tokens`` as ``(span, match)`` pairs,
+        with no tree where none is needed.
+
+        ``span`` is the match's chart span ``(i, j)``: it consumes the
+        tokens ``i .. j - 1``. For a grammar without relations, a span
+        with one final state (the common case) comes as that state,
+        from which :meth:`interpret` folds the interpretation result
+        with no :class:`ParseNode`, :class:`ParseTree` or
+        :class:`Match`; any other span, or every span unless ``fold``,
+        comes as its :class:`Match`.
+        """
         if masks is None:
             masks = self._masks(tokens)
         union = masks[1]
         for required in self._required:
             if not union & required:
                 return []
-        return self._resolve(self._chart_tokens(tokens, masks=masks), tokens)
+        finals = []
+        self._chart_tokens(tokens, masks=masks, finals=finals)
+        return self._resolve(finals, tokens, fold)
+
+    def interpret(self, span, match):
+        """The interpretation result of a :meth:`findall_spans` pair:
+        ``match.tree.interpret()``, folded straight from the chart when
+        ``match`` is a final state. Raises what that raises."""
+        if type(match) is not tuple:
+            return match.tree.interpret()
+        if self.rule.interpretator is None:
+            raise ValueError('root rule has no .interpretation(...)')
+        return _fold_state(match, span[1], self._table)
 
     def findall(self, text):
         """All non-overlapping matches, maximum-coverage, span order."""
         return self.findall_tokens(self.tokenize(text))
 
-    def _resolve(self, columns, tokens):
-        """Matches as the reference picks them (sort the final trees,
-        prepare each span's first valid tree, select spans), building
-        trees only for the spans that need them."""
+    def _resolve(self, finals, tokens, fold):
+        """``(span, match)`` per match, as the reference picks them (sort
+        the final trees, prepare each span's first valid tree, select
+        spans), building trees only for the spans that need them.
+        ``finals`` are ``((origin, stop), state)`` pairs in
+        ``_final_states`` order. With ``fold``, a kept span of a grammar
+        without relations that has one final state comes as that state
+        (see :meth:`findall_spans`)."""
         by_span = {}
-        for span, state in self._final_states(columns):
+        for span, state in finals:
             by_span.setdefault(span, []).append(state)
         if not by_span:
             return []
@@ -1050,18 +1170,22 @@ class Parser:
             # Without relations a tree is valid iff it covers a token, and
             # preparing it rewrites no token: prepare only the kept spans,
             # with no agreement pass. A span with one final state needs no
-            # ranking, so its pruned tree is built straight from the chart.
-            matches = []
+            # ranking, so its pruned tree is built straight from the chart,
+            # or not at all when the caller folds the state itself.
+            kept = []
             for span in best_nonoverlapping(
                     [s for s in spans if s[0] < s[1]]):
                 states = by_span[span]
-                if len(states) == 1:
-                    matches.append(Match(
-                        ParseTree(_pruned(states[0], memo, table), span),
-                        _char_span(tokens, span)))
+                if len(states) > 1:
+                    kept.append(
+                        (span, _prepare_plain(ranked(span)[0], tokens)))
+                elif fold:
+                    kept.append((span, states[0]))
                 else:
-                    matches.append(_prepare_plain(ranked(span)[0], tokens))
-            return matches
+                    kept.append((span, Match(
+                        ParseTree(_pruned(states[0], memo, table), span),
+                        _char_span(tokens, span))))
+            return kept
         # constrain() rewrites leaves other spans' trees share, so every
         # span is prepared, in order, before any is dropped
         valid = []
@@ -1073,7 +1197,7 @@ class Parser:
                     valid.append(span)
                     chosen[span] = match
                     break
-        return [chosen[span] for span in best_nonoverlapping(valid)]
+        return [(span, chosen[span]) for span in best_nonoverlapping(valid)]
 
     def find(self, text):
         for match in self.findall(text):

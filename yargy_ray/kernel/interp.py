@@ -338,21 +338,38 @@ class NormalizerResult:
         return self.value
 
 
+def _layout(scheme):
+    """``(repeatable, defaults)`` of a fact class: the frozenset of its
+    repeatable attribute names, and each attribute's default in
+    ``__attributes__`` order (None for a repeatable one, whose builder
+    gets a fresh list). Computed once per class, kept in its
+    ``__dict__``."""
+    layout = scheme.__dict__.get('_layout')
+    if layout is None:
+        repeatable = set()
+        defaults = {}
+        for key in scheme.__attributes__:
+            spec = getattr(scheme, key)
+            if isinstance(spec, RepeatableAttribute):
+                repeatable.add(key)
+                defaults[key] = None
+            else:
+                defaults[key] = spec.default
+        layout = (frozenset(repeatable), defaults)
+        scheme._layout = layout
+    return layout
+
+
 class FactBuilder:
     """Mutable fact under construction during the interpretation fold."""
 
     def __init__(self, scheme):
         self.scheme = scheme
-        self.repeatable = set()
+        self.repeatable, defaults = _layout(scheme)
         self.modified = set()
-        self.attributes = {}
-        for key in scheme.__attributes__:
-            spec = getattr(scheme, key)
-            if isinstance(spec, RepeatableAttribute):
-                self.repeatable.add(key)
-                self.attributes[key] = []
-            else:
-                self.attributes[key] = spec.default
+        self.attributes = dict(defaults)
+        for key in self.repeatable:
+            self.attributes[key] = []
 
     def put(self, key, value):
         if key in self.repeatable:
@@ -435,7 +452,10 @@ class FactInterpretator(Interpretator):
 
 def _chain_or_single(items, key):
     """Shared input-shaping: all tokens -> Chain; single result passes."""
-    if all(isinstance(i, Token) for i in items):
+    for item in items:
+        if not isinstance(item, Token):
+            break
+    else:
         return Chain(items, key)
     if len(items) == 1:
         return items[0]
@@ -463,9 +483,10 @@ class AttributeInterpretator(Interpretator):
 class NormalizerInterpretator(Interpretator):
     def __init__(self, normalizer):
         self.normalizer = normalizer
+        self.const = isinstance(normalizer, ConstNormalizer)
 
     def __call__(self, items, key=None):
-        if isinstance(self.normalizer, ConstNormalizer):
+        if self.const:
             source = Chain([], key)
             value = self.normalizer.value
         else:

@@ -170,7 +170,11 @@ class MorphToken(Token):
     __slots__ = ('forms_',)
 
     def __init__(self, value, span, type, forms):
-        Token.__init__(self, value, span, type)
+        # Token.__init__ inlined: the lexer and constrain() build one per
+        # Russian word
+        self.value = value
+        self.span = span
+        self.type = type
         self.forms_ = forms
 
     @property
@@ -285,6 +289,8 @@ def best_nonoverlapping(spans):
     switches to the suffix solution).
     """
     n = len(spans)
+    if n < 2:
+        return list(spans)
     starts = [start for start, _ in spans]
     # nxt[i]: first index j with spans[j].start >= spans[i].stop (n: none)
     nxt = [bisect_left(starts, stop) for _, stop in spans]

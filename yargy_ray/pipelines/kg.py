@@ -19,7 +19,8 @@ query and step 1 of
 :func:`~yargy_ray.pipelines.incremental.merge_kg_delta`. Consumers that
 count triple OCCURRENCES (co-mention, entity stats, degrees, weights)
 read :func:`extract_triples` directly. The fused map builds no mention
-rows and no JSON text, and walks no tree for tokens.
+rows and no JSON text, and for a grammar without relations no parse
+tree.
 
 Scale notes (BASELINE.json north_rule):
 * Extraction is embarrassingly parallel over turns — the dominant cost
@@ -165,7 +166,8 @@ class TripleExtractor:
     Triples come straight from the interpretation payloads of
     :meth:`MentionExtractor.hits`, through the projector's own
     :meth:`TripleProjector.emit`: the fused path builds no mention rows
-    and no JSON text, and walks no tree for tokens. Its rows equal
+    and no JSON text, and for a grammar without relations folds each
+    payload straight from the chart, with no parse tree. Its rows equal
     ``_with_tkey(project(extract(batch)))``, which ``extract`` and
     ``project`` still compute on their own.
     """

@@ -21,20 +21,27 @@ The hot path of the engine. Design (SURVEY §2.7, §3):
   so most grammar×turn pairs never start an Earley chart. The shipped
   grammars need no regex ``gate``; a user grammar may set one as a hint
   that skips the turn for that grammar before it is even tokenized.
+* Payloads come straight from the chart. ``Parser.findall_spans``
+  gives each kept match as its chart span and, for a grammar without
+  relations and a span with one final state, that state, which
+  ``Parser.interpret`` folds into the interpretation result with no
+  parse tree and no ``Match``; the char span and token values come from
+  the turn's tokens the span covers. ``person`` (agreement relations)
+  and a span with several final states still go through trees.
 * A per-document state budget bounds worst-case parse work; capped
   turns are reported as ``rule='_capped'`` mention rows (dropped by
   triple projection, so the KG build does not count them) instead of
-  failing the job.
+  failing the job. Each extractor counts the charts it capped and the
+  matches it quarantined (``capped``, ``quarantined``).
 * The per-text memo (``MentionExtractor.hits``) keeps each match's
   interpretation payload and covered token values, not rows: mention
   rows and their ``fact_json`` are built from it on demand. Triples
   have one production stage, the fused ``pipelines.kg.TripleExtractor``
   (``extract_triples``): it feeds the payloads straight to
   ``TripleProjector.emit`` and emits every occurrence, building no
-  mention rows and no JSON text, and walking no tree for tokens. Mention
-  rows (``extract_mentions``) serve the document-scope queries;
-  ``TripleProjector()`` over them is the in-process reference the fused
-  rows are tested against.
+  mention rows and no JSON text. Mention rows (``extract_mentions``)
+  serve the document-scope queries; ``TripleProjector()`` over them is
+  the in-process reference the fused rows are tested against.
 * Output is built with Arrow arrays directly — no pandas detour.
 
 Extraction is per-turn (the reference semantics is per-document over a
@@ -124,6 +131,11 @@ class MentionExtractor:
         # one regex pass per turn: tokens, morphology and masks
         self.lex = Lexer(self.tokenizer, self.space)
         self._result_cache = OrderedDict()
+        # what extraction dropped: matches whose interpretation raised
+        # TypeError, and grammar x turn charts that hit the state budget
+        # (memo hits count nothing)
+        self.quarantined = 0
+        self.capped = 0
 
     def hits(self, text):
         """Every ``(rule, start, stop, payload, values)`` of one text.
@@ -132,7 +144,12 @@ class MentionExtractor:
         value and ``values`` those of the turn's tokens the match covers
         (a chart span consumes exactly its columns' tokens, so no tree
         is walked for them); a capped grammar gives ``(CAPPED_RULE, 0,
-        0, {'grammar': name}, [])``.
+        0, {'grammar': name}, [])`` and counts in ``capped``. A match
+        whose interpretation raises ``TypeError`` (mixed-type input) is
+        quarantined: it gives no hit and counts in ``quarantined``.
+        Payloads come from ``Parser.findall_spans``/``Parser.interpret``,
+        so a grammar without relations folds most matches straight from
+        the chart, building no parse tree.
 
         Memoized per instance in an LRU of ``RESULT_CACHE_SIZE`` texts:
         extraction output is TEXT-INTRINSIC (spans, rules and facts carry
@@ -155,25 +172,29 @@ class MentionExtractor:
             if tokens is None:
                 tokens, masks = self.lex(text)
             try:
-                matches = parser.findall_tokens(tokens, masks)
+                matches = parser.findall_spans(tokens, masks)
             except StateOverflow:
+                self.capped += 1
                 hits.append((CAPPED_RULE, 0, 0, {'grammar': spec.name}, []))
                 continue
-            for match in matches:
+            interpret = parser.interpret
+            for span, match in matches:
                 try:
                     # fact_payload(match.fact) without building the Fact:
                     # a Fact's JSON is its builder's
-                    result = match.tree.interpret()
+                    result = interpret(span, match)
                     if isinstance(result, FactResult):
                         payload = result.as_json
                     else:
                         payload = fact_payload(result.normalized)
                 except TypeError:
                     # mixed-type interpretation — quarantine, don't fail
+                    self.quarantined += 1
                     continue
-                first, last = match.tree.range
-                hits.append((spec.name, match.span.start, match.span.stop,
-                             payload, [t.value for t in tokens[first:last]]))
+                first, last = span
+                hits.append((spec.name, tokens[first].span.start,
+                             tokens[last - 1].span.stop, payload,
+                             [t.value for t in tokens[first:last]]))
         cache[text] = hits
         if len(cache) > RESULT_CACHE_SIZE:
             cache.popitem(last=False)
