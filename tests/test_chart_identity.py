@@ -44,7 +44,7 @@ from yargy_ray.kernel import (
     or_,
     rule,
 )
-from yargy_ray.kernel import earley
+from yargy_ray.kernel import earley, interp
 from yargy_ray.kernel.gazetteer import morph_pipeline, pipeline
 from yargy_ray.kernel.interp import attribute, custom, normalized
 from yargy_ray.kernel.predicates import custom as custom_predicate
@@ -126,6 +126,40 @@ def test_state_budget_counts_pushed_states(specs):
     # required sets skip its chart, so no budget overflows on it
     assert sum(column_sizes(Parser(grammar), MONEY_TURN)) > n
     assert list(Parser(grammar, max_states=n - 1).findall(MONEY_TURN)) == []
+
+
+# Per grammar and TURNS entry: the StateOverflow argument of
+# ``_chart_tokens`` at each budget 0 .. n - 1 (n the chart's states),
+# taken when the budget test summed the column sizes after every state.
+OVERFLOWS = {
+    ('money', 1): [3, 3, 3, 4, 5, 6, 7, 8, 9, 10, 12, 12, 13, 14, 15, 16,
+                   17],
+    ('person', 8): [3, 3, 3, 4, 5, 6, 8, 8, 9, 10, 11, 12, 13, 15, 15, 16,
+                    17, 19, 19],
+    ('title', 2): [2, 2, 3, 5, 5, 6, 7, 9, 9, 10, 11, 12, 13, 14, 15, 16,
+                   17],
+}
+
+
+def test_state_budget_boundary(specs):
+    # a chart of exactly max_states states passes, one state less
+    # overflows; every smaller budget raises after the same state, with
+    # the count of states pushed by then
+    for (name, index), expected in OVERFLOWS.items():
+        parser = Parser(specs[name].rule)
+        tokens = parser.tokenize(TURNS[index])
+        n = PUSHED[name][index]
+        assert len(expected) == n
+        parser.max_states = n
+        assert sum(map(len, parser._chart_tokens(tokens))) == n
+        got = []
+        for budget in range(n):
+            parser.max_states = budget
+            with pytest.raises(StateOverflow) as raised:
+                parser._chart_tokens(tokens)
+            got.append(raised.value.args[0])
+        assert got == expected, name
+        assert got[-1] == n
 
 
 def test_empty_rule_shared_by_two_rules():
@@ -265,7 +299,7 @@ def test_chart_builds_no_parse_nodes(monkeypatch, specs):
     assert not built
     # the fused entry point folds a payload with no tree object either
     tokens = parser.tokenize(TURNS[1])
-    [(span, state)] = parser.findall_spans(tokens)
+    [(span, state)] = parser.findall_spans(tokens, leaves={})
     assert span == (2, 5) and type(state) is tuple
     assert parser.interpret(span, state).as_json == {
         'amount': 4500, 'currency': 'RUB'}
@@ -305,16 +339,18 @@ def test_prepare_only_kept_spans_without_relations(monkeypatch):
         ['a'], ['b', 'c']]
     # the fused entry point keeps the same spans, and prepares none
     prepared.clear()
-    kept = parser.findall_spans(parser.tokenize('a b c'))
+    kept = parser.findall_spans(parser.tokenize('a b c'), leaves={})
     assert [span for span, _ in kept] == best_nonoverlapping(spans)
     assert all(type(state) is tuple for _, state in kept)
     assert prepared == []
 
 
 def test_fused_path_builds_no_trees(monkeypatch, specs):
-    # every relation-free shipped grammar folds each match of the sweep
-    # straight from the chart; person (relations) and a span with two
-    # final states still go through trees
+    # every shipped grammar folds each match of the sweep straight from
+    # the chart, person (relations) included: its agreement pass runs
+    # over the chart states and writes the constrained tokens into the
+    # leaves map its folds read. A span with two final states builds
+    # trees only to rank them.
     built = counting_constructors(monkeypatch)
     tokenizer = MorphTokenizer()
     texts = sweep_texts()
@@ -324,31 +360,94 @@ def test_fused_path_builds_no_trees(monkeypatch, specs):
         for text in texts:
             tokens = parser.tokenize(text)
             built.clear()
-            kept = parser.findall_spans(tokens)
-            payloads = [parser.interpret(span, m).as_json for span, m in kept]
+            leaves = {}
+            kept = parser.findall_spans(tokens, leaves=leaves)
+            assert all(type(state) is tuple for _, state in kept)
+            results = [parser.interpret(span, state, leaves).as_json
+                       for span, state in kept]
+            payloads = [parser.payload(span, state, leaves)
+                        for span, state in kept]
             folded[name] += len(kept)
-            if name == 'person':
-                # every valid span is prepared before the selection
-                assert built['Match'] >= len(kept), text
-                assert all(type(m) is earley.Match for _, m in kept)
-                continue
             assert not built, (name, text)
-            assert payloads == [m.tree.interpret().as_json for m in
-                                parser.findall_tokens(tokens)], text
+            matches = parser.findall_tokens(tokens)
+            assert [span for span, _ in kept] == [
+                m.tree.range for m in matches], text
+            expected = [m.tree.interpret().as_json for m in matches]
+            assert results == payloads == expected, text
+        # without a leaves map each span comes as its Match
+        kept = parser.findall_spans(parser.tokenize(TURNS[7]))
+        assert all(type(m) is earley.Match for _, m in kept)
     assert set(folded) == set(specs) and all(folded.values())
     # the grammar of test_shared_child_breaks_rank_tie: two final states
-    # for one span
+    # for one span; the state of the first ranked tree is folded
     a = rule(eq('x'), eq('y'))
     b = or_(rule(eq('b'), or_(rule(eq('c')), rule(eq('z')))),
             rule(eq('b'), eq('c')))
     parser = Parser(rule(a, b))
     assert not parser._relations
     built.clear()
-    [(span, match)] = parser.findall_spans(parser.tokenize('x y b c'))
-    assert span == (0, 4) and type(match) is earley.Match
-    assert match.tree.root.children[1].rank == 0
-    # two ranked trees, then the pruned copy of the first
-    assert built['ParseTree'] == 3 and built['Match'] == 1
+    [(span, state)] = parser.findall_spans(parser.tokenize('x y b c'),
+                                           leaves={})
+    assert span == (0, 4) and type(state) is tuple
+    assert parser.view(parser.view(state).child).rank == 0
+    assert built['ParseTree'] == 2 and not built['Match']
+
+
+def relation_turns():
+    """A grammar whose spans share a scanned state under one relation,
+    and the turns where an earlier span's ``constrain`` changes a later
+    span's validity, or a later span's changes an earlier one's fold."""
+    gnc = gnc_relation()
+    F = fact('F', ['adj', 'noun', 'word', 'verb'])
+    adj = gram('ADJF').interpretation(F.adj.inflected()).match(gnc)
+    noun = gram('NOUN').interpretation(F.noun.inflected()).match(gnc)
+    word = eq('стали').interpretation(F.word.normalized()).match(gnc)
+    verb = gram('VERB').interpretation(F.verb.normalized()).match(gnc)
+    grammar = or_(
+        rule(adj, noun),
+        rule(noun, adj, eq('дома')),
+        rule(eq('ну'), word),
+        rule(word, verb),
+    ).interpretation(F)
+    turns = {
+        # (0, 2) narrows 'стали' to singular forms, so the longer
+        # (1, 4) fails agreement with the plural 'старые'
+        'новой стали старые дома': [
+            (['новой', 'стали'], {'adj': 'новый', 'noun': 'сталь'}),
+            (['старые', 'дома'], {'adj': 'старый', 'noun': 'дом'})],
+        'стали старые дома': [
+            (['стали', 'старые', 'дома'],
+             {'adj': 'старый', 'noun': 'сталь'})],
+        # (1, 3), dropped, narrows 'стали' to its verb reading after
+        # (0, 2) is prepared: the kept span's fold reads that rewrite
+        'ну стали были': [(['ну', 'стали'], {'word': 'стать'})],
+        'ну стали': [(['ну', 'стали'], {'word': 'сталь'})],
+    }
+    return grammar, turns
+
+
+def test_relation_spans_share_constrained_leaves(monkeypatch):
+    grammar, turns = relation_turns()
+    parser = Parser(grammar)
+    assert parser._relations
+    built = counting_constructors(monkeypatch)
+    for text, expected in turns.items():
+        tokens = parser.tokenize(text)
+        built.clear()
+        leaves = {}
+        kept = parser.findall_spans(tokens, leaves=leaves)
+        got = [([t.value for t in tokens[start:stop]],
+                parser.payload((start, stop), state, leaves))
+               for (start, stop), state in kept]
+        assert got == [
+            ([t.value for t in tokens[start:stop]],
+             parser.interpret((start, stop), state, leaves).as_json)
+            for (start, stop), state in kept]
+        assert not built, text
+        assert got == expected, text
+        # the tree path picks the same matches and folds the same facts
+        assert [([t.value for t in m.tokens], m.tree.interpret().as_json)
+                for m in parser.findall(text)] == expected, text
 
 
 def test_chart_fold_equals_tree_fold():
@@ -392,6 +491,115 @@ def test_chart_fold_equals_tree_fold():
                 assert got.normalized == expected.normalized, text
                 compared += 1
     assert compared > 10
+
+
+class Upper(interp.Interpretator):
+    """A user interpretator, which no payload plan models."""
+
+    def __call__(self, items, key=None):
+        chain = interp.Chain(items, key)
+        return interp.NormalizerResult(chain.normalized.upper(), chain)
+
+
+def test_payload_plans_equal_result_fold():
+    # the payload fold through the item table's plans gives the payload
+    # of the tree's result objects (interp.result_payload), raises
+    # TypeError where they raise it, and folds a case no plan models
+    # through result objects
+    F = fact('F', ['kind', 'word', 'number', 'tail'])
+    G = fact('G', ['inner', attribute('words').repeatable(), 'extra'])
+    Sub = type('Sub', (G,), {})
+    H = fact('H', ['x', 'y'])
+    kind = morph_pipeline(['улица', 'проспект']).interpretation(
+        F.kind.normalized().custom(str.upper))
+    word = gram('NOUN').interpretation(F.word.inflected({'plur'}))
+    number = eq('1').interpretation(F.number.custom(int))
+    nothing = empty().interpretation(F.tail.const('none'))
+    inner = rule(kind, word.optional(), number.optional(),
+                 nothing).interpretation(F)
+    words = rule(gram('NOUN')).interpretation(G.words).repeatable() \
+        .optional()
+    grammars = [
+        # a fact merged into its own class, a repeatable attribute
+        rule(rule(inner.interpretation(G.inner)).interpretation(G),
+             words).interpretation(G),
+        # merged into a parent class: no plan
+        rule(rule(inner.interpretation(G.inner)).interpretation(Sub),
+             words).interpretation(G),
+        # a custom function over a fact (no plan), normalized() over a
+        # fact (TypeError)
+        rule(inner.interpretation(H.x.custom(repr))).interpretation(H),
+        rule(inner.interpretation(H.y.normalized())).interpretation(H),
+        # a root attribute holding a fact; a custom function over a
+        # normalized value; a user interpretator
+        inner.interpretation(G.inner),
+        rule(number).interpretation(custom(str)),
+        rule(gram('NOUN')).interpretation(Upper()),
+        # mixed input to an attribute and to a normalizer (TypeError)
+        rule(eq('a'), eq('1').interpretation(custom(int))).interpretation(
+            F.word),
+        rule(eq('a'), eq('1').interpretation(custom(int))).interpretation(
+            custom(str)),
+    ]
+    texts = ['на улицы дома 1', 'на улице доме', 'проспект 1 дом дома',
+             'улица', 'дом', 'a 1', 'x']
+    compared = raised = unplanned = 0
+    for grammar in grammars:
+        parser = Parser(grammar)
+        table = parser._table
+        for text in texts:
+            tokens = parser.tokenize(text)
+            finals = []
+            parser._chart_tokens(tokens, finals=finals)
+            for span, state in finals:
+                if span[0] == span[1]:
+                    continue
+                tree = earley.ParseTree(earley._pruned(state, {}, table),
+                                        span)
+                try:
+                    expected = interp.result_payload(tree.interpret())
+                except TypeError:
+                    with pytest.raises(TypeError):
+                        parser.payload(span, state)
+                    raised += 1
+                    continue
+                assert parser.payload(span, state) == expected, text
+                compared += 1
+                try:
+                    earley._fold_state(state, span[1], table,
+                                       folds=table.plan)
+                except interp.Unplanned:
+                    unplanned += 1
+    assert compared > 40 and raised > 5 and unplanned > 10
+
+
+def test_payload_fold_quarantines_like_result_fold():
+    # planted facts whose interpretation raises TypeError through each
+    # kind of payload plan count one quarantined each and give no row;
+    # a memo hit counts nothing
+    F = fact('F', ['a'])
+    H = fact('H', ['x'])
+    one = eq('1').interpretation(custom(int))
+    planted = {
+        'attribute': rule('a', one).interpretation(F.a).interpretation(F),
+        'normalizer': rule('a', one).interpretation(custom(str)),
+        'over_fact': rule(rule('a').interpretation(F)).interpretation(
+            H.x.normalized()).interpretation(H),
+    }
+    extractor = MentionExtractor()
+    for name, grammar in planted.items():
+        parser = Parser(grammar, tokenizer=extractor.tokenizer,
+                        space=extractor.space)
+        [(span, state)] = parser.findall_spans(parser.tokenize('a 1'),
+                                               leaves={})
+        with pytest.raises(TypeError):
+            parser.interpret(span, state)
+        spec = GrammarSpec(name, grammar, lambda value, conv, turn: [])
+        extractor.parsers.append((spec, parser, None))
+    for expected in (3, 3):
+        assert extractor.hits('a 1') == []
+        assert (extractor.quarantined, extractor.capped) == (expected, 0)
+    assert extractor.hits(TURNS[1]) and extractor.quarantined == 3
 
 
 def test_relation_grammar_falls_back_to_next_tree():

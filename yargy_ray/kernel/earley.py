@@ -61,11 +61,10 @@ Additions over the reference:
   a completed child share its node, and trees sharing a scanned state
   its leaf, whose token the leaf's predicate constrains then. The chart
   collects its final states (completed start-rule states) as it
-  completes them, so resolving rescans no column. ``_resolve`` groups
-  final states by span and builds and sorts trees only within a span;
-  for a grammar without relations it prepares a match only for the
-  spans ``best_nonoverlapping`` keeps, and with no agreement pass
-  (``_prepare_plain``).
+  completes them, so resolving rescans no column. Resolving groups
+  final states by span and builds and sorts trees only within a span
+  that has several; for a grammar without relations it looks only at
+  the spans ``best_nonoverlapping`` keeps, with no agreement pass.
 * Acyclic chart. A state holds its origin as a column index; its stop
   is the index of the column holding it. States are tuples of ints,
   tokens and older states, and the tree passes are module-level
@@ -84,26 +83,43 @@ Additions over the reference:
   building a chart; the skip is exact, since a rejected turn's chart has
   no final state. ``_chart_tokens`` does not test them, so it still
   builds every chart the start pre-scan lets through.
-* Folds straight from the chart. A kept span with a single final state
-  needs no ranking, so for a grammar without relations
-  ``findall_spans`` hands out the state itself, and ``interpret`` folds
-  its interpretation result by walking the ``prev`` chain once
-  (``_fold_state``): a completed child that covers no token is skipped
-  (the one ``_pruned`` drops), each scanned token goes through its
-  predicate's ``constrain`` (as ``_leaf``), and a gazetteer
-  production's key comes from the item table. No :class:`ParseNode`,
-  :class:`ParseLeaf`, :class:`ParseTree` or :class:`Match` is built.
-  Trees remain for a span with several final states (ranked by
-  ``ParseTree.__lt__``), for every span of a grammar with relations,
-  and for ``findall``, ``trees``, ``match``, ``extract`` and
-  ``explain``; ``findall`` builds a single-final span's pruned tree
-  straight from the ``prev`` chain (``_pruned``), with no unpruned
-  node.
+* Folds straight from the chart, for every grammar. Given a ``leaves``
+  map, ``findall_spans`` hands out each kept span's chosen final state:
+  its only one, or, for a span with several, the first of its trees in
+  ``ParseTree.__lt__`` order that is valid; only such a span builds
+  trees, to rank them.
+  ``interpret`` folds the interpretation result by walking the state's
+  ``prev`` chain once (``_fold_state``): a completed child that covers
+  no token is skipped (the one ``_pruned`` drops), each scanned token
+  goes through its predicate's ``constrain`` (as ``_leaf``), and a
+  gazetteer production's key comes from the item table. No
+  :class:`ParseNode`, :class:`ParseLeaf`, :class:`ParseTree` or
+  :class:`Match` is built. ``findall``, ``trees``, ``match``,
+  ``extract`` and ``explain`` keep trees; ``findall`` builds a
+  single-final span's pruned tree straight from the ``prev`` chain
+  (``_pruned``), with no unpruned node.
+* Agreement over chart states. A grammar with relations checks every
+  span in order, because ``constrain`` rewrites leaves that later spans
+  share. ``_agree`` does ``_prepare_match``'s pass over the ``prev``
+  chains: it adds each relation-bearing node's main token to an
+  :class:`AgreementGraph` in the tree's preorder, validates it, and
+  writes the constrained tokens into a per-chart ``leaves`` map keyed
+  by the scanning state, which takes the place of the shared
+  :class:`ParseLeaf` memo: a later span reads the rewrites of earlier
+  ones, and every fold reads the map as the last span left it.
+* Payload plans. ``payload`` folds a state straight into the payload
+  the extraction stage keeps (the fact's ``as_json`` dict, or the
+  normalized value) through the item table's ``plan`` column: one
+  compiled fold per interpretator (``interp.payload_plan``), which
+  decides once the attribute's name and whether it repeats, whether
+  it lands in its parent fact, the ``const`` flag and the fact's
+  layout, and folds into tuples instead of result objects.
 * Match tokens from the span. A chart span ``(i, j)`` consumes exactly
   the tokens ``i .. j - 1``, so a match's char span and token values
-  come from those tokens; a :class:`Match` walks its tree for
-  ``tokens`` only when asked (a grammar with relations takes them when
-  it constrains the tree).
+  come from those tokens (constraining changes a token's forms, not its
+  value); a :class:`Match` walks its tree for ``tokens`` only when
+  asked (a grammar with relations takes them when it constrains the
+  tree).
 * One lexer pass. :class:`Lexer` tokenizes a text, attaches morphology
   and computes token masks in one regex loop, memoized by ``(value,
   regex group)``; the extraction stage runs it once per turn for all
@@ -114,12 +130,14 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import or_
+from sys import maxsize
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .grammar import BNFRule as BNFRuleType
 from .grammar import GrammarNode, is_bnf_rule
 from .gazetteer import GazProd
+from .interp import Unplanned, payload_plan, plan_payload, result_payload
 from .records import MorphToken, Span, Token, best_nonoverlapping
 from .relations import AgreementGraph
 from .tagging import PassTagger
@@ -337,14 +355,16 @@ class ItemTable:
       waiting key)`` list, see ``Parser._firsts``) of the BNF rule after
       the dot; an empty read-only mapping for anything else, so a
       gazetteer rule (which predicts by token) always misses;
-    * ``interp`` — the rule's interpretator, and ``key`` the gazetteer
-      key of the production (None unless it is a :class:`GazProd`): what
-      the interpretation fold reads of a completed item.
+    * ``interp`` — the rule's interpretator, ``plan`` its compiled
+      payload fold (``interp.payload_plan``, one per interpretator), and
+      ``key`` the gazetteer key of the production (None unless it is a
+      :class:`GazProd`): what the interpretation folds read of a
+      completed item.
     """
 
     __slots__ = ('start', 'memos', 'rule', 'production', 'rank', 'dot',
                  'term', 'wait', 'bit', 'done', 'final', 'firsts',
-                 'interp', 'key')
+                 'interp', 'plan', 'key', '_plans')
 
     def __init__(self, start, memos):
         self.start = start
@@ -361,7 +381,10 @@ class ItemTable:
         self.final = []
         self.firsts = []
         self.interp = []
+        self.plan = []
         self.key = []
+        # id(interpretator) -> its payload plan
+        self._plans = {}
 
     def add(self, rule, rank, production, bits):
         """The first id of the items of ``(rule, rank, production)``.
@@ -372,12 +395,17 @@ class ItemTable:
         first = len(self.rule)
         terms = production.terms
         key = production.value if isinstance(production, GazProd) else None
+        interp = rule.interpretator
+        plan = self._plans.get(id(interp))
+        if plan is None and interp is not None:
+            plan = self._plans[id(interp)] = payload_plan(interp)
         for dot in range(len(terms) + 1):
             self.rule.append(rule)
             self.production.append(production)
             self.rank.append(rank)
             self.dot.append(dot)
-            self.interp.append(rule.interpretator)
+            self.interp.append(interp)
+            self.plan.append(plan)
             self.key.append(key)
             if dot < len(terms):
                 term = terms[dot]
@@ -398,7 +426,8 @@ class ItemTable:
         return first
 
 
-# the prediction memo of what has none: every lookup misses
+# the prediction memo of what has none: every lookup misses; also the
+# leaves map of a fold that reads no token a relation constrained
 _NO_MEMO = MappingProxyType({})
 
 
@@ -485,40 +514,129 @@ def _trees(finals, table):
     return [ParseTree(_node(s, memo, table), span) for span, s in finals]
 
 
-def _fold_state(state, stop, table):
+def _fold_state(state, stop, table, leaves=_NO_MEMO, folds=None):
     """``_fold`` of the pruned tree of ``state``, a completed state that
     stops before token ``stop`` and covers a token, read straight from
-    the chart: no :class:`ParseNode` and no :class:`ParseLeaf`."""
-    values = _significant_back(state, stop, [], table)
+    the chart: no :class:`ParseNode` and no :class:`ParseLeaf`.
+
+    ``leaves`` maps ``id`` of a scanned state to its token as a relation
+    constrained it (``_agree``). ``folds`` is the item table's list of
+    what folds a completed item: ``table.interp`` (the default) gives the
+    interpretation result, ``table.plan`` the payload fold's value
+    (``interp.payload_plan``), with no result object."""
+    if folds is None:
+        folds = table.interp
+    values = _significant_back(state, stop, [], leaves, folds, table)
     values.reverse()
     item = state[0]
-    return table.interp[item](values, table.key[item])
+    return folds[item](values, table.key[item])
 
 
-def _significant_back(state, stop, values, table):
+def _significant_back(state, stop, values, leaves, folds, table):
     """``_significant`` of the pruned node of ``state`` (stopping before
     token ``stop``), appended to ``values`` right to left, as its
     ``prev`` chain runs. A completed child that covers no token is the
-    one ``_pruned`` drops; a scanned token goes through its predicate's
-    ``constrain``, as ``_leaf`` does."""
-    interp = table.interp
+    one ``_pruned`` drops; a scanned token is read from ``leaves``, or
+    goes through its predicate's ``constrain``, as ``_leaf`` does."""
     prev = state[2]
     while prev is not None:
         child = state[3]
         if type(child) is tuple:
             origin = child[1]
             if origin < stop:
-                if interp[child[0]]:
-                    values.append(_fold_state(child, stop, table))
+                if folds[child[0]]:
+                    values.append(
+                        _fold_state(child, stop, table, leaves, folds))
                 else:
-                    _significant_back(child, stop, values, table)
+                    _significant_back(child, stop, values, leaves, folds,
+                                      table)
             stop = origin
         else:
-            values.append(table.term[state[0] - 1].constrain(child))
+            token = leaves.get(id(state))
+            values.append(token if token is not None
+                          else table.term[state[0] - 1].constrain(child))
             stop -= 1
         state = prev
         prev = state[2]
     return values
+
+
+# The agreement pass of ``_prepare_match``, read from the chart. A
+# pruned node's children are the ``(state, stop)`` pairs of its completed
+# children that cover a token and the ``(state, None)`` pairs of its
+# scanned ones (``state`` the scanning state, whose ``id`` keys its leaf
+# in a ``leaves`` map, as ``_leaf`` keys the leaf memo).
+
+def _children(state, stop):
+    """The children of the pruned node of ``state``, left to right."""
+    children = []
+    prev = state[2]
+    while prev is not None:
+        child = state[3]
+        if type(child) is tuple:
+            origin = child[1]
+            if origin < stop:
+                children.append((child, stop))
+            stop = origin
+        else:
+            children.append((state, None))
+            stop -= 1
+        state = prev
+        prev = state[2]
+    children.reverse()
+    return children
+
+
+def _leaf_token(scan, leaves, table):
+    """The token of the leaf ``scan`` advanced over: as ``leaves`` holds
+    it, or, on first use, its predicate's ``constrain`` of the scanned
+    token, which ``leaves`` then keeps (as the leaf memo keeps a leaf)."""
+    token = leaves.get(id(scan))
+    if token is None:
+        token = leaves[id(scan)] = table.term[scan[0] - 1].constrain(
+            scan[3])
+    return token
+
+
+def _relate(state, stop, children, graph, mains, leaves, table):
+    """``ParseTree.collect_relations`` of the pruned node of ``state``
+    (its ``children`` given), preorder: each relation-bearing node adds
+    its main token to ``graph``; ``mains`` maps ``id`` of that token's
+    scanned state to ``(state, token)``."""
+    relation = table.rule[state[0]].relation
+    if relation is not None:
+        # ParseNode.main_token: down the main child of each pruned node
+        node, below = state, children
+        while True:
+            scan, node_stop = below[table.production[node[0]].main]
+            if node_stop is None:
+                break
+            node, below = scan, _children(scan, node_stop)
+        token = _leaf_token(scan, leaves, table)
+        graph.add(relation, token)
+        mains[id(scan)] = (scan, token)
+    for child, child_stop in children:
+        if child_stop is not None:
+            _relate(child, child_stop, _children(child, child_stop), graph,
+                    mains, leaves, table)
+
+
+def _agree(state, stop, leaves, table):
+    """``_prepare_match`` of the pruned tree of ``state`` (a final state
+    whose span ``(origin, stop)`` covers a token), over the chart: build
+    and validate its agreement graph; when valid, write each token it
+    constrains into ``leaves`` and return True. ``leaves`` plays the
+    shared leaf memo: a later span reads the tokens this one rewrote,
+    and the fold of this one reads those later spans rewrite."""
+    graph = AgreementGraph()
+    mains = {}
+    _relate(state, stop, _children(state, stop), graph, mains, leaves,
+            table)
+    if not graph.validate():
+        return False
+    for scan, token in mains.values():
+        leaves[id(scan)] = graph.constrain(token)
+    return True
 
 
 def _char_span(tokens, range_):
@@ -560,15 +678,6 @@ class Match:
         return f'Match({[t.value for t in self.tokens]!r}, {self.span!r})'
 
 
-def _prepare_plain(tree, tokens):
-    """``_prepare_match`` for a grammar without relations: its agreement
-    graph is empty, so ``validate`` is True and ``constrain`` a no-op."""
-    tree = tree.prune_empty()
-    if tree is None:
-        return None
-    return Match(tree, _char_span(tokens, tree.range))
-
-
 def _prepare_match(tree, tokens):
     tree = tree.prune_empty()
     if tree is None:
@@ -581,6 +690,15 @@ def _prepare_match(tree, tokens):
     # rewrite leaves this tree shares
     leaves = [leaf.token for leaf in walk_leaves(tree.root)]
     return Match(tree, _char_span(tokens, tree.range), leaves)
+
+
+def _group_spans(finals):
+    """``finals`` grouped by span, and the spans in ParseTree order
+    (start ascending, the longer span first)."""
+    by_span = {}
+    for span, state in finals:
+        by_span.setdefault(span, []).append(state)
+    return by_span, sorted(by_span, key=lambda span: (span[0], -span[1]))
 
 
 class MaskSpace:
@@ -928,10 +1046,15 @@ class Parser:
         start_rule = self.rule
         start_key = id(start_rule)
         start_memo = self._firsts_memo.get(start_key, _NO_MEMO)
-        budget = self.max_states
-        pushed = 0  # states in the columns already processed
+        # at most budget states in all: the columns before this one hold
+        # ``pushed``, so this one and the next may hold ``limit`` (an int
+        # bound, so that each state's check is one int comparison)
+        budget = (self.max_states if self.max_states is not None
+                  else maxsize)
+        pushed = 0
         for ci in range(n):
             column = columns[ci]
+            limit = budget - pushed
             # states go only to this column and the next one
             if ci + 1 < n:
                 ahead, token, mask = columns[ci + 1], tokens[ci], masks[ci]
@@ -1018,8 +1141,7 @@ class Parser:
                                     following[key] = [new]
                                 else:
                                     waiting.append(new)
-                if budget is not None and (
-                        pushed + len(column) + len(ahead) > budget):
+                if len(column) + len(ahead) > limit:
                     raise StateOverflow(pushed + len(column) + len(ahead))
             pushed += len(column)
         return columns
@@ -1105,20 +1227,22 @@ class Parser:
         masks once for every parser on the space. A stream whose union
         mask misses a required set (``_build_first``) gets no chart.
         """
-        return [match for _, match in self.findall_spans(tokens, masks,
-                                                         fold=False)]
+        return [match for _, match in self.findall_spans(tokens, masks)]
 
-    def findall_spans(self, tokens, masks=None, fold=True):
-        """The matches of ``findall_tokens`` as ``(span, match)`` pairs,
-        with no tree where none is needed.
+    def findall_spans(self, tokens, masks=None, leaves=None):
+        """The matches of ``findall_tokens`` as ``(span, match)`` pairs.
 
         ``span`` is the match's chart span ``(i, j)``: it consumes the
-        tokens ``i .. j - 1``. For a grammar without relations, a span
-        with one final state (the common case) comes as that state,
-        from which :meth:`interpret` folds the interpretation result
-        with no :class:`ParseNode`, :class:`ParseTree` or
-        :class:`Match`; any other span, or every span unless ``fold``,
-        comes as its :class:`Match`.
+        tokens ``i .. j - 1``. Given a ``leaves`` dict, each span comes
+        as its chosen final state (its only one, or the first of its
+        ranked trees that is valid), from which :meth:`interpret` and
+        :meth:`payload` fold with no :class:`ParseNode`,
+        :class:`ParseTree` or :class:`Match`; only a span with several
+        final states builds trees, to rank them. The agreement pass of a
+        grammar with relations writes into ``leaves`` the tokens it
+        constrains (keyed by ``id`` of the scanning state); pass the
+        same dict to the folds. Without ``leaves`` each span comes as
+        its :class:`Match`.
         """
         if masks is None:
             masks = self._masks(tokens)
@@ -1128,70 +1252,99 @@ class Parser:
                 return []
         finals = []
         self._chart_tokens(tokens, masks=masks, finals=finals)
-        return self._resolve(finals, tokens, fold)
+        if leaves is not None:
+            return self._resolve_states(finals, leaves)
+        return self._resolve(finals, tokens)
 
-    def interpret(self, span, match):
+    def interpret(self, span, match, leaves=_NO_MEMO):
         """The interpretation result of a :meth:`findall_spans` pair:
         ``match.tree.interpret()``, folded straight from the chart when
-        ``match`` is a final state. Raises what that raises."""
+        ``match`` is a final state (reading the ``leaves`` that
+        ``findall_spans`` filled). Raises what that raises."""
         if type(match) is not tuple:
             return match.tree.interpret()
         if self.rule.interpretator is None:
             raise ValueError('root rule has no .interpretation(...)')
-        return _fold_state(match, span[1], self._table)
+        return _fold_state(match, span[1], self._table, leaves)
+
+    def payload(self, span, match, leaves=_NO_MEMO):
+        """``interp.result_payload`` of :meth:`interpret`: the fact's
+        ``as_json`` dict, or the normalized value. A final state folds
+        through the item table's payload plans, building no result
+        object; a case a plan does not model (``interp.Unplanned``)
+        folds through result objects. Raises what :meth:`interpret`
+        raises."""
+        if type(match) is tuple:
+            if self.rule.interpretator is None:
+                raise ValueError('root rule has no .interpretation(...)')
+            table = self._table
+            try:
+                return plan_payload(_fold_state(match, span[1], table,
+                                                leaves, table.plan))
+            except Unplanned:
+                pass
+        return result_payload(self.interpret(span, match, leaves))
 
     def findall(self, text):
         """All non-overlapping matches, maximum-coverage, span order."""
         return self.findall_tokens(self.tokenize(text))
 
-    def _resolve(self, finals, tokens, fold):
-        """``(span, match)`` per match, as the reference picks them (sort
-        the final trees, prepare each span's first valid tree, select
-        spans), building trees only for the spans that need them.
-        ``finals`` are ``((origin, stop), state)`` pairs in
-        ``_final_states`` order. With ``fold``, a kept span of a grammar
-        without relations that has one final state comes as that state
-        (see :meth:`findall_spans`)."""
-        by_span = {}
-        for span, state in finals:
-            by_span.setdefault(span, []).append(state)
-        if not by_span:
-            return []
-        # ParseTree order: start ascending, the longer span first
-        spans = sorted(by_span, key=lambda span: (span[0], -span[1]))
+    def _resolve_states(self, finals, leaves):
+        """``(span, state)`` per match, as :meth:`_resolve` picks them,
+        with each span's chosen final state: its only one, or the first
+        in the order of its ranked trees that is valid. For a grammar
+        with relations every span is checked in order (``_agree``), as
+        its constrained tokens go into ``leaves``; without relations
+        every state covering a token is valid, so only the kept spans
+        are looked at."""
+        by_span, spans = _group_spans(finals)
         table = self._table
         memo = {}
 
         def ranked(span):
-            return sorted(ParseTree(_node(s, memo, table), span)
-                          for s in by_span[span])
+            states = by_span[span]
+            if len(states) < 2:
+                return states
+            trees = [ParseTree(_node(s, memo, table), span) for s in states]
+            return [states[i] for i in
+                    sorted(range(len(states)), key=trees.__getitem__)]
 
+        spans = [span for span in spans if span[0] < span[1]]
+        if not self._relations:
+            return [(span, ranked(span)[0])
+                    for span in best_nonoverlapping(spans)]
+        chosen = {}
+        for span in spans:
+            for state in ranked(span):
+                if _agree(state, span[1], leaves, table):
+                    chosen[span] = state
+                    break
+        return [(span, chosen[span])
+                for span in best_nonoverlapping(list(chosen))]
+
+    def _resolve(self, finals, tokens):
+        """``(span, match)`` per match, as the reference picks them (sort
+        the final trees, prepare each span's first valid tree, select
+        spans), building trees only for the spans that need them.
+        ``finals`` are ``((origin, stop), state)`` pairs in
+        ``_final_states`` order."""
+        table = self._table
+        memo = {}
         if not self._relations:
             # Without relations a tree is valid iff it covers a token, and
-            # preparing it rewrites no token: prepare only the kept spans,
-            # with no agreement pass. A span with one final state needs no
-            # ranking, so its pruned tree is built straight from the chart,
-            # or not at all when the caller folds the state itself.
-            kept = []
-            for span in best_nonoverlapping(
-                    [s for s in spans if s[0] < s[1]]):
-                states = by_span[span]
-                if len(states) > 1:
-                    kept.append(
-                        (span, _prepare_plain(ranked(span)[0], tokens)))
-                elif fold:
-                    kept.append((span, states[0]))
-                else:
-                    kept.append((span, Match(
-                        ParseTree(_pruned(states[0], memo, table), span),
-                        _char_span(tokens, span))))
-            return kept
+            # preparing it rewrites no token: the pruned tree of each kept
+            # span's chosen state, built straight from the chart.
+            return [(span, Match(ParseTree(_pruned(state, memo, table), span),
+                                 _char_span(tokens, span)))
+                    for span, state in self._resolve_states(finals, None)]
         # constrain() rewrites leaves other spans' trees share, so every
         # span is prepared, in order, before any is dropped
+        by_span, spans = _group_spans(finals)
         valid = []
         chosen = {}
         for span in spans:
-            for tree in ranked(span):
+            for tree in sorted(ParseTree(_node(s, memo, table), span)
+                               for s in by_span[span]):
                 match = _prepare_match(tree, tokens)
                 if match is not None:
                     valid.append(span)

@@ -8,7 +8,10 @@ capture, normalization), gazetteer productions pass the canonical key so
 
 Facts serialize to plain dicts (``as_json``) — in the Ray engine these
 become the ``fact_json`` column of the mentions table, later projected to
-(subj, pred, obj) triple rows.
+(subj, pred, obj) triple rows. The extraction path folds them through
+payload plans (``payload_plan``, bottom of this module): the same fold
+compiled once per interpretator, giving the payload with no result
+object.
 """
 
 from __future__ import annotations
@@ -530,3 +533,263 @@ def rule_interpretator(item):
     if isclass(item) and issubclass(item, Fact):
         return FactInterpretator(item)
     return token_interpretator(item)
+
+
+# ---------------------------------------------------------------------------
+# Payload plans: the fold of the extraction path, with no result objects
+# ---------------------------------------------------------------------------
+#
+# ``payload_plan(interpretator)`` compiles an interpretator once into a
+# ``fold(values, key)`` that takes what ``Interpretator.__call__`` takes
+# (tokens and the fold values of interpreted children) and gives a fold
+# value standing for the result object, as a tuple:
+#
+# * ``(ATTR, attribute, json, plain)`` for an ``AttributeResult``: the
+#   JSON of its value, and whether that JSON is also its ``normalized``
+#   (true unless the value is a fact);
+# * ``(NORM, value)`` for a ``NormalizerResult``: its value is its JSON;
+# * ``(FACT, plan, state)`` for a ``FactResult``: ``state`` maps each
+#   modified attribute to its JSON (a list of them when repeatable),
+#   ``plan.json(state)`` is its ``FactBuilder.as_json``.
+#
+# ``plan_payload`` turns a root value into the payload the extraction
+# stage keeps: ``result_payload`` of the result object. A fold raises
+# what the object fold raises (``TypeError`` on mixed input) and
+# ``Unplanned`` where a value would need what the tuple does not keep (a
+# custom function over a fact, a normalizer output that is itself a fact
+# or result, a fact merged into a parent subclass); the caller then folds
+# the match through result objects, running its custom functions again.
+
+ATTR, NORM, FACT = 0, 1, 2
+
+
+class Unplanned(Exception):
+    """A payload plan met a case it does not model."""
+
+
+def result_payload(result):
+    """The JSON-serializable payload of an interpretation result: its
+    fact's ``as_json``, or its normalized value."""
+    if isinstance(result, FactResult):
+        return result.as_json
+    value = result.normalized
+    return value.as_json if isinstance(value, Fact) else value
+
+
+def plan_payload(value):
+    """``result_payload`` of the result a root fold value stands for."""
+    if value[0] == ATTR:
+        return value[2]
+    if value[0] == NORM:
+        return value[1]
+    return value[1].json(value[2])
+
+
+_OPAQUE = (Fact, Chain, FactResult, AttributeResult, NormalizerResult)
+
+
+def _checked(value):
+    # a normalizer output whose JSON or normalized view is not itself
+    if isinstance(value, _OPAQUE):
+        raise Unplanned(type(value))
+    return value
+
+
+def _plain(value):
+    """``.normalized`` of the result a fold value stands for."""
+    if value[0] == NORM:
+        return value[1]
+    if value[0] == ATTR and value[3]:
+        return value[2]
+    raise Unplanned('normalized view of a fact')
+
+
+def _chain_normalizer(normalizer):
+    """``normalizer(Chain(tokens, key))`` as a function of ``(tokens,
+    key)``."""
+    kind = type(normalizer)
+    if kind is NormalizedNormalizer:
+        return lambda tokens, key: key or join_lemmas(tokens)
+    if kind is InflectedNormalizer:
+        grams = normalizer.grams
+        return lambda tokens, key: join_inflected(tokens, grams)
+    if kind is ConstNormalizer:
+        value = normalizer.value
+        return lambda tokens, key: value
+    if kind is FunctionNormalizer:
+        function = normalizer.function
+        return lambda tokens, key: function(join_tokens(tokens))
+    if kind is ComposedNormalizer:
+        first, second = normalizer.first, normalizer.second
+        if isinstance(first, Normalizer):
+            first = _chain_normalizer(first)
+            return lambda tokens, key: second(first(tokens, key))
+        return lambda tokens, key: second(first(join_tokens(tokens)))
+    return lambda tokens, key: normalizer(Chain(tokens, key))
+
+
+def _value_normalizer(normalizer, value):
+    """``normalizer(result)`` for the result fold value ``value`` stands
+    for."""
+    kind = type(normalizer)
+    if kind is NormalizedNormalizer or kind is InflectedNormalizer:
+        raise TypeError('normalizer input is not a token chain')
+    if kind is ConstNormalizer:
+        return normalizer.value
+    if kind is FunctionNormalizer:
+        return normalizer.function(_plain(value))
+    if kind is ComposedNormalizer:
+        first = normalizer.first
+        if isinstance(first, Normalizer):
+            return normalizer.second(_value_normalizer(first, value))
+        return normalizer.second(first(_plain(value)))
+    raise Unplanned(kind)
+
+
+class FactPlan:
+    """``FactInterpretator``: the fact's layout, and per attribute or
+    child fact class met, whether it lands in this fact, decided once."""
+
+    def __init__(self, fact_cls):
+        self.fact = fact_cls
+        self.repeatable, defaults = _layout(fact_cls)
+        self.layout = [(key, defaults[key], key in self.repeatable)
+                       for key in fact_cls.__attributes__]
+        # attribute -> (name, repeatable here), or None when ignored
+        self.targets = {}
+
+    def _target(self, attribute):
+        target = None
+        if issubclass(self.fact, attribute.fact):
+            target = (attribute.name, attribute.name in self.repeatable)
+        self.targets[attribute] = target
+        return target
+
+    def fold(self, values, key):
+        state = {}
+        targets = self.targets
+        for item in values:
+            if type(item) is not tuple:
+                continue
+            tag = item[0]
+            if tag == ATTR:
+                target = targets.get(item[1], False)
+                if target is False:
+                    target = self._target(item[1])
+                if target is not None:
+                    name, repeatable = target
+                    if repeatable:
+                        found = state.get(name)
+                        if found is None:
+                            state[name] = [item[2]]
+                        else:
+                            found.append(item[2])
+                    else:
+                        state[name] = item[2]
+            elif tag == FACT:
+                child = item[1].fact
+                if child is self.fact:
+                    state.update(item[2])
+                elif issubclass(child, self.fact):
+                    raise Unplanned('fact merged into a parent class')
+        return (FACT, self, state)
+
+    def json(self, state):
+        """``FactBuilder.as_json`` of a fold's ``state``."""
+        data = {}
+        for key, default, repeatable in self.layout:
+            if key in state:
+                value = state[key]
+                if repeatable:
+                    value = list(value)
+            elif repeatable:
+                value = []
+            else:
+                value = default
+            if value is not None:
+                data[key] = value
+        return data
+
+
+class AttributePlan:
+    """``AttributeInterpretator``."""
+
+    def __init__(self, attribute):
+        self.attribute = attribute
+
+    def fold(self, values, key):
+        for item in values:
+            if type(item) is tuple:
+                break
+        else:
+            return (ATTR, self.attribute, join_tokens(values), True)
+        if len(values) != 1:
+            raise TypeError('mixed interpretation input')
+        item = values[0]
+        if item[0] == ATTR:
+            return (ATTR, self.attribute, item[2], item[3])
+        if item[0] == NORM:
+            return (ATTR, self.attribute, item[1], True)
+        return (ATTR, self.attribute, item[1].json(item[2]), False)
+
+
+class NormalizerPlan:
+    """``NormalizerInterpretator``, or with an ``attribute``
+    ``AttributeNormalizerInterpretator``; ``const`` decided once."""
+
+    def __init__(self, normalizer, attribute=None):
+        self.normalizer = normalizer
+        self.attribute = attribute
+        self.const = isinstance(normalizer, ConstNormalizer)
+        self.chain = _chain_normalizer(normalizer)
+        # a normalizer of these types gives plain values: no check
+        self.checked = type(normalizer) not in (NormalizedNormalizer,
+                                                InflectedNormalizer)
+        if self.const:
+            _checked(normalizer.value)
+
+    def fold(self, values, key):
+        if self.const:
+            value = self.normalizer.value
+        else:
+            for item in values:
+                if type(item) is tuple:
+                    break
+            else:
+                item = None
+            if item is None:
+                value = self.chain(values, key)
+            elif len(values) == 1:
+                value = _value_normalizer(self.normalizer, values[0])
+            else:
+                raise TypeError('mixed interpretation input')
+            if self.checked:
+                _checked(value)
+        if self.attribute is None:
+            return (NORM, value)
+        return (ATTR, self.attribute, value, True)
+
+
+def _unplanned(values, key):
+    raise Unplanned('interpretator without a payload plan')
+
+
+def payload_plan(interpretator):
+    """The ``fold(values, key)`` of ``interpretator`` (see above), or
+    None for None."""
+    if interpretator is None:
+        return None
+    kind = type(interpretator)
+    try:
+        if kind is FactInterpretator:
+            return FactPlan(interpretator.fact).fold
+        if kind is AttributeInterpretator:
+            return AttributePlan(interpretator.attribute).fold
+        if kind is NormalizerInterpretator:
+            return NormalizerPlan(interpretator.normalizer).fold
+        if kind is AttributeNormalizerInterpretator:
+            return NormalizerPlan(interpretator.inner.normalizer,
+                                  interpretator.attribute).fold
+    except Unplanned:
+        pass
+    return _unplanned

@@ -291,6 +291,13 @@ def best_nonoverlapping(spans):
     n = len(spans)
     if n < 2:
         return list(spans)
+    if n == 2:
+        # the DP below on two spans: both when they do not overlap, else
+        # the first unless the second is strictly longer
+        (start, stop), (start2, stop2) = spans
+        if start2 >= stop:
+            return list(spans)
+        return [spans[1] if stop - start < stop2 - start2 else spans[0]]
     starts = [start for start, _ in spans]
     # nxt[i]: first index j with spans[j].start >= spans[i].stop (n: none)
     nxt = [bisect_left(starts, stop) for _, stop in spans]

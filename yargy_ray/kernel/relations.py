@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
+# (grammemes, grammemes) -> agreement entries kept by gnc_relation
+GNC_MEMO_SIZE = 1 << 14
+
 
 class Relation:
     def __call__(self, form, other):
@@ -69,18 +72,30 @@ class case_relation(Relation):
 
 
 class gnc_relation(Relation):
+    """Gender, number and case agreement. A pure function of the two
+    forms' grammemes, so results are memoized by grammeme sets (one
+    memo for every instance, cleared when it holds ``GNC_MEMO_SIZE``)."""
+
     label = 'gnc'
 
     _gender = gender_relation()
     _number = number_relation()
     _case = case_relation()
+    _memo = {}
 
     def __call__(self, form, other):
-        return (
-            self._gender(form, other)
-            and self._number(form, other)
-            and self._case(form, other)
-        )
+        key = (form.grams.values, other.grams.values)
+        found = self._memo.get(key)
+        if found is None:
+            found = bool(
+                self._gender(form, other)
+                and self._number(form, other)
+                and self._case(form, other)
+            )
+            if len(self._memo) >= GNC_MEMO_SIZE:
+                self._memo.clear()
+            self._memo[key] = found
+        return found
 
 
 class AndRelation(Relation):

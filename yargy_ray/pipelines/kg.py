@@ -166,8 +166,10 @@ class TripleExtractor:
     Triples come straight from the interpretation payloads of
     :meth:`MentionExtractor.hits`, through the projector's own
     :meth:`TripleProjector.emit`: the fused path builds no mention rows
-    and no JSON text, and for a grammar without relations folds each
-    payload straight from the chart, with no parse tree. Its rows equal
+    and no JSON text, and folds each payload straight from the chart for
+    every shipped grammar, with no parse tree and no interpretation
+    result object (only a span with several final states builds trees,
+    to rank them). Its rows equal
     ``_with_tkey(project(extract(batch)))``, which ``extract`` and
     ``project`` still compute on their own.
     """

@@ -21,13 +21,15 @@ The hot path of the engine. Design (SURVEY §2.7, §3):
   so most grammar×turn pairs never start an Earley chart. The shipped
   grammars need no regex ``gate``; a user grammar may set one as a hint
   that skips the turn for that grammar before it is even tokenized.
-* Payloads come straight from the chart. ``Parser.findall_spans``
-  gives each kept match as its chart span and, for a grammar without
-  relations and a span with one final state, that state, which
-  ``Parser.interpret`` folds into the interpretation result with no
-  parse tree and no ``Match``; the char span and token values come from
-  the turn's tokens the span covers. ``person`` (agreement relations)
-  and a span with several final states still go through trees.
+* Payloads come straight from the chart, for every shipped grammar.
+  ``Parser.findall_spans`` gives each kept match as its chart span and
+  its chosen final state; ``person``'s agreement relations are checked
+  over the chart states, the tokens they constrain going into a
+  per-chart leaves map. ``Parser.payload`` folds each state into its
+  payload through compiled payload plans, with no parse tree, no
+  ``Match`` and no interpretation result object; the char span and
+  token values come from the turn's tokens the span covers. Only a span
+  with several final states builds trees, to rank them.
 * A per-document state budget bounds worst-case parse work; capped
   turns are reported as ``rule='_capped'`` mention rows (dropped by
   triple projection, so the KG build does not count them) instead of
@@ -61,7 +63,7 @@ import pyarrow as pa
 from yargy_ray.grammars import DEFAULT_FACTORIES, build_specs
 from yargy_ray.kernel import Parser, StateOverflow
 from yargy_ray.kernel.earley import Lexer, MaskSpace
-from yargy_ray.kernel.interp import Fact, FactResult
+from yargy_ray.kernel.interp import Fact
 from yargy_ray.kernel.tokenizer import MorphTokenizer
 from yargy_ray.stages.compute import map_cached
 
@@ -147,9 +149,10 @@ class MentionExtractor:
         0, {'grammar': name}, [])`` and counts in ``capped``. A match
         whose interpretation raises ``TypeError`` (mixed-type input) is
         quarantined: it gives no hit and counts in ``quarantined``.
-        Payloads come from ``Parser.findall_spans``/``Parser.interpret``,
-        so a grammar without relations folds most matches straight from
-        the chart, building no parse tree.
+        Payloads come from ``Parser.findall_spans``/``Parser.payload``,
+        folded straight from the chart with no parse tree and no
+        interpretation result object (``leaves`` holds the tokens a
+        grammar's agreement relations constrained).
 
         Memoized per instance in an LRU of ``RESULT_CACHE_SIZE`` texts:
         extraction output is TEXT-INTRINSIC (spans, rules and facts carry
@@ -171,29 +174,24 @@ class MentionExtractor:
                 continue
             if tokens is None:
                 tokens, masks = self.lex(text)
+            leaves = {}
             try:
-                matches = parser.findall_spans(tokens, masks)
+                matches = parser.findall_spans(tokens, masks, leaves=leaves)
             except StateOverflow:
                 self.capped += 1
                 hits.append((CAPPED_RULE, 0, 0, {'grammar': spec.name}, []))
                 continue
-            interpret = parser.interpret
-            for span, match in matches:
+            payload = parser.payload
+            for span, state in matches:
                 try:
-                    # fact_payload(match.fact) without building the Fact:
-                    # a Fact's JSON is its builder's
-                    result = interpret(span, match)
-                    if isinstance(result, FactResult):
-                        payload = result.as_json
-                    else:
-                        payload = fact_payload(result.normalized)
+                    value = payload(span, state, leaves)
                 except TypeError:
                     # mixed-type interpretation — quarantine, don't fail
                     self.quarantined += 1
                     continue
                 first, last = span
                 hits.append((spec.name, tokens[first].span.start,
-                             tokens[last - 1].span.stop, payload,
+                             tokens[last - 1].span.stop, value,
                              [t.value for t in tokens[first:last]]))
         cache[text] = hits
         if len(cache) > RESULT_CACHE_SIZE:
