@@ -301,7 +301,7 @@ def test_chart_builds_no_parse_nodes(monkeypatch, specs):
     tokens = parser.tokenize(TURNS[1])
     [(span, state)] = parser.findall_spans(tokens, leaves={})
     assert span == (2, 5) and type(state) is tuple
-    assert parser.interpret(span, state).as_json == {
+    assert parser.interpret(span, state, {}).as_json == {
         'amount': 4500, 'currency': 'RUB'}
     assert not built
     # the counter does see the nodes a match needs
@@ -485,7 +485,7 @@ def test_chart_fold_equals_tree_fold():
                 tree = earley.ParseTree(
                     earley._pruned(state, {}, parser._table), span)
                 expected = tree.interpret()
-                got = earley._fold_state(state, span[1], parser._table)
+                got = earley._fold_state(state, span[1], parser._table, {})
                 assert type(got) is type(expected), text
                 assert got.as_json == expected.as_json, text
                 assert got.normalized == expected.normalized, text
@@ -560,13 +560,13 @@ def test_payload_plans_equal_result_fold():
                     expected = interp.result_payload(tree.interpret())
                 except TypeError:
                     with pytest.raises(TypeError):
-                        parser.payload(span, state)
+                        parser.payload(span, state, {})
                     raised += 1
                     continue
-                assert parser.payload(span, state) == expected, text
+                assert parser.payload(span, state, {}) == expected, text
                 compared += 1
                 try:
-                    earley._fold_state(state, span[1], table,
+                    earley._fold_state(state, span[1], table, {},
                                        folds=table.plan)
                 except interp.Unplanned:
                     unplanned += 1
@@ -593,7 +593,7 @@ def test_payload_fold_quarantines_like_result_fold():
         [(span, state)] = parser.findall_spans(parser.tokenize('a 1'),
                                                leaves={})
         with pytest.raises(TypeError):
-            parser.interpret(span, state)
+            parser.interpret(span, state, {})
         spec = GrammarSpec(name, grammar, lambda value, conv, turn: [])
         extractor.parsers.append((spec, parser, None))
     for expected in (3, 3):

@@ -1,13 +1,16 @@
 """Agreement conformance (reference: tests/test_relations.py, test_person.py)."""
 
 from yargy_ray.kernel import Parser, and_, fact, main, not_, rule
+from yargy_ray.kernel import relations
 from yargy_ray.kernel.gazetteer import morph_pipeline
 from yargy_ray.kernel.predicates import gram
 from yargy_ray.kernel.relations import (
+    case_relation,
     gender_relation,
     gnc_relation,
     number_relation,
 )
+from yargy_ray.kernel.tokenizer import MorphTokenizer
 
 
 def test_gnc_name():
@@ -57,3 +60,31 @@ def test_person_grammar():
         position='управляющий директор',
         name=Name(first='Иван', last='Ульянов'),
     )
+
+
+def test_gnc_memo_matches_relations(monkeypatch):
+    # gnc_relation memoizes by grammeme sets; every answer, from a miss
+    # or a hit, with the memo cleared at its cap or not, is the
+    # conjunction of the three relations
+    text = ('управляющий директор Иван Ульянов саше иванову сашу '
+            'ивановой стали ивановы')
+    forms = [form for token in MorphTokenizer()(text)
+             for form in token.forms]
+    gender, number, case = gender_relation(), number_relation(), \
+        case_relation()
+    pairs = [(a, b) for a in forms for b in forms]
+    expected = [bool(gender(a, b) and number(a, b) and case(a, b))
+                for a, b in pairs]
+    assert True in expected and False in expected
+    monkeypatch.setattr(gnc_relation, '_memo', {})
+    gnc = gnc_relation()
+    assert [gnc(a, b) for a, b in pairs] == expected
+    assert [gnc(a, b) for a, b in pairs] == expected
+    keys = {(a.grams.values, b.grams.values) for a, b in pairs}
+    assert len(gnc_relation._memo) == len(keys) < len(pairs)
+    monkeypatch.setattr(relations, 'GNC_MEMO_SIZE', 3)
+    gnc_relation._memo.clear()
+    for _ in range(2):
+        for (a, b), want in zip(pairs, expected):
+            assert gnc(a, b) is want
+            assert len(gnc_relation._memo) <= 3

@@ -65,6 +65,22 @@ def test_matches_quadratic_version():
             quadratic_best_nonoverlapping(spans), spans
 
 
+def test_two_spans_match_quadratic_version():
+    # every pair of spans over five tokens, in the parser's order: the
+    # two-span shortcut gives what the DP gives
+    spans = [(start, stop) for start in range(5)
+             for stop in range(start + 1, 6)]
+    spans.sort(key=lambda span: (span[0], -span[1]))
+    compared = 0
+    for i, first in enumerate(spans):
+        for second in spans[i + 1:]:
+            pair = [first, second]
+            assert best_nonoverlapping(pair) == \
+                quadratic_best_nonoverlapping(pair), pair
+            compared += 1
+    assert compared == len(spans) * (len(spans) - 1) // 2
+
+
 def test_equal_cover_takes_the_span():
     # (0, 2) + (2, 4) and (0, 1) + (1, 2) + (2, 4) both cover 4 tokens;
     # the scan skips a span only when that gives a strictly larger cover

@@ -426,8 +426,7 @@ class ItemTable:
         return first
 
 
-# the prediction memo of what has none: every lookup misses; also the
-# leaves map of a fold that reads no token a relation constrained
+# the prediction memo of what has none: every lookup misses
 _NO_MEMO = MappingProxyType({})
 
 
@@ -514,7 +513,7 @@ def _trees(finals, table):
     return [ParseTree(_node(s, memo, table), span) for span, s in finals]
 
 
-def _fold_state(state, stop, table, leaves=_NO_MEMO, folds=None):
+def _fold_state(state, stop, table, leaves, folds=None):
     """``_fold`` of the pruned tree of ``state``, a completed state that
     stops before token ``stop`` and covers a token, read straight from
     the chart: no :class:`ParseNode` and no :class:`ParseLeaf`.
@@ -1256,18 +1255,20 @@ class Parser:
             return self._resolve_states(finals, leaves)
         return self._resolve(finals, tokens)
 
-    def interpret(self, span, match, leaves=_NO_MEMO):
+    def interpret(self, span, match, leaves):
         """The interpretation result of a :meth:`findall_spans` pair:
         ``match.tree.interpret()``, folded straight from the chart when
-        ``match`` is a final state (reading the ``leaves`` that
-        ``findall_spans`` filled). Raises what that raises."""
+        ``match`` is a final state. ``leaves`` is the dict given to the
+        ``findall_spans`` call that returned the pair: a state's fold
+        reads from it the tokens a relation constrained (a
+        :class:`Match` ignores it). Raises what that raises."""
         if type(match) is not tuple:
             return match.tree.interpret()
         if self.rule.interpretator is None:
             raise ValueError('root rule has no .interpretation(...)')
         return _fold_state(match, span[1], self._table, leaves)
 
-    def payload(self, span, match, leaves=_NO_MEMO):
+    def payload(self, span, match, leaves):
         """``interp.result_payload`` of :meth:`interpret`: the fact's
         ``as_json`` dict, or the normalized value. A final state folds
         through the item table's payload plans, building no result

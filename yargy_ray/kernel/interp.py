@@ -567,13 +567,21 @@ class Unplanned(Exception):
     """A payload plan met a case it does not model."""
 
 
+def fact_payload(value):
+    """Interpretation result's ``normalized`` value -> JSON-serializable
+    payload: a fact's ``as_json``, any other value as it is."""
+    if isinstance(value, Fact):
+        return value.as_json
+    return value
+
+
 def result_payload(result):
-    """The JSON-serializable payload of an interpretation result: its
-    fact's ``as_json``, or its normalized value."""
+    """``fact_payload`` of an interpretation result's ``normalized``
+    value; a ``FactResult`` gives its ``as_json`` without building the
+    fact."""
     if isinstance(result, FactResult):
         return result.as_json
-    value = result.normalized
-    return value.as_json if isinstance(value, Fact) else value
+    return fact_payload(result.normalized)
 
 
 def plan_payload(value):

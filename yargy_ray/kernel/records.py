@@ -292,8 +292,9 @@ def best_nonoverlapping(spans):
     if n < 2:
         return list(spans)
     if n == 2:
-        # the DP below on two spans: both when they do not overlap, else
-        # the first unless the second is strictly longer
+        # the DP below on two spans (two thirds of the calls over the
+        # benchmark corpora): both when they do not overlap, else the
+        # first unless the second is strictly longer
         (start, stop), (start2, stop2) = spans
         if start2 >= stop:
             return list(spans)

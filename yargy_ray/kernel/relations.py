@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-# (grammemes, grammemes) -> agreement entries kept by gnc_relation
+# (grammemes, grammemes) -> agreement entries kept by gnc_relation: a
+# bound of about 1.4 MiB of memo. The default lexicon analyzer yields
+# 288 grammeme sets (82,944 pairs at most); the benchmark corpora of
+# seeds 7 and 42 meet 4 pairs.
 GNC_MEMO_SIZE = 1 << 14
 
 

@@ -63,7 +63,8 @@ import pyarrow as pa
 from yargy_ray.grammars import DEFAULT_FACTORIES, build_specs
 from yargy_ray.kernel import Parser, StateOverflow
 from yargy_ray.kernel.earley import Lexer, MaskSpace
-from yargy_ray.kernel.interp import Fact
+# the payload conversion of a match, also importable from this module
+from yargy_ray.kernel.interp import fact_payload  # noqa: F401
 from yargy_ray.kernel.tokenizer import MorphTokenizer
 from yargy_ray.stages.compute import map_cached
 
@@ -92,13 +93,6 @@ CAPPED_RULE = '_capped'
 
 # texts whose extraction rows each extractor instance keeps (LRU)
 RESULT_CACHE_SIZE = 4096
-
-
-def fact_payload(value):
-    """Interpretation result -> JSON-serializable payload."""
-    if isinstance(value, Fact):
-        return value.as_json
-    return value
 
 
 class MentionExtractor:
