@@ -21,6 +21,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from yargy_ray.state.storage import cache_path
+
 
 def _read(sf_dir, table):
     import ray.data
@@ -67,7 +69,7 @@ def _transcripts_for(sf_dir):
     n_convs = _SF_CONVS.get(name, 24)
     # v3: corpus template version (address sentences added round 3) —
     # part of the path so stale caches can never be reused
-    path = f'/tmp/yargy_ray_cache/transcripts_v3_{name}_{n_convs}'
+    path = cache_path(f'transcripts_v3_{name}_{n_convs}')
     if not os.path.exists(os.path.join(path, '_DONE')):
         from yargy_ray.sources.transcripts import write_transcripts
         import shutil
@@ -352,7 +354,8 @@ def q_emb_topk(sf_dir):
 
 def q_emb_topk_ivf(sf_dir):
     """ANN over the persisted IVF index: first call builds the
-    list-partitioned parquet index (manifest-checkpointed under /tmp),
+    list-partitioned parquet index (manifest-checkpointed under the
+    cache root),
     subsequent calls read ONLY the probed list partitions."""
     from yargy_ray.stages.similarity import ivf_topk
     queries = _query_vectors(sf_dir, 3)
@@ -1052,7 +1055,7 @@ def q_kg_incremental(sf_dir):
     name = os.path.basename(os.path.normpath(sf_dir))
     n_convs = _SF_CONVS.get(name, 24)
     cut = f'conv-{int(n_convs * 0.8):08d}'
-    root = f'/tmp/yargy_ray_cache/kg_inc_v3_{name}_{n_convs}'
+    root = cache_path(f'kg_inc_v3_{name}_{n_convs}')
 
     base_t, delta_t = f'{root}/base_t', f'{root}/delta_t'
     if not os.path.exists(f'{root}/_SPLIT_DONE'):
@@ -1094,7 +1097,7 @@ def q_kg_incremental2(sf_dir):
     n_convs = _SF_CONVS.get(name, 24)
     cut1 = f'conv-{int(n_convs * 0.6):08d}'
     cut2 = f'conv-{int(n_convs * 0.8):08d}'
-    root = f'/tmp/yargy_ray_cache/kg_inc2_v1_{name}_{n_convs}'
+    root = cache_path(f'kg_inc2_v1_{name}_{n_convs}')
 
     base_t, d1_t, d2_t = f'{root}/base_t', f'{root}/d1_t', f'{root}/d2_t'
     if not os.path.exists(f'{root}/_SPLIT_DONE'):
@@ -1142,7 +1145,7 @@ def q_kg_comention_inc(sf_dir):
     name = os.path.basename(os.path.normpath(sf_dir))
     n_convs = _SF_CONVS.get(name, 24)
     cut = f'conv-{int(n_convs * 0.8):08d}'
-    root = f'/tmp/yargy_ray_cache/cm_inc_v1_{name}_{n_convs}'
+    root = cache_path(f'cm_inc_v1_{name}_{n_convs}')
 
     base_t, delta_t = f'{root}/base_t', f'{root}/delta_t'
     if not os.path.exists(f'{root}/_SPLIT_DONE'):
@@ -1259,7 +1262,7 @@ def q_multimodal_features(sf_dir):
     import ray.data
     from yargy_ray.stages.multimodal import featurize_images, synth_media
     media = ray.data.from_arrow(synth_media(200))
-    feats = featurize_images(media, concurrency=(1, 2))
+    feats = featurize_images(media, concurrency=2)
 
     def flatten(batch: pa.Table) -> pa.Table:
         mat = np.stack(batch.column('feature').to_numpy(zero_copy_only=False))
@@ -1364,7 +1367,7 @@ def q_multimodal_audio(sf_dir):
     media = ray.data.from_arrow(synth_real_media(200))
     audio = media.filter(expr="kind == 'audio'")
     return featurize_audio(audio, codec=StdlibCodec(),
-                           concurrency=(1, 2))
+                           concurrency=2)
 
 
 def q_unshipped_revenue(sf_dir):
@@ -1772,7 +1775,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
 # exactly re-derivable in SQL with per-sentence regexes + the grammar's
 # normalization maps inlined (month genitive -> number, multiplier words,
 # currency codes, morph lowering of the closed name vocabulary). The SQL
-# reads the same deterministic /tmp parquet cache the Ray queries use.
+# reads the same deterministic parquet cache (``cache_path``) the Ray
+# queries use.
 # ---------------------------------------------------------------------------
 
 _ORACLE_SF_DIR = '/root/testdata/sf0.01'
@@ -1781,7 +1785,7 @@ _ORACLE_SF_DIR = '/root/testdata/sf0.01'
 def _transcript_glob():
     name = os.path.basename(os.path.normpath(_ORACLE_SF_DIR))
     n = _SF_CONVS.get(name, 24)
-    return f'/tmp/yargy_ray_cache/transcripts_v3_{name}_{n}/*.parquet'
+    return cache_path(f'transcripts_v3_{name}_{n}', '*.parquet')
 
 
 _MULTIMODAL_FIXTURE = os.path.join(
@@ -2342,7 +2346,7 @@ def _triples_cte():
 
 
 def oracle_sql() -> dict[str, str]:
-    # the transcript-derived oracles read the deterministic /tmp cache;
+    # the transcript-derived oracles read the deterministic cache;
     # make sure it exists even if the SQL runs before the Ray queries
     _transcripts_for(_ORACLE_SF_DIR)
     out = _oracle_sql_dict()

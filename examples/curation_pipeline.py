@@ -82,7 +82,7 @@ class KeepIds:
             pc.is_in(batch.column('doc_id'), value_set=self.ids))
 
 
-survivors = map_cached(train, KeepIds, {'ids': surv_ids}, (1, 4))
+survivors = map_cached(train, KeepIds, {'ids': surv_ids}, 4)
 print('dedup survivors:', survivors.count())
 
 # -- 3. decontamination: drop docs overlapping the benchmark ---------------
@@ -95,7 +95,7 @@ print('decontam: flagged', flagged, 'docs, clean:', clean_ids.count())
 # keep clean survivors by broadcast id membership (small side)
 clean_set = pa.concat_tables(
     ray.get(clean_ids.to_arrow_refs())).column('doc_id').combine_chunks()
-clean = map_cached(survivors, KeepIds, {'ids': clean_set}, (1, 4))
+clean = map_cached(survivors, KeepIds, {'ids': clean_set}, 4)
 
 # -- 4. what survived, in terms (tf/df keyword summary) --------------------
 terms = doc_top_terms(clean, k=1)

@@ -74,7 +74,7 @@ def distributed_demo():
 
     factories = ('examples.custom_grammar_pipeline:ticket_grammar',)
     turns = ray.data.read_parquet(corpus)
-    triples = distinct_triples(turns, factories, concurrency=(1, 2))
+    triples = distinct_triples(turns, factories, concurrency=2)
     out = sorted((r['subj'], r['pred'], r['obj'])
                  for r in triples.iter_rows())
     print('distributed triples:')

@@ -39,14 +39,14 @@ turns.filter(expr="conv_id < 'conv-00000034'").write_parquet(f'{root}/day0')
 turns.filter(expr="conv_id >= 'conv-00000034'").write_parquet(f'{root}/day1')
 
 # -- build the base graph once (checkpointed; rerun = no-op) -------------
-base = run_kg_pipeline(f'{root}/day0', f'{root}/kg', concurrency=(1, 4),
+base = run_kg_pipeline(f'{root}/day0', f'{root}/kg', concurrency=4,
                        num_partitions=16)
 print('base graph:',
       {stage: man['rows_out'] for stage, man in base.items()})
 
 # -- absorb day 1: only delta-sized work + touched partitions ------------
 merged = merge_kg_delta(f'{root}/kg', f'{root}/day1', f'{root}/kg_v2',
-                        concurrency=(1, 4), num_partitions=16)
+                        concurrency=4, num_partitions=16)
 tri = merged['triples']
 print(f"merged: +{tri['new_rows']} new triples "
       f"(appended into {len(tri['appended_partitions'])} partitions, "

@@ -8,6 +8,12 @@ the fixed sf0.01 transcript cache (__ray_entry__._ORACLE_SF_DIR — the
 scale the driver compares at), so running THIS harness at another sf
 reports expected row-count mismatches for exactly those six; every
 other oracle is scale-parametric via the registered table views.
+
+Derived corpora and indexes are cached under
+``yargy_ray.state.storage.cache_path``, in the temp dir; run
+``TMPDIR=$(mktemp -d) python scripts/check_oracles.py ...`` to start
+from an empty cache root. Ray's session dir follows ``TMPDIR`` on Linux
+too, unless ``RAY_TMPDIR`` is set, which takes precedence.
 """
 
 import sys

@@ -22,7 +22,11 @@ text appeared earlier) and prints, per corpus:
   ``Parser.findall_tokens``, a turn whose union token mask misses one
   of the parser's required bit sets gets no chart), the charts that
   overflowed, and the number of ``StateOverflow`` capped rows in the
-  mention output.
+  mention output;
+* per shipped grammar, ``findall``: sha256 of that standalone parser's
+  ``findall_tokens`` rows in input order (char span, token values and
+  the ``fact_payload`` of ``Match.fact`` as JSON, or ``TypeError``),
+  the public match API beside the extractor's fused path.
 
 Writing the corpora starts a two-CPU local Ray (stopped at the end):
 the files' layout, and so the batches and the triple hash, depend on
@@ -57,6 +61,7 @@ from yargy_ray.stages.extract import (  # noqa: E402
     CAPPED_RULE,
     MentionExtractor,
     TripleProjector,
+    fact_payload,
 )
 
 BATCH_ROWS = 256
@@ -75,20 +80,32 @@ def table_digest(digest, table):
         digest.update(b'\n')
 
 
+def match_row(match):
+    try:
+        payload = json.dumps(fact_payload(match.fact), ensure_ascii=False,
+                             sort_keys=True)
+    except TypeError:
+        payload = 'TypeError'
+    return (match.span.start, match.span.stop,
+            [t.value for t in match.tokens], payload)
+
+
 def chart_states(path):
     """Pushed chart states and overflows per grammar, over the charts
-    ``findall_tokens`` builds."""
+    ``findall_tokens`` builds, and the row count and sha256 of each
+    grammar's ``findall_tokens`` rows."""
     tokenizer = MorphTokenizer()
     grammars = [(spec.name, Parser(spec.rule, tokenizer=tokenizer,
                                    max_states=spec.max_states))
                 for spec in build_specs()]
     states = {name: 0 for name, _ in grammars}
     overflows = {name: 0 for name, _ in grammars}
+    found = {name: [0, hashlib.sha256()] for name, _ in grammars}
     for batch in batches(path):
         for text in batch.column('text').to_pylist():
             tokens = list(tokenizer(text))
             for name, parser in grammars:
-                masks = parser._masks(tokens)
+                masks = parser.space.masks(tokens)
                 if not all(masks[1] & bits for bits in parser._required):
                     continue
                 try:
@@ -97,7 +114,12 @@ def chart_states(path):
                     overflows[name] += 1
                     continue
                 states[name] += sum(map(len, columns))
-    return states, overflows
+                for match in parser.findall_tokens(tokens, masks):
+                    found[name][0] += 1
+                    found[name][1].update(json.dumps(
+                        match_row(match), ensure_ascii=False).encode())
+                    found[name][1].update(b'\n')
+    return states, overflows, found
 
 
 def corpus_lines(path):
@@ -133,10 +155,12 @@ def corpus_lines(path):
         distinct.update(json.dumps(row, ensure_ascii=False).encode())
         distinct.update(b'\n')
     yield f'distinct {len(spo)} {distinct.hexdigest()}'
-    states, overflows = chart_states(path)
+    states, overflows, found = chart_states(path)
     for name in states:
         yield (f'grammar {name} states={states[name]} '
                f'overflows={overflows[name]} capped={capped.get(name, 0)}')
+    for name, (count, sha) in found.items():
+        yield f'findall {name} {count} {sha.hexdigest()}'
 
 
 def main(argv=None):

@@ -208,7 +208,7 @@ def test_mask_memo_tells_forms_apart():
         for token in order:
             matches = list(parser.findall_tokens([token]))
             assert len(matches) == (token is full)
-    (verb_mask, noun_mask), _ = parser._masks([full, nouns])
+    (verb_mask, noun_mask), _ = parser.space.masks([full, nouns])
     assert verb_mask != noun_mask
 
 
@@ -263,8 +263,8 @@ def test_shared_child_breaks_rank_tie():
             rule(eq('b'), eq('c')))
     parser = Parser(rule(a, b))
     text = 'x y b c'
-    _, columns = parser._chart(text)
-    final = [parser.view(s) for _, s in parser._final_states(columns)]
+    _, _, finals = parser._chart(text)
+    final = [parser.view(s) for _, s in finals]
     assert [parser.view(s.child).rank for s in final] == [1, 0]
     trees = parser.trees(text)
     assert [t.range for t in trees] == [(0, 4), (0, 4)]
@@ -299,14 +299,19 @@ def test_chart_builds_no_parse_nodes(monkeypatch, specs):
     assert not built
     # the fused entry point folds a payload with no tree object either
     tokens = parser.tokenize(TURNS[1])
-    [(span, state)] = parser.findall_spans(tokens, leaves={})
+    [(span, state)] = parser.findall_spans(tokens, None, {})
     assert span == (2, 5) and type(state) is tuple
     assert parser.interpret(span, state, {}).as_json == {
         'amount': 4500, 'currency': 'RUB'}
     assert not built
-    # the counter does see the nodes a match needs
-    assert list(parser.findall(TURNS[1]))
-    assert built['ParseNode'] and built['ParseTree'] and built['Match']
+    # findall wraps the span's only final state in a Match, and builds
+    # its tree only when asked
+    [match] = parser.findall(TURNS[1])
+    assert match.fact.as_json == {'amount': 4500, 'currency': 'RUB'}
+    assert [t.value for t in match.tokens] == ['4500', 'руб', '.']
+    assert built == {'Match': 1}
+    assert match.tree.range == (2, 5)
+    assert built['ParseNode'] and built['ParseTree'] == 1
 
 
 def test_prepare_only_kept_spans_without_relations(monkeypatch):
@@ -320,29 +325,34 @@ def test_prepare_only_kept_spans_without_relations(monkeypatch):
     prepared = []
     init = earley.Match.__init__
 
-    def recording(self, tree, *args):
-        prepared.append(tree.range)
-        init(self, tree, *args)
+    def recording(self, parser, tokens, range_, *args):
+        prepared.append(range_)
+        init(self, parser, tokens, range_, *args)
 
     monkeypatch.setattr(earley.Match, '__init__', recording)
 
-    def no_agreement(tree):
+    def no_agreement(*args):
         raise AssertionError('agreement pass without relations')
 
-    monkeypatch.setattr(earley.ParseTree, 'collect_relations', no_agreement)
+    monkeypatch.setattr(earley, '_agree', no_agreement)
     final = sorted(parser.trees('a b c'))
     spans = [t.range for t in final]
     assert spans == [(0, 2), (0, 1), (1, 3)]
+    # only the kept spans become matches
     matches = list(parser.findall('a b c'))
     assert prepared == best_nonoverlapping(spans) == [(0, 1), (1, 3)]
     assert [[t.value for t in m.tokens] for m in matches] == [
         ['a'], ['b', 'c']]
     # the fused entry point keeps the same spans, and prepares none
     prepared.clear()
-    kept = parser.findall_spans(parser.tokenize('a b c'), leaves={})
+    kept = parser.findall_spans(parser.tokenize('a b c'), None, {})
     assert [span for span, _ in kept] == best_nonoverlapping(spans)
     assert all(type(state) is tuple for _, state in kept)
     assert prepared == []
+    # match and extract run no agreement pass either
+    assert parser.match('a b').tokens[1].value == 'b'
+    assert [m.span for m in parser.extract('a b c')] == [
+        Span(0, 1), Span(0, 3), Span(2, 5)]
 
 
 def test_fused_path_builds_no_trees(monkeypatch, specs):
@@ -361,7 +371,7 @@ def test_fused_path_builds_no_trees(monkeypatch, specs):
             tokens = parser.tokenize(text)
             built.clear()
             leaves = {}
-            kept = parser.findall_spans(tokens, leaves=leaves)
+            kept = parser.findall_spans(tokens, None, leaves)
             assert all(type(state) is tuple for _, state in kept)
             results = [parser.interpret(span, state, leaves).as_json
                        for span, state in kept]
@@ -374,9 +384,6 @@ def test_fused_path_builds_no_trees(monkeypatch, specs):
                 m.tree.range for m in matches], text
             expected = [m.tree.interpret().as_json for m in matches]
             assert results == payloads == expected, text
-        # without a leaves map each span comes as its Match
-        kept = parser.findall_spans(parser.tokenize(TURNS[7]))
-        assert all(type(m) is earley.Match for _, m in kept)
     assert set(folded) == set(specs) and all(folded.values())
     # the grammar of test_shared_child_breaks_rank_tie: two final states
     # for one span; the state of the first ranked tree is folded
@@ -387,7 +394,7 @@ def test_fused_path_builds_no_trees(monkeypatch, specs):
     assert not parser._relations
     built.clear()
     [(span, state)] = parser.findall_spans(parser.tokenize('x y b c'),
-                                           leaves={})
+                                           None, {})
     assert span == (0, 4) and type(state) is tuple
     assert parser.view(parser.view(state).child).rank == 0
     assert built['ParseTree'] == 2 and not built['Match']
@@ -435,7 +442,7 @@ def test_relation_spans_share_constrained_leaves(monkeypatch):
         tokens = parser.tokenize(text)
         built.clear()
         leaves = {}
-        kept = parser.findall_spans(tokens, leaves=leaves)
+        kept = parser.findall_spans(tokens, None, leaves)
         got = [([t.value for t in tokens[start:stop]],
                 parser.payload((start, stop), state, leaves))
                for (start, stop), state in kept]
@@ -445,7 +452,8 @@ def test_relation_spans_share_constrained_leaves(monkeypatch):
             for (start, stop), state in kept]
         assert not built, text
         assert got == expected, text
-        # the tree path picks the same matches and folds the same facts
+        # findall keeps the same matches, and each Match's tree (its leaf
+        # tokens read from the leaves map) folds the same facts
         assert [([t.value for t in m.tokens], m.tree.interpret().as_json)
                 for m in parser.findall(text)] == expected, text
 
@@ -591,7 +599,7 @@ def test_payload_fold_quarantines_like_result_fold():
         parser = Parser(grammar, tokenizer=extractor.tokenizer,
                         space=extractor.space)
         [(span, state)] = parser.findall_spans(parser.tokenize('a 1'),
-                                               leaves={})
+                                               None, {})
         with pytest.raises(TypeError):
             parser.interpret(span, state, {})
         spec = GrammarSpec(name, grammar, lambda value, conv, turn: [])
@@ -824,13 +832,13 @@ def test_rejected_turn_builds_no_chart(monkeypatch, specs):
     parser = Parser(specs['money'].rule)
     tokens = parser.tokenize(MONEY_TURN)
     # the start pre-scan alone would chart this turn (it has an INT)
-    assert parser._masks(tokens)[1] & parser._start_bits
+    assert parser.space.masks(tokens)[1] & parser._start_bits
 
     def unreachable(*args, **kwargs):
         raise AssertionError('charted a turn the required sets reject')
 
     monkeypatch.setattr(parser, '_chart_tokens', unreachable)
-    monkeypatch.setattr(parser, '_resolve', unreachable)
+    monkeypatch.setattr(parser, '_resolve_states', unreachable)
     assert parser.findall_tokens(tokens) == []
     assert parser.findall(MONEY_TURN) == []
     with pytest.raises(AssertionError):
@@ -878,7 +886,8 @@ def test_recursive_rules_derive_in_finite_time():
         assert ["'a'"] in required_labels(parser)
         for text in ('a b', 'a a b', 'x a y', 'y a a x y', 'b x y'):
             tokens = parser.tokenize(text)
-            found = list(parser._final_states(parser._chart_tokens(tokens)))
+            found = []
+            parser._chart_tokens(tokens, finals=found)
             matches = parser.findall_tokens(tokens)
             assert bool(found) == bool(matches), text
 
@@ -900,12 +909,13 @@ def test_required_sets_are_sound(specs):
         parser = Parser(spec.rule, tokenizer=tokenizer)
         for text in texts:
             tokens = parser.tokenize(text)
-            union = parser._masks(tokens)[1]
+            union = parser.space.masks(tokens)[1]
             if all(union & required for required in parser._required):
                 continue
             rejected[name] += 1
-            columns = parser._chart_tokens(tokens)
-            assert not list(parser._final_states(columns)), (name, text)
+            finals = []
+            parser._chart_tokens(tokens, finals=finals)
+            assert not finals, (name, text)
     assert rejected['money'] > len(texts) / 2
     assert rejected['date'] > 0
 
@@ -932,8 +942,8 @@ def test_one_pass_tree_equals_pruned_node(specs):
         parser = Parser(grammar)
         for text in texts:
             memo = {}
-            _, columns = parser._chart(text)
-            for _, state in parser._final_states(columns):
+            _, _, finals = parser._chart(text)
+            for _, state in finals:
                 expected = earley._prune(
                     earley._node(state, memo, parser._table))
                 got = earley._pruned(state, memo, parser._table)

@@ -7,7 +7,6 @@ the Dataset, the per-instance text memo does not.
 """
 
 import pyarrow as pa
-import pytest
 
 TEXTS = [
     'согласно ст. 14 п. 3 договора',
@@ -103,11 +102,9 @@ def test_one_build_per_worker_per_dataset(ray_session):
     assert not set().union(*first.values()) & set().union(*second.values())
 
 
-@pytest.mark.parametrize('concurrency', [2, (1, 2)])
-def test_extraction_concurrency_int_or_pair(ray_session, concurrency):
-    """``concurrency`` is an int or ``(lo, hi)`` for both extraction
-    stages; both run as tasks capped at 2 and match the in-process
-    classes."""
+def test_extraction_concurrency_caps_tasks(ray_session):
+    """``concurrency`` caps both extraction stages' tasks: both run as
+    tasks capped at 2 and match the in-process classes."""
     import ray.data
     from ray.data._internal.compute import TaskPoolStrategy
 
@@ -117,9 +114,9 @@ def test_extraction_concurrency_int_or_pair(ray_session, concurrency):
     table = _turns(24)
     ds = ray.data.from_arrow(table).repartition(4)
     cases = [
-        (extract_mentions(ds, concurrency=concurrency, batch_size=8),
+        (extract_mentions(ds, concurrency=2, batch_size=8),
          MentionExtractor()(table)),
-        (extract_triples(ds, concurrency=concurrency, batch_size=8),
+        (extract_triples(ds, concurrency=2, batch_size=8),
          TripleExtractor()(table)),
     ]
     for out, serial in cases:

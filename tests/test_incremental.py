@@ -36,12 +36,12 @@ def merged_kg(split_corpus):
     from yargy_ray.pipelines.kg import run_kg_pipeline
 
     root, full, base_t, delta_t = split_corpus
-    run_kg_pipeline(full, f'{root}/kg_full', concurrency=(1, 2),
+    run_kg_pipeline(full, f'{root}/kg_full', concurrency=2,
                     num_partitions=16)
-    run_kg_pipeline(base_t, f'{root}/kg_base', concurrency=(1, 2),
+    run_kg_pipeline(base_t, f'{root}/kg_base', concurrency=2,
                     num_partitions=16)
     manifests = merge_kg_delta(f'{root}/kg_base', delta_t,
-                               f'{root}/kg_merged', concurrency=(1, 2),
+                               f'{root}/kg_merged', concurrency=2,
                                num_partitions=16)
     return root, manifests
 
@@ -111,7 +111,7 @@ def test_empty_delta(split_corpus, tmp_path):
         expr="conv_id == 'conv-00000003'").write_parquet(dup_t)
     out = str(tmp_path / 'kg_dupmerge')
     manifests = merge_kg_delta(f'{root}/kg_base', dup_t, out,
-                               concurrency=(1, 2), num_partitions=16)
+                               concurrency=2, num_partitions=16)
     assert manifests['triples']['new_rows'] == 0
     for table, cols in TABLES:
         base = _canon(f'{root}/kg_base/{table}', cols)
@@ -130,9 +130,9 @@ def test_merge_resume_and_crash_recovery(split_corpus, tmp_path):
     root, full, base_t, delta_t = split_corpus
     out = str(tmp_path / 'kg_resume')
     first = merge_kg_delta(f'{root}/kg_base', delta_t, out,
-                           concurrency=(1, 2), num_partitions=16)
+                           concurrency=2, num_partitions=16)
     second = merge_kg_delta(f'{root}/kg_base', delta_t, out,
-                            concurrency=(1, 2), num_partitions=16)
+                            concurrency=2, num_partitions=16)
     for stage in first:
         assert second[stage]['written_at'] == first[stage]['written_at']
 
@@ -143,7 +143,7 @@ def test_merge_resume_and_crash_recovery(split_corpus, tmp_path):
     with open(stray, 'wb') as f:
         f.write(b'garbage')
     third = merge_kg_delta(f'{root}/kg_base', delta_t, out,
-                           concurrency=(1, 2), num_partitions=16)
+                           concurrency=2, num_partitions=16)
     assert not os.path.exists(stray)
     assert third['edges']['rows_out'] == first['edges']['rows_out']
     # triples/nodes manifests matched the fingerprint and were skipped
@@ -198,13 +198,13 @@ def test_chained_merge_equals_full_rebuild(split_corpus, tmp_path):
     ds.filter(expr="conv_id == 'conv-00000018'").write_parquet(d1)
     ds.filter(expr="conv_id == 'conv-00000019'").write_parquet(d2)
 
-    run_kg_pipeline(b, str(tmp_path / 'kg_b'), concurrency=(1, 2),
+    run_kg_pipeline(b, str(tmp_path / 'kg_b'), concurrency=2,
                     num_partitions=16)
     m1 = merge_kg_delta(str(tmp_path / 'kg_b'), d1,
-                        str(tmp_path / 'kg_m1'), concurrency=(1, 2),
+                        str(tmp_path / 'kg_m1'), concurrency=2,
                         num_partitions=16)
     m2 = merge_kg_delta(str(tmp_path / 'kg_m1'), d2,
-                        str(tmp_path / 'kg_m2'), concurrency=(1, 2),
+                        str(tmp_path / 'kg_m2'), concurrency=2,
                         num_partitions=16)
 
     for table, cols in TABLES:
@@ -249,12 +249,12 @@ def test_comention_merge_equals_full_rebuild(split_corpus, tmp_path):
 
     root, full, base_t, delta_t = split_corpus
     run_comention_pipeline(full, str(tmp_path / 'cm_full'),
-                           concurrency=(1, 2), num_partitions=16)
+                           concurrency=2, num_partitions=16)
     run_comention_pipeline(base_t, str(tmp_path / 'cm_base'),
-                           concurrency=(1, 2), num_partitions=16)
+                           concurrency=2, num_partitions=16)
     man = merge_comention_delta(str(tmp_path / 'cm_base'), delta_t,
                                 str(tmp_path / 'cm_merged'),
-                                concurrency=(1, 2), num_partitions=16)
+                                concurrency=2, num_partitions=16)
     cols = ['src', 'dst', 'weight']
     want = _canon(f'{tmp_path}/cm_full/comention', cols)
     got = _canon(f'{tmp_path}/cm_merged/comention', cols)

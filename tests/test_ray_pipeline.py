@@ -42,7 +42,7 @@ def test_distributed_matches_serial(corpus, tmp_path):
     from yargy_ray.pipelines.kg import run_kg_pipeline
 
     out = str(tmp_path / 'kg')
-    run_kg_pipeline(corpus, out, concurrency=(1, 2), num_partitions=4)
+    run_kg_pipeline(corpus, out, concurrency=2, num_partitions=4)
 
     got = {
         (r['subj'], r['pred'], r['obj'])
@@ -76,8 +76,8 @@ def test_resume_skips_stages(corpus, tmp_path):
     from yargy_ray.pipelines.kg import run_kg_pipeline
 
     out = str(tmp_path / 'kg2')
-    first = run_kg_pipeline(corpus, out, concurrency=(1, 2), num_partitions=2)
-    second = run_kg_pipeline(corpus, out, concurrency=(1, 2), num_partitions=2)
+    first = run_kg_pipeline(corpus, out, concurrency=2, num_partitions=2)
+    second = run_kg_pipeline(corpus, out, concurrency=2, num_partitions=2)
     for stage in first:
         assert second[stage]['written_at'] == first[stage]['written_at']
 
@@ -105,7 +105,7 @@ def test_empty_corpus(ray_session, tmp_path):
     src.mkdir()
     pq.write_table(TRANSCRIPT_SCHEMA.empty_table(), src / 'part-0.parquet')
     man = run_kg_pipeline(str(src), str(tmp_path / 'kg'),
-                          concurrency=(1, 2), num_partitions=2)
+                          concurrency=2, num_partitions=2)
     for stage, m in man.items():
         assert m['rows_out'] == 0, (stage, m)
 
@@ -127,7 +127,7 @@ def test_docscope_extraction(corpus, ray_session):
         (r['conv_id'], r['rule'], r['span_start'], r['span_stop'],
          r['fact_json'])
         for r in extract_document_mentions(
-            docs, concurrency=(1, 2)).iter_rows()
+            docs, concurrency=2).iter_rows()
     }
 
     # per-turn extraction mapped into document coordinates
@@ -145,7 +145,7 @@ def test_docscope_extraction(corpus, ray_session):
 
     turn_mentions = set()
     for r in extract_mentions(
-            turns, concurrency=(1, 2)).iter_rows():
+            turns, concurrency=2).iter_rows():
         off = offsets[(r['conv_id'], r['turn_idx'])]
         turn_mentions.add((
             r['conv_id'], r['rule'], r['span_start'] + off,
@@ -163,7 +163,7 @@ def test_crashed_stage_rerun_discards_partial_output(corpus, tmp_path,
     from yargy_ray.pipelines.kg import run_kg_pipeline
 
     out_root = str(tmp_path / 'kg')
-    man1 = run_kg_pipeline(corpus, out_root, concurrency=(1, 2),
+    man1 = run_kg_pipeline(corpus, out_root, concurrency=2,
                            num_partitions=4)
     triples_dir = os.path.join(out_root, 'triples')
     n_clean = ray.data.read_parquet(triples_dir).count()
@@ -177,7 +177,7 @@ def test_crashed_stage_rerun_discards_partial_output(corpus, tmp_path,
     pq.write_table(pa.table({'junk': [1, 2, 3]}),
                    os.path.join(stale_dir, 'stale-leftover.parquet'))
 
-    man2 = run_kg_pipeline(corpus, out_root, concurrency=(1, 2),
+    man2 = run_kg_pipeline(corpus, out_root, concurrency=2,
                            num_partitions=4)
     assert man2['triples']['rows_out'] == man1['triples']['rows_out']
     n_after = ray.data.read_parquet(triples_dir).count()
@@ -210,7 +210,7 @@ def test_jsonl_source(ray_session, tmp_path):
     got = {r['turn_idx']: r for r in ds.iter_rows()}
     assert got[0]['tool'] == ''
     assert got[1]['tool'] == 'search'
-    mentions = extract_mentions(ds, concurrency=(1, 1)).take_all()
+    mentions = extract_mentions(ds, concurrency=1).take_all()
     assert any(m['rule'] == 'clause' for m in mentions)
 
 
@@ -231,5 +231,5 @@ def test_csv_source(ray_session, tmp_path):
     got = {r['turn_idx']: r for r in ds.iter_rows()}
     assert got[0]['tool'] == ''           # missing column filled
     assert got[1]['role'] == 'assistant'
-    mentions = extract_mentions(ds, concurrency=(1, 1)).take_all()
+    mentions = extract_mentions(ds, concurrency=1).take_all()
     assert any(m['rule'] == 'clause' for m in mentions)

@@ -217,12 +217,12 @@ def test_multimodal_plumbing(ray_session):
         synth_media,
     )
     media = ray.data.from_arrow(synth_media(20))
-    feats = featurize_images(media, concurrency=(1, 2)).take_all()
+    feats = featurize_images(media, concurrency=2).take_all()
     assert len(feats) == 20
     assert all(len(r['feature']) == 3 for r in feats)
     # determinism: same media id -> same feature
     again = featurize_images(ray.data.from_arrow(synth_media(20)),
-                             concurrency=(1, 2)).take_all()
+                             concurrency=2).take_all()
     assert sorted(map(repr, feats)) == sorted(map(repr, again))
     # real codec boundary is explicit
     with pytest.raises(NotImplementedError):
@@ -1584,13 +1584,13 @@ def test_real_codec_featurize(ray_session):
     images = media.filter(expr="kind == 'image'")
     feats = {r['media_id']: r['feature']
              for r in featurize_images(
-                 images, concurrency=(1, 2)).iter_rows()}
+                 images, concurrency=2).iter_rows()}
     # featurize_images defaults to FakeCodec; rebuild with StdlibCodec
     from yargy_ray.stages.multimodal import ImageFeaturizer
     real = images.map_batches(
         ImageFeaturizer,
         fn_constructor_kwargs={'codec': StdlibCodec()},
-        batch_format='pyarrow', concurrency=(1, 2))
+        batch_format='pyarrow', concurrency=2)
     got = {r['media_id']: r['feature'] for r in real.iter_rows()}
 
     # direct first-principles check for one known row

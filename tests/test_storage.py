@@ -100,13 +100,13 @@ def test_kg_and_merge_over_uri_roots(ray_session, tmp_path):
     kg_full = f'file://{tmp_path}/kg_full'
     kg_base = f'file://{tmp_path}/kg_base'
     kg_merged = f'file://{tmp_path}/kg_merged'
-    man_full = run_kg_pipeline(tpath, kg_full, concurrency=(1, 2),
+    man_full = run_kg_pipeline(tpath, kg_full, concurrency=2,
                                num_partitions=4)
     assert man_full['triples']['rows_out'] > 0
-    run_kg_pipeline(base_t, kg_base, concurrency=(1, 2),
+    run_kg_pipeline(base_t, kg_base, concurrency=2,
                     num_partitions=4)
     man = merge_kg_delta(kg_base, delta_t, kg_merged,
-                         concurrency=(1, 2), num_partitions=4)
+                         concurrency=2, num_partitions=4)
     assert man['triples']['num_partitions'] == 4
 
     def canon(root, cols):

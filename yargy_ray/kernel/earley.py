@@ -57,14 +57,15 @@ Additions over the reference:
   (``prev``) and what it advanced over (``child``: the scanned token or
   the completed state); the chart allocates no :class:`ParseNode` and
   no :class:`ParseLeaf`. Trees are built on demand by walking ``prev``
-  back (``_node``), memoized per chart by state id, so parents sharing
-  a completed child share its node, and trees sharing a scanned state
-  its leaf, whose token the leaf's predicate constrains then. The chart
-  collects its final states (completed start-rule states) as it
-  completes them, so resolving rescans no column. Resolving groups
-  final states by span and builds and sorts trees only within a span
-  that has several; for a grammar without relations it looks only at
-  the spans ``best_nonoverlapping`` keeps, with no agreement pass.
+  back (``_node``), memoized by state id, so parents sharing a completed
+  child share its node, which the rank tie-break of ``ParseNode.__lt__``
+  relies on. The chart collects its final states (completed start-rule
+  states) as it completes them, so resolving rescans no column.
+  Resolving groups final states by span and builds and sorts trees only
+  within a span that has several (``_ranked``); for a grammar without
+  relations it looks only at the spans ``best_nonoverlapping`` keeps,
+  with no agreement pass. Only that ranking, ``trees``, ``explain`` and
+  a :class:`Match`'s ``tree``, built on first use, make tree objects.
 * Acyclic chart. A state holds its origin as a column index; its stop
   is the index of the column holding it. States are tuples of ints,
   tokens and older states, and the tree passes are module-level
@@ -83,30 +84,29 @@ Additions over the reference:
   building a chart; the skip is exact, since a rejected turn's chart has
   no final state. ``_chart_tokens`` does not test them, so it still
   builds every chart the start pre-scan lets through.
-* Folds straight from the chart, for every grammar. Given a ``leaves``
-  map, ``findall_spans`` hands out each kept span's chosen final state:
-  its only one, or, for a span with several, the first of its trees in
-  ``ParseTree.__lt__`` order that is valid; only such a span builds
-  trees, to rank them.
+* One resolve path, over chart states. ``findall_spans`` hands out
+  each kept span's chosen final state: its only one, or, for a span
+  with several, the first of its trees in ``ParseTree.__lt__`` order
+  that is valid (``_resolve_states``). ``findall``/``findall_tokens``
+  wrap each of those in a :class:`Match`; ``match`` takes the first
+  valid of the final states that end the text, in the order of their
+  trees, and ``extract`` every valid final state in chart order.
   ``interpret`` folds the interpretation result by walking the state's
   ``prev`` chain once (``_fold_state``): a completed child that covers
   no token is skipped (the one ``_pruned`` drops), each scanned token
   goes through its predicate's ``constrain`` (as ``_leaf``), and a
   gazetteer production's key comes from the item table. No
   :class:`ParseNode`, :class:`ParseLeaf`, :class:`ParseTree` or
-  :class:`Match` is built. ``findall``, ``trees``, ``match``,
-  ``extract`` and ``explain`` keep trees; ``findall`` builds a
-  single-final span's pruned tree straight from the ``prev`` chain
-  (``_pruned``), with no unpruned node.
+  :class:`Match` is built.
 * Agreement over chart states. A grammar with relations checks every
-  span in order, because ``constrain`` rewrites leaves that later spans
-  share. ``_agree`` does ``_prepare_match``'s pass over the ``prev``
-  chains: it adds each relation-bearing node's main token to an
-  :class:`AgreementGraph` in the tree's preorder, validates it, and
-  writes the constrained tokens into a per-chart ``leaves`` map keyed
-  by the scanning state, which takes the place of the shared
-  :class:`ParseLeaf` memo: a later span reads the rewrites of earlier
-  ones, and every fold reads the map as the last span left it.
+  span in order, because ``constrain`` rewrites tokens that later spans
+  share. ``_agree`` walks the ``prev`` chains: it adds each
+  relation-bearing node's main token to an :class:`AgreementGraph` in
+  the tree's preorder, validates it, and writes the constrained tokens
+  into a per-chart ``leaves`` map keyed by the scanning state: a later
+  span reads the rewrites of earlier ones, and every fold reads the map
+  as the last span left it. It returns the tree's leaf tokens as they
+  stand then, which ``Match.tokens`` keeps.
 * Payload plans. ``payload`` folds a state straight into the payload
   the extraction stage keeps (the fact's ``as_json`` dict, or the
   normalized value) through the item table's ``plan`` column: one
@@ -114,12 +114,12 @@ Additions over the reference:
   decides once the attribute's name and whether it repeats, whether
   it lands in its parent fact, the ``const`` flag and the fact's
   layout, and folds into tuples instead of result objects.
-* Match tokens from the span. A chart span ``(i, j)`` consumes exactly
-  the tokens ``i .. j - 1``, so a match's char span and token values
-  come from those tokens (constraining changes a token's forms, not its
-  value); a :class:`Match` walks its tree for ``tokens`` only when
-  asked (a grammar with relations takes them when it constrains the
-  tree).
+* Matches read from the state. A chart span ``(i, j)`` consumes
+  exactly the tokens ``i .. j - 1``, so a match's char span comes from
+  those tokens. A :class:`Match` holds its final state and the
+  ``leaves`` map of its call: ``fact`` folds from the chart, ``tokens``
+  are the ones agreement left (a grammar with relations) or are walked
+  from the ``prev`` chain when asked, and ``tree`` is built when asked.
 * One lexer pass. :class:`Lexer` tokenizes a text, attaches morphology
   and computes token masks in one regex loop, memoized by ``(value,
   regex group)``; the extraction stage runs it once per turn for all
@@ -172,16 +172,8 @@ class ParseNode:
         self.children = children
 
     @property
-    def main_token(self):
-        return self.children[self.production.main].main_token
-
-    @property
     def interpretator(self):
         return self.rule.interpretator
-
-    @property
-    def relation(self):
-        return self.rule.relation
 
     def __lt__(self, other):
         # rank-lexicographic: shared-leaf positions skipped, first differing
@@ -208,29 +200,9 @@ class ParseNode:
 class ParseLeaf:
     __slots__ = ('predicate', 'token')
 
-    children = ()
-    interpretator = None
-    relation = None
-
     def __init__(self, predicate, token):
         self.predicate = predicate
         self.token = token
-
-    @property
-    def main_token(self):
-        return self.token
-
-
-def walk_leaves(node):
-    stack = [node]
-    out = []
-    while stack:
-        item = stack.pop()
-        if isinstance(item, ParseLeaf):
-            out.append(item)
-        else:
-            stack.extend(reversed(item.children))
-    return out
 
 
 class ParseTree:
@@ -248,30 +220,6 @@ class ParseTree:
         if start == ostart:
             return stop > ostop          # longer span first
         return start < ostart
-
-    # -- tree passes ---------------------------------------------------------
-
-    def prune_empty(self):
-        """Drop epsilon branches (nodes whose children all vanished)."""
-        root = _prune(self.root)
-        return ParseTree(root, self.range) if root is not None else None
-
-    def collect_relations(self):
-        graph = AgreementGraph()
-        stack = [self.root]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, ParseLeaf):
-                continue
-            if item.relation is not None:
-                graph.add(item.relation, item.main_token)
-            stack.extend(reversed(item.children))
-        return graph
-
-    def constrain(self, graph):
-        for leaf in walk_leaves(self.root):
-            leaf.token = graph.constrain(leaf.token)
-        return self
 
     def interpret(self):
         """Fold: keep interpretation-bearing nodes, apply bottom-up."""
@@ -445,9 +393,10 @@ class StateView(NamedTuple):
 
 def _leaf(state, memo, table):
     """The leaf a scanned ``state`` advanced over, one per state in a
-    ``memo``: trees that share the state share the leaf, whose token a
-    relation's ``constrain`` may rewrite. ``-id`` keys it, apart from
-    the nodes, which ``id`` keys (ids are positive)."""
+    ``memo`` (trees that share the state share the leaf), its token as
+    its predicate's ``constrain`` gives it unless the memo already holds
+    the leaf. ``-id`` keys it, apart from the nodes, which ``id`` keys
+    (ids are positive)."""
     leaf = memo.get(-id(state))
     if leaf is None:
         predicate = table.term[state[0] - 1]
@@ -560,11 +509,11 @@ def _significant_back(state, stop, values, leaves, folds, table):
     return values
 
 
-# The agreement pass of ``_prepare_match``, read from the chart. A
-# pruned node's children are the ``(state, stop)`` pairs of its completed
-# children that cover a token and the ``(state, None)`` pairs of its
-# scanned ones (``state`` the scanning state, whose ``id`` keys its leaf
-# in a ``leaves`` map, as ``_leaf`` keys the leaf memo).
+# The agreement pass, read from the chart. A pruned node's children are
+# the ``(state, stop)`` pairs of its completed children that cover a
+# token and the ``(state, None)`` pairs of its scanned ones (``state``
+# the scanning state, whose ``id`` keys its leaf's token in a ``leaves``
+# map, as ``-id`` keys its leaf in a tree's memo).
 
 def _children(state, stop):
     """The children of the pruned node of ``state``, left to right."""
@@ -586,10 +535,21 @@ def _children(state, stop):
     return children
 
 
+def _scans(state, stop, out):
+    """The scanning state of each leaf of the pruned tree of ``state``,
+    left to right, appended to ``out``."""
+    for child, child_stop in _children(state, stop):
+        if child_stop is None:
+            out.append(child)
+        else:
+            _scans(child, child_stop, out)
+    return out
+
+
 def _leaf_token(scan, leaves, table):
     """The token of the leaf ``scan`` advanced over: as ``leaves`` holds
     it, or, on first use, its predicate's ``constrain`` of the scanned
-    token, which ``leaves`` then keeps (as the leaf memo keeps a leaf)."""
+    token, which ``leaves`` then keeps."""
     token = leaves.get(id(scan))
     if token is None:
         token = leaves[id(scan)] = table.term[scan[0] - 1].constrain(
@@ -597,14 +557,15 @@ def _leaf_token(scan, leaves, table):
     return token
 
 
-def _relate(state, stop, children, graph, mains, leaves, table):
-    """``ParseTree.collect_relations`` of the pruned node of ``state``
-    (its ``children`` given), preorder: each relation-bearing node adds
-    its main token to ``graph``; ``mains`` maps ``id`` of that token's
-    scanned state to ``(state, token)``."""
+def _relate(state, stop, children, graph, mains, scans, leaves, table):
+    """The agreement graph of the pruned node of ``state`` (its
+    ``children`` given), preorder: each relation-bearing node adds its
+    main token to ``graph``; ``mains`` maps ``id`` of that token's
+    scanned state to ``(state, token)``. The scanning state of each leaf
+    is appended to ``scans``, left to right."""
     relation = table.rule[state[0]].relation
     if relation is not None:
-        # ParseNode.main_token: down the main child of each pruned node
+        # the main token: down the main child of each pruned node
         node, below = state, children
         while True:
             scan, node_stop = below[table.production[node[0]].main]
@@ -615,89 +576,121 @@ def _relate(state, stop, children, graph, mains, leaves, table):
         graph.add(relation, token)
         mains[id(scan)] = (scan, token)
     for child, child_stop in children:
-        if child_stop is not None:
+        if child_stop is None:
+            scans.append(child)
+        else:
             _relate(child, child_stop, _children(child, child_stop), graph,
-                    mains, leaves, table)
+                    mains, scans, leaves, table)
 
 
 def _agree(state, stop, leaves, table):
-    """``_prepare_match`` of the pruned tree of ``state`` (a final state
+    """The agreement pass of the pruned tree of ``state`` (a final state
     whose span ``(origin, stop)`` covers a token), over the chart: build
     and validate its agreement graph; when valid, write each token it
-    constrains into ``leaves`` and return True. ``leaves`` plays the
-    shared leaf memo: a later span reads the tokens this one rewrote,
-    and the fold of this one reads those later spans rewrite."""
+    constrains into ``leaves`` and return the tree's leaf tokens as they
+    stand then, else None. ``leaves`` is shared by the spans of a chart,
+    as the tree leaves of a shared scanned state are: a later span reads
+    the tokens this one rewrote, and the fold of this one reads those
+    later spans rewrite."""
     graph = AgreementGraph()
     mains = {}
-    _relate(state, stop, _children(state, stop), graph, mains, leaves,
-            table)
+    scans = []
+    _relate(state, stop, _children(state, stop), graph, mains, scans,
+            leaves, table)
     if not graph.validate():
-        return False
+        return None
     for scan, token in mains.values():
         leaves[id(scan)] = graph.constrain(token)
-    return True
+    return [_leaf_token(scan, leaves, table) for scan in scans]
 
 
-def _char_span(tokens, range_):
-    """Char span of the chart span ``(i, j)``: it consumes exactly the
-    tokens ``i .. j - 1``."""
-    start, stop = range_
-    return Span(tokens[start].span.start, tokens[stop - 1].span.stop)
-
-
-class Match:
-    """One resolved extraction: char span, lazily walked tokens, lazily
-    interpreted fact."""
-
-    __slots__ = ('tree', 'span', '_tokens')
-
-    def __init__(self, tree, span, tokens=None):
-        self.tree = tree
-        self.span = span
-        self._tokens = tokens
-
-    @property
-    def tokens(self):
-        """The tree's leaf tokens, walked on first use."""
-        if self._tokens is None:
-            self._tokens = [leaf.token for leaf in walk_leaves(self.tree.root)]
-        return self._tokens
-
-    @property
-    def rule(self):
-        return self.tree.root.rule
-
-    @property
-    def fact(self):
-        result = self.tree.interpret()
-        value = result.normalized
-        return value
-
-    def __repr__(self):
-        return f'Match({[t.value for t in self.tokens]!r}, {self.span!r})'
-
-
-def _prepare_match(tree, tokens):
-    tree = tree.prune_empty()
-    if tree is None:
-        return None
-    graph = tree.collect_relations()
-    if not graph.validate():
-        return None
-    tree.constrain(graph)
-    # the tokens as constrained now: a later span's constrain() may
-    # rewrite leaves this tree shares
-    leaves = [leaf.token for leaf in walk_leaves(tree.root)]
-    return Match(tree, _char_span(tokens, tree.range), leaves)
+def _ranked(finals, table):
+    """``finals`` (``(span, state)`` pairs) in the order of their trees
+    (``ParseTree.__lt__``). Trees are built, sharing one memo, only when
+    there are several to sort."""
+    if len(finals) < 2:
+        return finals
+    trees = _trees(finals, table)
+    return [finals[i]
+            for i in sorted(range(len(finals)), key=trees.__getitem__)]
 
 
 def _group_spans(finals):
     """``finals`` grouped by span, and the spans in ParseTree order
     (start ascending, the longer span first)."""
     by_span = {}
-    for span, state in finals:
-        by_span.setdefault(span, []).append(state)
+    for final in finals:
+        by_span.setdefault(final[0], []).append(final)
     return by_span, sorted(by_span, key=lambda span: (span[0], -span[1]))
+
+
+class Match:
+    """One match of :meth:`Parser.findall_tokens`, :meth:`Parser.match`
+    or :meth:`Parser.extract`, read from its final state on the chart.
+
+    * ``span`` — the char span: a chart span ``(i, j)`` consumes exactly
+      the tokens ``i .. j - 1``;
+    * ``rule`` — the start rule;
+    * ``fact`` — the interpretation's normalized value, folded from the
+      chart on each access (:meth:`Parser.interpret`);
+    * ``tokens`` — the leaf tokens: for a grammar with relations, as
+      they stood right after the match's agreement pass; otherwise built
+      on first use;
+    * ``tree`` — the pruned :class:`ParseTree`, built on first use.
+
+    ``fact`` and ``tree`` read the tokens from the ``leaves`` map the
+    call that found the match filled, as it stands when they are read: a
+    later span's agreement pass may rewrite a token this match shares,
+    as it rewrote a shared tree leaf.
+    """
+
+    __slots__ = ('span', '_parser', '_range', '_state', '_leaves',
+                 '_tokens', '_tree')
+
+    def __init__(self, parser, tokens, range_, state, leaves, agreed):
+        start, stop = range_
+        self.span = Span(tokens[start].span.start, tokens[stop - 1].span.stop)
+        self._parser = parser
+        self._range = range_
+        self._state = state
+        self._leaves = leaves
+        self._tokens = agreed
+        self._tree = None
+
+    def _scans(self):
+        return _scans(self._state, self._range[1], [])
+
+    @property
+    def tokens(self):
+        if self._tokens is None:
+            table, leaves = self._parser._table, self._leaves
+            self._tokens = [_leaf_token(scan, leaves, table)
+                            for scan in self._scans()]
+        return self._tokens
+
+    @property
+    def tree(self):
+        if self._tree is None:
+            table, leaves = self._parser._table, self._leaves
+            # each leaf holds its token as ``leaves`` has it
+            memo = {-id(scan): ParseLeaf(table.term[scan[0] - 1],
+                                         _leaf_token(scan, leaves, table))
+                    for scan in self._scans()}
+            self._tree = ParseTree(_pruned(self._state, memo, table),
+                                   self._range)
+        return self._tree
+
+    @property
+    def rule(self):
+        return self._parser._table.rule[self._state[0]]
+
+    @property
+    def fact(self):
+        return self._parser.interpret(self._range, self._state,
+                                      self._leaves).normalized
+
+    def __repr__(self):
+        return f'Match({[t.value for t in self.tokens]!r}, {self.span!r})'
 
 
 class MaskSpace:
@@ -924,7 +917,7 @@ class Parser:
           (the common case for a multi-grammar extractor), and a column
           whose lookahead misses them predicts no start state.
         * ``self._relations`` — whether any rule, gazetteer rules
-          included, carries an agreement relation (see ``_resolve``).
+          included, carries an agreement relation (see ``_resolve_states``).
         * ``self._required`` — bit sets every match meets through some
           token's mask (``_required_sets``). A terminal gives its bit; a
           production the sets of its symbols; a rule, per set index, the
@@ -1012,10 +1005,6 @@ class Parser:
         self._gazetteer_items = {}
         self._required = _required_sets(self.rule, rules, self.space.bits)
 
-    def _masks(self, tokens):
-        """``(masks, union)`` of ``tokens`` in this parser's space."""
-        return self.space.masks(tokens)
-
     # -- chart construction --------------------------------------------------
 
     def _chart_tokens(self, tokens, everywhere=True, masks=None,
@@ -1025,8 +1014,9 @@ class Parser:
         before token ``i``. ``masks`` is the tokens' ``(masks, union)``
         pair from this parser's space, when already known. A ``finals``
         list gets ``((origin, stop), state)`` of every completed
-        start-rule state as it completes, in ``_final_states`` order."""
-        masks, union = masks if masks is not None else self._masks(tokens)
+        start-rule state as it completes: column by column, in push
+        order within a column."""
+        masks, union = masks if masks is not None else self.space.masks(tokens)
         if finals is None:
             finals = []
         start_bits = self._start_bits
@@ -1189,16 +1179,6 @@ class Parser:
             firsts.append((item, table.wait[item]))
         return firsts
 
-    def _final_states(self, columns, everywhere=True):
-        """``((origin, stop), state)`` of every completed start-rule state
-        (in the last column only unless ``everywhere``)."""
-        final = self._table.final
-        first = 0 if everywhere else max(len(columns) - 1, 0)
-        for stop in range(first, len(columns)):
-            for state in columns[stop]:
-                if final[state[0]]:
-                    yield (state[1], stop), state
-
     def view(self, state):
         """``state`` as a :class:`StateView` (debug aid)."""
         table = self._table
@@ -1213,12 +1193,16 @@ class Parser:
         return list(self.tagger(self.tokenizer(text)))
 
     def _chart(self, text, everywhere=True):
-        """``(tokens, columns)`` of ``text``."""
+        """``(tokens, columns, finals)`` of ``text``: ``finals`` as
+        ``_chart_tokens`` fills them."""
         tokens = self.tokenize(text)
-        return tokens, self._chart_tokens(tokens, everywhere)
+        finals = []
+        columns = self._chart_tokens(tokens, everywhere, finals=finals)
+        return tokens, columns, finals
 
     def findall_tokens(self, tokens, masks=None):
-        """``findall`` over a pre-tokenized stream.
+        """``findall`` over a pre-tokenized stream: a :class:`Match` per
+        :meth:`findall_spans` pair, all reading one ``leaves`` map.
 
         Lets an extraction worker running N grammars tokenize (and run
         morphology) once per document instead of once per grammar; with
@@ -1226,132 +1210,106 @@ class Parser:
         masks once for every parser on the space. A stream whose union
         mask misses a required set (``_build_first``) gets no chart.
         """
-        return [match for _, match in self.findall_spans(tokens, masks)]
+        leaves = {}
+        return [Match(self, tokens, span, state, leaves, leaves.get(span))
+                for span, state in self.findall_spans(tokens, masks, leaves)]
 
-    def findall_spans(self, tokens, masks=None, leaves=None):
-        """The matches of ``findall_tokens`` as ``(span, match)`` pairs.
+    def findall_spans(self, tokens, masks, leaves):
+        """The matches of ``findall_tokens`` as ``(span, state)`` pairs.
 
         ``span`` is the match's chart span ``(i, j)``: it consumes the
-        tokens ``i .. j - 1``. Given a ``leaves`` dict, each span comes
-        as its chosen final state (its only one, or the first of its
-        ranked trees that is valid), from which :meth:`interpret` and
-        :meth:`payload` fold with no :class:`ParseNode`,
-        :class:`ParseTree` or :class:`Match`; only a span with several
-        final states builds trees, to rank them. The agreement pass of a
-        grammar with relations writes into ``leaves`` the tokens it
-        constrains (keyed by ``id`` of the scanning state); pass the
-        same dict to the folds. Without ``leaves`` each span comes as
-        its :class:`Match`.
+        tokens ``i .. j - 1``. ``state`` is the span's chosen final
+        state (its only one, or the first of its ranked trees that is
+        valid), from which :meth:`interpret` and :meth:`payload` fold
+        with no :class:`ParseNode`, :class:`ParseTree` or
+        :class:`Match`; only a span with several final states builds
+        trees, to rank them. ``masks`` is ``self.space.masks(tokens)``,
+        or None to compute it here. The agreement pass of a grammar with
+        relations writes into the ``leaves`` dict the tokens it
+        constrains (keyed by ``id`` of the scanning state) and, under
+        each span it finds valid, that span's leaf tokens as they stand
+        right after its pass; pass the same dict to the folds.
         """
         if masks is None:
-            masks = self._masks(tokens)
+            masks = self.space.masks(tokens)
         union = masks[1]
         for required in self._required:
             if not union & required:
                 return []
         finals = []
         self._chart_tokens(tokens, masks=masks, finals=finals)
-        if leaves is not None:
-            return self._resolve_states(finals, leaves)
-        return self._resolve(finals, tokens)
+        return self._resolve_states(finals, leaves)
 
-    def interpret(self, span, match, leaves):
-        """The interpretation result of a :meth:`findall_spans` pair:
-        ``match.tree.interpret()``, folded straight from the chart when
-        ``match`` is a final state. ``leaves`` is the dict given to the
-        ``findall_spans`` call that returned the pair: a state's fold
-        reads from it the tokens a relation constrained (a
-        :class:`Match` ignores it). Raises what that raises."""
-        if type(match) is not tuple:
-            return match.tree.interpret()
+    def interpret(self, span, state, leaves):
+        """The interpretation result of a :meth:`findall_spans` pair,
+        folded straight from the chart: what the ``interpret()`` of the
+        state's pruned tree gives. ``leaves`` is the dict given to the
+        ``findall_spans`` call that returned the pair: the fold reads
+        from it the tokens a relation constrained. Raises what the fold
+        raises."""
         if self.rule.interpretator is None:
             raise ValueError('root rule has no .interpretation(...)')
-        return _fold_state(match, span[1], self._table, leaves)
+        return _fold_state(state, span[1], self._table, leaves)
 
-    def payload(self, span, match, leaves):
+    def payload(self, span, state, leaves):
         """``interp.result_payload`` of :meth:`interpret`: the fact's
-        ``as_json`` dict, or the normalized value. A final state folds
-        through the item table's payload plans, building no result
-        object; a case a plan does not model (``interp.Unplanned``)
-        folds through result objects. Raises what :meth:`interpret`
-        raises."""
-        if type(match) is tuple:
-            if self.rule.interpretator is None:
-                raise ValueError('root rule has no .interpretation(...)')
-            table = self._table
-            try:
-                return plan_payload(_fold_state(match, span[1], table,
-                                                leaves, table.plan))
-            except Unplanned:
-                pass
-        return result_payload(self.interpret(span, match, leaves))
+        ``as_json`` dict, or the normalized value, folded through the
+        item table's payload plans with no result object; a case a plan
+        does not model (``interp.Unplanned``) folds through result
+        objects. Raises what :meth:`interpret` raises."""
+        if self.rule.interpretator is None:
+            raise ValueError('root rule has no .interpretation(...)')
+        table = self._table
+        try:
+            return plan_payload(_fold_state(state, span[1], table, leaves,
+                                            table.plan))
+        except Unplanned:
+            return result_payload(self.interpret(span, state, leaves))
 
     def findall(self, text):
         """All non-overlapping matches, maximum-coverage, span order."""
         return self.findall_tokens(self.tokenize(text))
 
     def _resolve_states(self, finals, leaves):
-        """``(span, state)`` per match, as :meth:`_resolve` picks them,
+        """``(span, state)`` per match, as the reference picks them (sort
+        each span's final trees, take its first valid one, select spans),
         with each span's chosen final state: its only one, or the first
         in the order of its ranked trees that is valid. For a grammar
         with relations every span is checked in order (``_agree``), as
-        its constrained tokens go into ``leaves``; without relations
+        its constrained tokens go into ``leaves``, and ``leaves`` keeps
+        each valid span's leaf tokens under the span; without relations
         every state covering a token is valid, so only the kept spans
-        are looked at."""
+        are looked at. ``finals`` are the ``((origin, stop), state)``
+        pairs ``_chart_tokens`` fills."""
         by_span, spans = _group_spans(finals)
         table = self._table
-        memo = {}
-
-        def ranked(span):
-            states = by_span[span]
-            if len(states) < 2:
-                return states
-            trees = [ParseTree(_node(s, memo, table), span) for s in states]
-            return [states[i] for i in
-                    sorted(range(len(states)), key=trees.__getitem__)]
-
         spans = [span for span in spans if span[0] < span[1]]
         if not self._relations:
-            return [(span, ranked(span)[0])
+            return [_ranked(by_span[span], table)[0]
                     for span in best_nonoverlapping(spans)]
         chosen = {}
         for span in spans:
-            for state in ranked(span):
-                if _agree(state, span[1], leaves, table):
+            for _, state in _ranked(by_span[span], table):
+                agreed = _agree(state, span[1], leaves, table)
+                if agreed is not None:
                     chosen[span] = state
+                    leaves[span] = agreed
                     break
         return [(span, chosen[span])
                 for span in best_nonoverlapping(list(chosen))]
 
-    def _resolve(self, finals, tokens):
-        """``(span, match)`` per match, as the reference picks them (sort
-        the final trees, prepare each span's first valid tree, select
-        spans), building trees only for the spans that need them.
-        ``finals`` are ``((origin, stop), state)`` pairs in
-        ``_final_states`` order."""
-        table = self._table
-        memo = {}
-        if not self._relations:
-            # Without relations a tree is valid iff it covers a token, and
-            # preparing it rewrites no token: the pruned tree of each kept
-            # span's chosen state, built straight from the chart.
-            return [(span, Match(ParseTree(_pruned(state, memo, table), span),
-                                 _char_span(tokens, span)))
-                    for span, state in self._resolve_states(finals, None)]
-        # constrain() rewrites leaves other spans' trees share, so every
-        # span is prepared, in order, before any is dropped
-        by_span, spans = _group_spans(finals)
-        valid = []
-        chosen = {}
-        for span in spans:
-            for tree in sorted(ParseTree(_node(s, memo, table), span)
-                               for s in by_span[span]):
-                match = _prepare_match(tree, tokens)
-                if match is not None:
-                    valid.append(span)
-                    chosen[span] = match
-                    break
-        return [(span, chosen[span]) for span in best_nonoverlapping(valid)]
+    def _matches(self, tokens, finals, leaves):
+        """A :class:`Match` per valid pair of ``finals``, in their order:
+        one that covers a token and, for a grammar with relations, passes
+        its agreement pass (``_agree``), which writes into ``leaves``."""
+        for span, state in finals:
+            if span[0] < span[1]:
+                agreed = None
+                if self._relations:
+                    agreed = _agree(state, span[1], leaves, self._table)
+                    if agreed is None:
+                        continue
+                yield Match(self, tokens, span, state, leaves, agreed)
 
     def find(self, text):
         for match in self.findall(text):
@@ -1361,31 +1319,27 @@ class Parser:
     def trees(self, text):
         """All final parse trees, deterministic order (debug aid;
         feeds ``kernel.dot.tree_as_dot``)."""
-        _, columns = self._chart(text)
-        return sorted(_trees(self._final_states(columns), self._table))
+        _, _, finals = self._chart(text)
+        return sorted(_trees(finals, self._table))
 
     def explain(self, text):
         """Chart dump as text — the reference's chart pretty-printing
         (parser.py:107-124): per column, its token and every Earley
         state with a dotted production. Debug aid only."""
         from .dot import chart_source
-        tokens, columns = self._chart(text)
+        tokens, columns, _ = self._chart(text)
         return '\n'.join(chart_source(columns, tokens, self.view))
 
     def match(self, text):
-        """Whole-string parse; best tree only."""
-        tokens, columns = self._chart(text, everywhere=False)
-        final = self._final_states(columns, everywhere=False)
-        for tree in sorted(_trees(final, self._table)):
-            m = _prepare_match(tree, tokens)
-            if m is not None:
-                return m
-        return None
+        """Whole-string parse: the first valid of the final states that
+        stop after the last token, in the order of their trees."""
+        tokens, _, finals = self._chart(text, everywhere=False)
+        last = [final for final in finals if final[0][1] == len(tokens)]
+        return next(self._matches(tokens, _ranked(last, self._table), {}),
+                    None)
 
     def extract(self, text):
-        """Every (possibly overlapping) match — debug mode."""
-        tokens, columns = self._chart(text)
-        for tree in _trees(self._final_states(columns), self._table):
-            m = _prepare_match(tree, tokens)
-            if m is not None:
-                yield m
+        """Every (possibly overlapping) valid final state, in chart
+        order, as its :class:`Match` — debug mode."""
+        tokens, _, finals = self._chart(text)
+        yield from self._matches(tokens, finals, {})

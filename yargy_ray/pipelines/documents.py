@@ -168,7 +168,7 @@ def verify_documents(turns_ds, docs_ds, num_partitions=64):
 
 
 def extract_document_mentions(docs_ds, factory_paths=None,
-                              concurrency=(1, 8), batch_size=16):
+                              concurrency=8, batch_size=16):
     """Document-scope extraction: reference semantics on whole documents.
 
     The reference's native unit is one document string (parser.findall

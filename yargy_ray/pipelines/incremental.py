@@ -177,7 +177,7 @@ def _validate_layout(base_dir, num_partitions):
 
 def merge_kg_delta(base_root, delta_transcripts_path, out_root,
                    factory_paths=DEFAULT_FACTORIES,
-                   concurrency=(1, 8), batch_size=128,
+                   concurrency=8, batch_size=128,
                    num_partitions=16, resume=True):
     """Merge newly-arrived transcripts into an existing KG build.
 
@@ -332,7 +332,7 @@ def _comention_edges(transcripts_path, factory_paths, concurrency,
 
 def run_comention_pipeline(transcripts_path, out_root,
                            factory_paths=DEFAULT_FACTORIES,
-                           concurrency=(1, 8), batch_size=128,
+                           concurrency=8, batch_size=128,
                            num_partitions=16, resume=True):
     """Co-mention edge table as a CHECKPOINTED, hash-partitioned build
     (the base a :func:`merge_comention_delta` increments)."""
@@ -354,7 +354,7 @@ def run_comention_pipeline(transcripts_path, out_root,
 
 def merge_comention_delta(base_root, delta_transcripts_path, out_root,
                           factory_paths=DEFAULT_FACTORIES,
-                          concurrency=(1, 8), batch_size=128,
+                          concurrency=8, batch_size=128,
                           num_partitions=16, resume=True):
     """Merge NEW conversations into an existing co-mention edge table.
 

@@ -191,7 +191,7 @@ class TripleExtractor:
 
 
 def extract_triples(turns_ds, factory_paths=DEFAULT_FACTORIES,
-                    concurrency=(1, 8), batch_size=256, max_states=None):
+                    concurrency=8, batch_size=256, max_states=None):
     """turns Dataset -> every triple occurrence (+``tkey``) in one fused
     stage of :class:`TripleExtractor` tasks on warm workers, at most
     ``concurrency`` at a time. Occurrence counts (degrees, weights,
@@ -204,7 +204,7 @@ def extract_triples(turns_ds, factory_paths=DEFAULT_FACTORIES,
 
 
 def distinct_triples(turns_ds, factory_paths=DEFAULT_FACTORIES,
-                     concurrency=(1, 8), batch_size=256):
+                     concurrency=8, batch_size=256):
     """turns Dataset -> the distinct triple set, one row per (subj,
     pred, obj) with the provenance of one occurrence: the fused
     :func:`extract_triples` then the exact :func:`dedup_triples`. The
@@ -350,7 +350,7 @@ def _write_partitioned(ds, out_dir, key_column, num_partitions=16):
 
 def run_kg_pipeline(transcripts_path, out_root,
                     factory_paths=DEFAULT_FACTORIES,
-                    concurrency=(1, 8), batch_size=128,
+                    concurrency=8, batch_size=128,
                     num_partitions=16, resume=True):
     """Full KG build: returns dict of stage -> manifest.
 

@@ -58,13 +58,10 @@ def map_cached(ds, cls, kwargs, concurrency, batch_size=None):
     """``ds.map_batches`` of ``cls(**kwargs)`` as Ray tasks on warm
     workers, ``kwargs`` broadcast once through the object store.
 
-    ``concurrency`` is an int or ``(lo, hi)``; either caps the number of
-    concurrent tasks (at ``hi`` for a pair — Ray sizes only actor pools
-    by a range). ``None`` leaves the task count to Ray.
+    ``concurrency`` (an int) caps the number of concurrent tasks;
+    ``None`` leaves the task count to Ray.
     """
     import ray
-    if isinstance(concurrency, tuple):
-        concurrency = concurrency[1]
     return ds.map_batches(
         _cached_call,
         fn_kwargs={'cls': cls, 'ref': ray.put(kwargs),

@@ -147,7 +147,7 @@ class ContaminationCounter:
         })
 
 
-def contamination_counts(docs_ds, bench_ds, n=3, concurrency=(1, 4),
+def contamination_counts(docs_ds, bench_ds, n=3, concurrency=4,
                          batch_size=4096):
     """Per-document n-gram totals and benchmark-overlap counts.
 

@@ -275,7 +275,7 @@ def _minhash_bucket_pairs(group: pa.Table, num_perm, threshold) -> pa.Table:
 
 
 def minhash_near_dups(docs_ds, num_perm=64, bands=16, k=5, threshold=0.7,
-                      num_partitions=64, concurrency=(1, 4)):
+                      num_partitions=64, concurrency=4):
     """Near-dup pairs with estimated (signature) Jaccard >= threshold.
 
     ONE bucket exchange: band rows carry the compact b-bit signature
@@ -527,8 +527,7 @@ def embedding_near_dups(emb_ds, dim, threshold=0.95, planes=12, tables=4):
     LSH buckets (approximate: recall ~1-(1-p)^tables, see
     HyperplaneBucketer). Verification inside each bucket is one matmul."""
     bucketed = map_cached(emb_ds, HyperplaneBucketer,
-                          {'dim': dim, 'planes': planes, 'tables': tables},
-                          (1, 4))
+                          {'dim': dim, 'planes': planes, 'tables': tables}, 4)
 
     def pairs(group: pa.Table) -> pa.Table:
         ids = group.column('vec_id').to_numpy(zero_copy_only=False)
@@ -598,7 +597,7 @@ def embedding_near_dups_exact(emb_ds, threshold=0.95):
                                      dtype=np.float64))
     return map_cached(emb_ds, BlockPairs,
                       {'ids': all_ids, 'unit': all_unit,
-                       'threshold': threshold}, (1, 4))
+                       'threshold': threshold}, 4)
 
 
 def plant_duplicate_vectors(emb_ds, n_planted=8):

@@ -293,7 +293,7 @@ class IntTokenExtractor:
 
 
 def extract_mentions(turns_ds, factory_paths=DEFAULT_FACTORIES,
-                     concurrency=(1, 8), batch_size=128):
+                     concurrency=8, batch_size=128):
     """turns Dataset -> mentions Dataset (:class:`MentionExtractor`
     tasks, at most ``concurrency`` at a time)."""
     return map_cached(turns_ds, MentionExtractor,

@@ -58,7 +58,7 @@ class BroadcastLookup:
 
 
 def broadcast_join(big_ds, small_ds, big_key, small_key, columns,
-                   concurrency=(1, 4)):
+                   concurrency=4):
     """Inner join: big side streams, small side broadcast once.
 
     The small side is collected as ONE Arrow table (block refs fetched

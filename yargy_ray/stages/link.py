@@ -100,7 +100,7 @@ class EntityLinker:
         )
 
 
-def link_entities(ds, gazetteer, column='obj', concurrency=(1, 4),
+def link_entities(ds, gazetteer, column='obj', concurrency=4,
                   batch_size=4096):
     """Dataset + {id: [phrases]} -> Dataset with entity_id/linked.
 

@@ -137,7 +137,7 @@ class FrameSampler:
         })
 
 
-def featurize_images(media_ds, concurrency=(1, 4), batch_size=16):
+def featurize_images(media_ds, concurrency=4, batch_size=16):
     """Small batches: payload bytes dominate block size."""
     return map_cached(media_ds, ImageFeaturizer, {}, concurrency, batch_size)
 
@@ -247,7 +247,7 @@ class AudioFeaturizer:
         })
 
 
-def featurize_audio(media_ds, codec=None, concurrency=(1, 4),
+def featurize_audio(media_ds, codec=None, concurrency=4,
                     batch_size=16):
     return map_cached(media_ds, AudioFeaturizer, {'codec': codec},
                       concurrency, batch_size)

@@ -119,7 +119,7 @@ def merge_topk_distributed(partials_ds, k, num_partitions=16):
     return final.sort_by([('query_id', 'ascending'), ('rank', 'ascending')])
 
 
-def brute_force_topk(emb_ds, queries, k=10, concurrency=(1, 4)):
+def brute_force_topk(emb_ds, queries, k=10, concurrency=4):
     """Exact cosine top-k of every query against the whole dataset."""
     queries = np.asarray(queries, dtype=np.float32)
     partials = map_cached(emb_ds, BatchTopK, {'queries': queries, 'k': k},
@@ -163,7 +163,7 @@ class IVFAssigner:
 
 
 def build_ivf_index(emb_ds, index_dir, num_lists=16, sample=4096, iters=10,
-                    seed=3, concurrency=(1, 4), input_key='', resume=True):
+                    seed=3, concurrency=4, input_key='', resume=True):
     """Checkpointed IVF index build (manifest-gated, resumable).
 
     Writes under ``index_dir``:
@@ -220,7 +220,7 @@ def build_ivf_index(emb_ds, index_dir, num_lists=16, sample=4096, iters=10,
 
 
 def ivf_topk_indexed(index_dir, queries, k=10, nprobe=4,
-                     concurrency=(1, 4)):
+                     concurrency=4):
     """Approximate top-k over a PERSISTED IVF index: only the ``nprobe``
     nearest list partitions are read from storage (partition-pruned
     ``read_parquet``), never the full dataset."""
@@ -259,7 +259,7 @@ def ivf_topk_indexed(index_dir, queries, k=10, nprobe=4,
 
 
 def ivf_topk(emb_ds, queries, k=10, num_lists=16, nprobe=4,
-             concurrency=(1, 4), index_dir=None, input_key=None):
+             concurrency=4, index_dir=None, input_key=None):
     """Approximate top-k: build (or reuse) the persisted IVF index, then
     read only the probed list partitions.
 
@@ -274,9 +274,8 @@ def ivf_topk(emb_ds, queries, k=10, num_lists=16, nprobe=4,
     if index_dir is None:
         if input_key is not None:
             from yargy_ray.state.manifests import fingerprint
-            index_dir = os.path.join(
-                tempfile.gettempdir(), 'yargy_ray_cache',
-                f'ivf_{fingerprint(input_key, num_lists)}')
+            from yargy_ray.state.storage import cache_path
+            index_dir = cache_path(f'ivf_{fingerprint(input_key, num_lists)}')
         else:
             index_dir = tempfile.mkdtemp(prefix='yargy_ray_ivf_')
     try:
@@ -319,7 +318,7 @@ def _delta_list_dirs(root_dir, manifest):
 
 
 def merge_ivf_delta(index_dir, delta_ds, delta_id=None,
-                    concurrency=(1, 4)):
+                    concurrency=4):
     """Incremental IVF maintenance: absorb NEW vectors into a persisted
     index WITHOUT retraining or touching existing list files.
 
@@ -414,7 +413,7 @@ def suggest_num_lists(n_rows, floor=16):
 
 
 def rebuild_ivf_index(index_dir, num_lists=None, sample=4096, iters=10,
-                      seed=3, concurrency=(1, 4), drop_old=False):
+                      seed=3, concurrency=4, drop_old=False):
     """Retrain + re-partition the ENTIRE index (base + all applied
     deltas) into a new generation subtree ``gen-<g>/``, then swap the
     manifest's ``root`` pointer atomically.

@@ -177,8 +177,7 @@ def heavy_hitters(docs_ds, min_frac=0.01,
     if total == 0 or len(candidates) == 0:
         return pa.table({'token': pa.array([], type=pa.string()),
                          'n': pa.array([], type=pa.int64())})
-    exact = map_cached(docs_ds, ExactRecount, {'candidates': candidates},
-                       (1, 4))
+    exact = map_cached(docs_ds, ExactRecount, {'candidates': candidates}, 4)
 
     counted = sum_by(exact, 'token', 'n', num_partitions)
     threshold = min_frac * total

@@ -133,7 +133,7 @@ class TaggedPhraseExtractor:
 
 
 def bio_tag_tokens(ds, vocab, name='ENT', id_column='doc_id',
-                   text_column='text', concurrency=(1, 8),
+                   text_column='text', concurrency=8,
                    batch_size=256):
     """documents Dataset -> same rows + a ``tags`` column."""
     return map_cached(ds, BIOTagTokens,
@@ -143,7 +143,7 @@ def bio_tag_tokens(ds, vocab, name='ENT', id_column='doc_id',
 
 
 def extract_tagged_phrases(tagged_ds, name='ENT', id_column='doc_id',
-                           text_column='text', concurrency=(1, 8),
+                           text_column='text', concurrency=8,
                            batch_size=256):
     """tagged Dataset -> (id, phrase, n_tokens) rows."""
     return map_cached(tagged_ds, TaggedPhraseExtractor,

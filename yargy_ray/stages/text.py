@@ -226,7 +226,7 @@ def _doc_term_partial(batch: pa.Table) -> pa.Table:
                      'tf': agg.column('count_all').cast(pa.int64())})
 
 
-def doc_top_terms(docs_ds, k=3, num_partitions=64, concurrency=(1, 4)):
+def doc_top_terms(docs_ds, k=3, num_partitions=64, concurrency=4):
     """Keyword extraction: the top-``k`` terms of every document by
     (tf desc, token asc), each annotated with its corpus document
     frequency — the tf/df building block of TF-IDF-style corpus

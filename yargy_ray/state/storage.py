@@ -21,8 +21,19 @@ into tasks); each call resolves its own filesystem handle.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 
 from pyarrow import fs as pafs
+
+
+
+def cache_path(*parts):
+    """A path under the one root of the driver-local caches (derived
+    corpora, incremental KG roots, IVF indexes): ``yargy_ray_cache`` in
+    the temp dir, so ``TMPDIR`` moves it. A single-node default, like
+    the temp dirs above."""
+    return os.path.join(tempfile.gettempdir(), 'yargy_ray_cache', *parts)
 
 
 def resolve(uri):
