@@ -11,7 +11,6 @@ Pure in-process tests (no Ray): they call the map/reduce functions the
 distributed operators are built from.
 """
 
-import numpy as np
 import pyarrow as pa
 
 from yargy_ray.pipelines import kg
@@ -60,27 +59,22 @@ def test_exact_first_indices_is_global_across_chunks():
 
 
 def test_incremental_anti_join_compares_values_not_hashes():
-    # one co-located partition: base rows (side 0) + delta rows (side
-    # 1). Delta carries an exact duplicate of a base triple AND a
-    # distinct same-subject triple — only the true duplicate drops.
+    # one co-located partition: its base rows and its delta rows. The
+    # delta carries an exact duplicate of a base triple AND a distinct
+    # same-subject triple — only the true duplicate drops.
     base = _triples([('a', 'p', 'x'), ('a', 'p', 'y')])
     delta = _triples([('a', 'p', 'x'), ('a', 'p', 'z'),
                       ('b', 'q', 'w')])
-    parts = []
-    for side, t in ((0, base), (1, delta)):
-        t = t.append_column('mpart', pa.array([0] * t.num_rows,
-                                              pa.int32()))
-        t = t.append_column('side', pa.array(
-            np.full(t.num_rows, side, dtype=np.int8)))
-        parts.append(t)
-    out = new_only(pa.concat_tables(parts))
+    out = new_only(base.select(['subj', 'pred', 'obj']), delta)
     assert _spo(out) == [('a', 'p', 'z'), ('b', 'q', 'w')]
-    assert 'side' not in out.column_names
+    assert out.schema == delta.schema
 
 
 def test_incremental_anti_join_empty_base_side():
     delta = _triples([('a', 'p', 'x')])
-    delta = delta.append_column('mpart', pa.array([0], pa.int32()))
-    delta = delta.append_column('side', pa.array([1], pa.int8()))
-    out = new_only(delta)
-    assert _spo(out) == [('a', 'p', 'x')]
+    # a partition with no base rows: a 0-row base with its columns, or
+    # (base empty everywhere) one with no columns at all
+    for base in (_triples([]), pa.table({})):
+        out = new_only(base, delta)
+        assert _spo(out) == [('a', 'p', 'x')]
+        assert out.schema == delta.schema

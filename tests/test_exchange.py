@@ -1,6 +1,7 @@
-"""The exchange's routing rules, layout partition and sum reduce
-(``stages/exchange.py``), plus the layering rule that keeps the
-operator layer free of pipeline imports.
+"""The exchange's routing rules, layout partition, sum reduce and
+two-sided ``cogroup`` (``stages/exchange.py``), plus the layering rules
+that keep the operator layer free of pipeline imports and keep
+two-sided routing inside the exchange.
 
 In-process where possible: the tests call the per-batch functions the
 distributed operators map over every block.
@@ -14,8 +15,10 @@ import pyarrow as pa
 import pytest
 
 from yargy_ray.stages.exchange import (
+    _ipc,
     _sum_groups,
     check_layout,
+    cogroup,
     layout_partition,
     partition_ids,
     sum_by,
@@ -122,6 +125,106 @@ def test_sum_by_distributed_equals_pandas(ray_session):
         got, _pandas_sum(SUM_FIXTURE, ['k', 'j'], ['v']))
 
 
+def _cogrouped(left, right, key, num_partitions):
+    """Run :func:`cogroup` with an ``fn`` that returns, as one row, the
+    two tables it was handed (Arrow IPC bytes, so the test sees them
+    exactly); returns one ``(left, right)`` table pair per partition."""
+    def handed(left, right):
+        return pa.table({
+            'left': pa.array([_ipc(left)], pa.large_binary()),
+            'right': pa.array([_ipc(right)], pa.large_binary())})
+
+    rows = cogroup(left, right, key, handed, num_partitions).take_all()
+    return [tuple(pa.ipc.open_stream(r[side]).read_all()
+                  for side in ('left', 'right')) for r in rows]
+
+
+def _lazy(table):
+    # a mapped Dataset: Ray cannot tell its schema without running it
+    import ray.data
+    return ray.data.from_arrow(table).map_batches(
+        lambda b: b, batch_format='pyarrow')
+
+
+def test_cogroup_sides_keep_their_own_columns(ray_session):
+    # both sides carry a non-key column named 'v', of different types;
+    # each arrives as it was, with no tag, part or other-side column
+    left = pa.table({'k': pa.array([1, 2, 3, 4], pa.int64()),
+                     'v': ['a', 'b', 'c', 'd']})
+    right = pa.table({'k': pa.array([2, 4, 4, 5], pa.int64()),
+                      'v': pa.array([0.5, 1.5, 2.5, 3.5], pa.float64()),
+                      'w': pa.array([1, 2, 3, 4], pa.int32())})
+    parts = _cogrouped(_lazy(left), _lazy(right), 'k', 4)
+    assert len(parts) == 4               # one fn call per partition
+    for got_left, got_right in parts:
+        assert got_left.schema == left.schema
+        assert got_right.schema == right.schema
+    got = {side: pa.concat_tables(p[i] for p in parts)
+           for i, side in enumerate(('left', 'right'))}
+    assert sorted(got['left'].to_pylist(), key=str) == sorted(
+        left.to_pylist(), key=str)
+    assert sorted(got['right'].to_pylist(), key=str) == sorted(
+        right.to_pylist(), key=str)
+    for got_left, got_right in parts:
+        # integer keys route by key mod P on both sides
+        keys = got_left['k'].to_pylist() + got_right['k'].to_pylist()
+        assert len({k % 4 for k in keys}) <= 1
+
+
+def test_cogroup_one_sided_partition_gets_an_empty_side(ray_session):
+    # keys 0, 2, 3 (mod 4) hold left rows only and key 5 right rows
+    # only: the missing side comes as 0 rows with its own columns
+    left = pa.table({'k': pa.array([0, 1, 2, 3], pa.int64()),
+                     'name': ['a', 'b', 'c', 'd']})
+    right = pa.table({'k': pa.array([1, 5], pa.int64()),
+                      'score': pa.array([7, 9], pa.int16())})
+    parts = _cogrouped(_lazy(left), _lazy(right), 'k', 8)
+    assert len(parts) == 8
+    seen = {'left only': 0, 'right only': 0, 'both': 0, 'neither': 0}
+    for got_left, got_right in parts:
+        assert got_left.schema == left.schema
+        assert got_right.schema == right.schema
+        seen[{(True, False): 'left only', (False, True): 'right only',
+              (True, True): 'both', (False, False): 'neither'}[
+            (got_left.num_rows > 0, got_right.num_rows > 0)]] += 1
+    assert seen == {'left only': 3, 'right only': 1, 'both': 1,
+                    'neither': 3}
+
+
+def test_cogroup_keeps_int64_above_2_53(ray_session):
+    big = (1 << 62) + 1                  # not representable in float64
+    left = pa.table({'k': pa.array([1, 2], pa.int64()),
+                     'x': pa.array([big, None], pa.int64())})
+    right = pa.table({'k': pa.array([1, 3], pa.int64()),
+                      'x': pa.array([big + 2, -big], pa.int64())})
+    parts = _cogrouped(_lazy(left), _lazy(right), 'k', 2)
+    got_left = pa.concat_tables(p[0] for p in parts).sort_by('k')
+    got_right = pa.concat_tables(p[1] for p in parts).sort_by('k')
+    assert got_left['x'].to_pylist() == [big, None]
+    assert got_right['x'].to_pylist() == [big + 2, -big]
+
+
+def test_cogroup_list_key_routes_equal_tuples_together(ray_session):
+    # the same (s, u) tuples on both sides, in another order, with u
+    # typed differently: the string-joined hash routes them alike
+    rows = [('a', 1), ('b', 1), ('a', 2), ('Ж', 30), ('', 4)]
+    left = pa.table({'s': [r[0] for r in rows],
+                     'u': pa.array([r[1] for r in rows], pa.int64())})
+    right = pa.table({'s': [r[0] for r in rows[::-1]],
+                      'u': pa.array([r[1] for r in rows[::-1]],
+                                    pa.int32()),
+                      'n': pa.array(range(len(rows)), pa.int64())})
+    parts = _cogrouped(_lazy(left), _lazy(right), ['s', 'u'], 16)
+    placed = 0
+    for got_left, got_right in parts:
+        tuples = set(zip(got_left['s'].to_pylist(),
+                         got_left['u'].to_pylist()))
+        assert tuples == set(zip(got_right['s'].to_pylist(),
+                                 got_right['u'].to_pylist()))
+        placed += len(tuples)
+    assert placed == len(rows)
+
+
 def test_check_layout():
     check_layout(16)
     check_layout(16, base_p=16, base='kg/triples')
@@ -148,4 +251,34 @@ def test_stages_do_not_import_pipelines():
                 if (name.startswith('yargy_ray.pipelines')
                         or name.startswith('..pipelines')):
                     offenders.append(f'{path.name}:{node.lineno} {name}')
+    assert offenders == []
+
+
+# Dataset.union calls that are not two-sided exchanges; every other
+# union belongs to stages/exchange.py's cogroup
+SAME_SCHEMA_UNIONS = {
+    # bucket partials and the zero-filled buckets share (bucket, n)
+    ('stages/olap.py', 'fixed_histogram'),
+    # base and delta partial sums share (key..., sum, mpart) columns
+    ('pipelines/incremental.py', '_merge_sum'),
+}
+
+
+def test_only_the_exchange_unions_datasets():
+    # a module that unions two sides itself has hand-rolled a tagged
+    # union: the one that routes two sides is exchange.cogroup
+    package = pathlib.Path(__file__).parent.parent / 'yargy_ray'
+    offenders = []
+    for path in sorted(package.rglob('*.py')):
+        name = path.relative_to(package).as_posix()
+        if name == 'stages/exchange.py':
+            continue
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, 'name', None)
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == 'union'
+                        and (name, owner) not in SAME_SCHEMA_UNIONS):
+                    offenders.append(f'{name}:{node.lineno} {owner}')
     assert offenders == []

@@ -72,6 +72,38 @@ def test_document_invariant(corpus):
     assert max(n_turns.values()) > 16
 
 
+def test_verify_documents_counts_violations(ray_session):
+    # a dropped document, a wrong checksum, and a docs side with no
+    # rows at all (a lazy Dataset, so it reaches the check reduce with
+    # no columns): every conversation without a matching doc counts
+    import pyarrow.compute as pc
+    import ray.data
+
+    from yargy_ray.pipelines.documents import (
+        reconstruct_documents,
+        verify_documents,
+    )
+    turns = ray.data.from_arrow(pa.table({
+        'conv_id': ['c1', 'c1', 'c2', 'c3'],
+        'turn_idx': pa.array([0, 1, 0, 0], pa.int32()),
+        'text': ['a', 'b', 'c', 'd']}))
+    docs = reconstruct_documents(turns, num_partitions=4).materialize()
+    assert verify_documents(turns, docs, num_partitions=4) == 0
+
+    def corrupt(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(pc.not_equal(batch.column('conv_id'), 'c2'))
+        bumped = pc.if_else(pc.equal(batch.column('conv_id'), 'c3'),
+                            pc.add(batch.column('checksum'), 1),
+                            batch.column('checksum'))
+        return batch.set_column(batch.schema.get_field_index('checksum'),
+                                'checksum', bumped)
+
+    bad = docs.map_batches(corrupt, batch_format='pyarrow')
+    assert verify_documents(turns, bad, num_partitions=4) == 2
+    none = docs.filter(lambda row: False)
+    assert verify_documents(turns, none, num_partitions=4) == 3
+
+
 def test_resume_skips_stages(corpus, tmp_path):
     from yargy_ray.pipelines.kg import run_kg_pipeline
 

@@ -658,6 +658,46 @@ def test_hash_join_variants(ray_session):
         hash_join(left, right, on='k', how='outer')
 
 
+def test_joins_with_empty_right_dataset(ray_session):
+    """A 0-row right Dataset: Ray Data never calls a map UDF on an
+    empty block, so the right side reaches the exchange with no rows
+    and no mapped blocks. Every join mode must still answer."""
+    import ray.data
+
+    from yargy_ray.stages.joins import asof_join, hash_join
+
+    big = (1 << 60) + 1
+    left = ray.data.from_arrow(pa.table({
+        'k': pa.array([1, 2, 3], pa.int64()),
+        't': pa.array([5, 6, 7], pa.int64()),
+        'lv': pa.array([big, 5, big + 1], pa.int64())}))
+    empty_right = ray.data.from_arrow(pa.table({
+        'k': pa.array([], pa.int64()),
+        't': pa.array([], pa.int64()),
+        'w': pa.array([], pa.string())}))
+
+    def rows(ds):
+        return sorted(ds.take_all(), key=lambda r: r['k'])
+
+    assert rows(hash_join(left, empty_right, on='k',
+                          num_partitions=4)) == []
+    assert rows(hash_join(left, empty_right, on='k', how='semi',
+                          num_partitions=4)) == []
+    anti = rows(hash_join(left, empty_right, on='k', how='anti',
+                          num_partitions=4))
+    assert [(r['k'], r['lv']) for r in anti] == [
+        (1, big), (2, 5), (3, big + 1)]
+    lj = rows(hash_join(left, empty_right, on='k', how='left',
+                        num_partitions=4))
+    assert [(r['k'], r['t'], r['lv'], r['t_r'], r['w']) for r in lj] == [
+        (1, 5, big, None, None), (2, 6, 5, None, None),
+        (3, 7, big + 1, None, None)]
+    asof = rows(asof_join(left, empty_right, by='k', on='t',
+                          num_partitions=4))
+    assert [(r['k'], r['t'], r['lv'], r['w_r']) for r in asof] == [
+        (1, 5, big, None), (2, 6, 5, None), (3, 7, big + 1, None)]
+
+
 def test_hash_join_left_preserves_63bit_ints(ray_session):
     """Unmatched left rows force nulls into right int columns; the
     pandas merge must NOT round-trip int64 through float64 (values
@@ -830,6 +870,19 @@ def test_triangle_counts(ray_session):
                           num_partitions=4).to_pandas()
     assert dict(zip(got.node_id, got.triangles)) == {
         'a': 2, 'b': 2, 'c': 1, 'd': 1}
+
+
+def test_triangle_counts_without_wedges(ray_session):
+    """A graph with edges but no wedge anywhere (a matching): the
+    wedge side of the close step is empty everywhere, so it reaches
+    the close reduce with no columns, and the count is empty."""
+    import ray.data
+
+    from yargy_ray.stages.graph import triangle_counts
+
+    edges = pa.table({'src': ['a', 'c'], 'dst': ['b', 'd']})
+    got = triangle_counts(ray.data.from_arrow(edges), num_partitions=4)
+    assert got.take_all() == []
 
 
 def test_triangle_rank_rejects_unknown_nodes():

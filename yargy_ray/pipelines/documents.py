@@ -123,39 +123,29 @@ def _raw_checksums(batch: pa.Table) -> pa.Table:
 def verify_documents(turns_ds, docs_ds, num_partitions=64):
     """Count conversations whose reconstruction violates the invariant.
 
-    Fully distributed anti-join: raw-side map partials and doc rows are
-    tagged, co-partitioned on ``hash(conv_id)`` in ONE exchange, and
-    each partition emits a single violation count — the driver sees
-    only P tiny rows (never one row per conversation).
+    Fully distributed anti-join: raw-side map partials and doc rows
+    ``cogroup`` on ``hash(conv_id)`` in ONE exchange, and each
+    partition emits a single violation count — the driver sees only P
+    tiny rows (never one row per conversation).
     """
-    from yargy_ray.stages.exchange import partitioned_reduce
+    import pandas as pd
 
-    def tag(side):
-        def fn(batch: pa.Table) -> pa.Table:
-            if side == 0:
-                batch = _raw_checksums(batch)
-            else:
-                batch = batch.select(['conv_id', 'checksum', 'n_turns'])
-            n = batch.num_rows
-            return pa.table({
-                'conv_id': batch.column('conv_id'),
-                'checksum': batch.column('checksum'),
-                'n_turns': batch.column('n_turns'),
-                'side': pa.array(np.full(n, side, dtype=np.int8)),
-            })
-        return fn
+    from yargy_ray.stages.exchange import cogroup
 
-    tagged = (turns_ds.map_batches(tag(0), batch_format='pyarrow')
-              .union(docs_ds.map_batches(tag(1), batch_format='pyarrow')))
+    cols = ['conv_id', 'checksum', 'n_turns']
 
-    def check(table: pa.Table) -> pa.Table:
-        df = table.select(
-            ['conv_id', 'checksum', 'n_turns', 'side']).to_pandas()
-        raw = df[df['side'] == 0].groupby('conv_id', as_index=True).agg(
+    def frame(side: pa.Table):
+        # a side with no rows anywhere may come without columns
+        if side.num_rows == 0:
+            return pd.DataFrame(columns=cols)
+        return side.select(cols).to_pandas()
+
+    def check(raw: pa.Table, docs: pa.Table) -> pa.Table:
+        raw = frame(raw).groupby('conv_id', as_index=True).agg(
             checksum=('checksum', 'sum'), n_turns=('n_turns', 'sum'))
         raw['checksum'] = raw['checksum'].astype(np.uint64) % _MOD
-        doc = df[df['side'] == 1].set_index('conv_id')
-        joined = raw.join(doc, how='outer', lsuffix='_raw')
+        joined = raw.join(frame(docs).set_index('conv_id'), how='outer',
+                          lsuffix='_raw')
         bad = int((
             (joined['checksum_raw'].isna() | joined['checksum'].isna())
             | (joined['checksum_raw'] != joined['checksum'])
@@ -163,7 +153,9 @@ def verify_documents(turns_ds, docs_ds, num_partitions=64):
         ).sum())
         return pa.table({'bad': pa.array([bad], type=pa.int64())})
 
-    counts = partitioned_reduce(tagged, 'conv_id', check, num_partitions)
+    counts = cogroup(
+        turns_ds.map_batches(_raw_checksums, batch_format='pyarrow'),
+        docs_ds.select_columns(cols), 'conv_id', check, num_partitions)
     return int(counts.sum('bad') or 0)
 
 

@@ -17,9 +17,10 @@ Design (all three merges share one shape):
    (subj, pred, obj), and its layout partition hashes ``subj`` — so any
    base duplicate of a delta triple lives in the SAME subj-partition.
    Only base partitions the delta hashes into are read (partition
-   pruning at the read); the tagged union runs through ONE
-   ``partitioned_reduce`` whose vectorized ``np.isin`` keeps delta rows
-   whose ``tkey`` is absent on the base side — the globally-new triples.
+   pruning at the read); base and delta ``cogroup`` on that partition,
+   and a vectorized ``is_in`` keeps the delta rows whose full (subj,
+   pred, obj) value is absent on the base side — the globally-new
+   triples.
 3. **Append, never rewrite**: base triple part-dirs are carried over
    untouched and the new rows are appended as additional parquet files
    inside the same ``part=`` dirs (hash-partitioned parquet is a
@@ -38,7 +39,6 @@ base partitions), never to the base corpus.
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -50,8 +50,8 @@ from yargy_ray.pipelines.kg import (
 )
 from yargy_ray.stages.exchange import (
     check_layout,
+    cogroup,
     layout_partition,
-    partitioned_reduce,
     sum_by,
 )
 from yargy_ray.state import storage
@@ -138,23 +138,18 @@ def _merge_sum(base_dir, delta_partials, key_cols, sum_col, out_dir,
     return _rows_per_partition(out_dir), touched, carried
 
 
-def new_only(table: pa.Table) -> pa.Table:
-    """Anti-join reduce: keep side-1 (delta) rows whose triple IDENTITY
+def new_only(base: pa.Table, delta: pa.Table) -> pa.Table:
+    """Anti-join reduce: keep the ``delta`` rows whose triple IDENTITY
     — the full (subj, pred, obj) string, NOT its 64-bit hash — is
-    absent from the side-0 (base) rows of the partition. Hashes only
-    route rows into the partition; a hash collision with a distinct
-    base triple cannot silently discard a new fact."""
+    absent from the ``base`` rows of the partition. Hashes only route
+    rows into the partition; a hash collision with a distinct base
+    triple cannot silently discard a new fact."""
     from yargy_ray.pipelines.kg import _triple_key
-    sides = table.column('side').to_numpy(zero_copy_only=False)
-    key = _triple_key(table)
-    if isinstance(key, pa.ChunkedArray):
-        key = key.combine_chunks()
-    in_base = pc.is_in(
-        key, value_set=key.filter(pa.array(sides == 0))
-    ).to_numpy(zero_copy_only=False)
-    keep = (sides == 1) & ~in_base
-    out = table.filter(pa.array(keep))
-    return out.drop_columns(['side'])
+    if base.num_rows == 0:
+        # a side with no rows anywhere may come without columns
+        return delta
+    return delta.filter(pc.invert(pc.is_in(
+        _triple_key(delta), value_set=_triple_key(base))))
 
 
 def _validate_layout(base_dir, num_partitions):
@@ -215,21 +210,13 @@ def merge_kg_delta(base_root, delta_transcripts_path, out_root,
         return batch.append_column('mpart', layout_partition(
             batch.column('subj'), num_partitions))
 
-    def tag(side):
-        def fn(batch: pa.Table) -> pa.Table:
-            if 'mpart' not in batch.column_names:
-                batch = keyed(batch)
-            # no tkey in the union: routing is mpart = hash(subj), and
-            # the anti-join compares full (subj, pred, obj) values
-            cols = ['subj', 'pred', 'obj', 'conv_id', 'turn_idx', 'rule',
-                    'span_start', 'span_stop', 'mpart']
-            batch = batch.select(cols)
-            return batch.append_column(
-                'side', pa.array(np.full(batch.num_rows, side,
-                                         dtype=np.int8)))
-        return fn
-
-    delta_keyed = delta.map_batches(tag(1), batch_format='pyarrow')
+    # no tkey: routing is mpart = hash(subj), and the anti-join
+    # compares full (subj, pred, obj) values
+    delta_keyed = delta.map_batches(
+        lambda b: keyed(b.select(['subj', 'pred', 'obj', 'conv_id',
+                                  'turn_idx', 'rule', 'span_start',
+                                  'span_stop'])),
+        batch_format='pyarrow')
 
     base_triples_dir = storage.join(base_root, 'triples')
     base_parts = _part_dirs(base_triples_dir)
@@ -239,16 +226,16 @@ def merge_kg_delta(base_root, delta_transcripts_path, out_root,
 
     # -- 2. anti-join: keep delta rows whose triple IDENTITY is not in
     #       the touched base partitions (same-subj ⇒ same partition) ----
-    sides = [delta_keyed]
+    new_triples = delta_keyed
     touched_with_base = [p for p in touched if p in base_parts]
     if touched_with_base:
         paths, pfs = storage.for_ray(
             _part_files(base_parts, touched_with_base))
-        base_ds = ray.data.read_parquet(paths, filesystem=pfs)
-        sides.append(base_ds.map_batches(tag(0), batch_format='pyarrow'))
-    new_triples = partitioned_reduce(
-        sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0],
-        'mpart', new_only, num_partitions)
+        base_ds = ray.data.read_parquet(paths, filesystem=pfs).map_batches(
+            lambda b: keyed(b.select(['subj', 'pred', 'obj'])),
+            batch_format='pyarrow')
+        new_triples = cogroup(base_ds, delta_keyed, 'mpart', new_only,
+                              num_partitions)
     # materialize: consumed three times (write + node/edge deltas), and
     # delta-sized — the one intentionally small working set
     new_triples = new_triples.materialize()

@@ -32,10 +32,17 @@ reduce routed on the layout key sees whole layout partitions.
 
 P scales with the cluster (set it ~2-4x total cores); per-partition
 reduces stay pandas/numpy-vectorized regardless of group count.
+
+Two datasets co-partitioned on one key go through :func:`cogroup`, the
+only two-sided exchange: both sides route on ``key`` by the rules
+above, in one shuffle, and ``fn(left, right)`` runs once per partition
+on each side's rows in that side's own columns. Here too ``hash64``
+only routes: ``fn`` decides what matches on the values.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -52,7 +59,6 @@ def _hash64(arr) -> pa.Array:
     runs — harmless, because resume reruns stages wholesale (old part
     files are cleared, never mixed).
     """
-    import numpy as np
     import polars as pl
     chunked = (arr if isinstance(arr, pa.ChunkedArray)
                else pa.chunked_array([arr]))
@@ -175,3 +181,79 @@ def sum_by(ds, keys, values, num_partitions=64):
     return partitioned_reduce(
         ds, keys[0], lambda t: _sum_groups(t, keys, values),
         num_partitions)
+
+
+def _ipc(table: pa.Table) -> bytes:
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, table.schema) as writer:
+        writer.write_table(table)
+    return sink.getvalue().to_pybytes()
+
+
+def _packer(side, key, num_partitions):
+    """Map half of :func:`cogroup`: a batch becomes one row per
+    partition — its rows routed there as an Arrow IPC stream. A
+    partition the batch routes no row to still gets the 0-row stream,
+    so every partition learns the side's columns."""
+    def pack(batch: pa.Table) -> pa.Table:
+        part = partition_ids(batch, key, num_partitions)
+        rows = batch.take(pc.sort_indices(part))
+        counts = np.bincount(part.to_numpy(), minlength=num_partitions)
+        starts = np.cumsum(counts) - counts
+        return pa.table({
+            'cg_part': pa.array(np.arange(num_partitions, dtype=np.int32)),
+            'cg_side': pa.array(np.full(num_partitions, side, np.int8)),
+            'cg_rows': pa.array([_ipc(rows.slice(s, n))
+                                 for s, n in zip(starts, counts)],
+                                pa.large_binary()),
+        })
+    return pack
+
+
+def _known_schema(ds) -> pa.Schema:
+    """The schema Ray knows without running ``ds``'s plan (a source, a
+    materialized Dataset, one whose ``schema()`` was read), else none."""
+    schema = getattr(ds.schema(fetch_if_missing=False), 'base_schema', None)
+    return schema if isinstance(schema, pa.Schema) else pa.schema([])
+
+
+def cogroup(left_ds, right_ds, key, fn, num_partitions=64):
+    """Co-partition two datasets on ``key`` (a column name or a list of
+    them, present on both sides; module rules) in ONE exchange, then
+    ONE ``fn(left, right) -> table`` call per partition.
+
+    ``left`` and ``right`` hold that partition's rows of each side in
+    that side's own columns — no side tag, no ``part`` column, none of
+    the other side's columns — so non-key columns may share a name
+    across the sides, and values cross the exchange as Arrow (int64
+    above 2**53 stays exact). A side with no rows in the partition
+    arrives as a 0-row table with its columns. Only a side with no
+    rows at all, whose schema Ray cannot tell without running its
+    plan, arrives with no columns: ``fn`` must not index the columns
+    of a 0-row side it cannot rule out being empty everywhere.
+
+    Built on :func:`partitioned_reduce` (same coalesce; a ``part``
+    column in ``fn``'s output is dropped): each side's batches are
+    packed into one row per partition before the shuffle, so the
+    exchange moves ``P`` rows per input block, whatever its row
+    count."""
+    schemas = (_known_schema(left_ds), _known_schema(right_ds))
+    packed = left_ds.map_batches(
+        _packer(0, key, num_partitions), batch_format='pyarrow',
+        batch_size=None).union(right_ds.map_batches(
+            _packer(1, key, num_partitions), batch_format='pyarrow',
+            batch_size=None))
+
+    def reduce_fn(group: pa.Table) -> pa.Table:
+        sides = ([], [])
+        for side, rows in zip(group.column('cg_side').to_pylist(),
+                              group.column('cg_rows')):
+            sides[side].append(pa.ipc.open_stream(rows.as_buffer())
+                               .read_all())
+        left, right = (
+            pa.concat_tables(tables, promote_options='permissive')
+            if tables else schema.empty_table()
+            for tables, schema in zip(sides, schemas))
+        return fn(left, right)
+
+    return partitioned_reduce(packed, 'cg_part', reduce_fn, num_partitions)

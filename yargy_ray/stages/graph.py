@@ -75,7 +75,11 @@ def connected_components(pairs_ds, a='a', b='b', num_partitions=64,
     single-node/local mode.
     ``pointer_jump``: keep on unless the graph is known-shallow (tight
     dup clusters), where False saves one exchange per round."""
-    from yargy_ray.stages.exchange import partitioned_reduce, with_partition
+    from yargy_ray.stages.exchange import (
+        cogroup,
+        partitioned_reduce,
+        with_partition,
+    )
 
     own_dir = edges_dir is None
     if own_dir:
@@ -137,43 +141,22 @@ def connected_components(pairs_ds, a='a', b='b', num_partitions=64,
                 'label': pa.array(label, type=pa.int64()),
             })
 
-        def tag_label(side):
-            def fn(batch: pa.Table) -> pa.Table:
-                n = batch.num_rows
-                return pa.table({
-                    'key': batch.column('node'),
-                    'other': batch.column('label'),
-                    'side': pa.array(np.full(n, side, dtype=np.int8)),
-                })
-            return fn
-
-        def tag_req(batch: pa.Table) -> pa.Table:
+        def requests(batch: pa.Table) -> pa.Table:
             # shortcut request: keyed by the node's CURRENT label
-            n = batch.num_rows
-            return pa.table({
-                'key': batch.column('label'),
-                'other': batch.column('node'),
-                'side': pa.array(np.zeros(n, dtype=np.int8)),
-            })
+            return pa.table({'key': batch.column('label'),
+                             'node': batch.column('node')})
 
-        def shortcut(table: pa.Table) -> pa.Table:
+        def own_labels(batch: pa.Table) -> pa.Table:
+            return pa.table({'key': batch.column('node'),
+                             'label': batch.column('label')})
+
+        def shortcut(req: pa.Table, lut: pa.Table) -> pa.Table:
             """Pointer jump: label(node) <- label(label(node)). Labels
             only ever decrease (label(label) <= label), so the sum
             invariant is preserved; co-partitioning on ``key`` lines
             each request up with its label's own label row."""
-            df = table.select(['key', 'other', 'side']).to_pandas()
-            req = df[df['side'] == 0]
-            lut = df[df['side'] == 1]
-            merged = req.merge(
-                lut.rename(columns={'other': 'label2'}),
-                on='key', how='inner')
-            return pa.table({
-                'node': pa.array(merged['other'].to_numpy(dtype=np.int64),
-                                 type=pa.int64()),
-                'label': pa.array(
-                    merged['label2'].to_numpy(dtype=np.int64),
-                    type=pa.int64()),
-            })
+            return req.join(lut, 'key', join_type='inner').select(
+                ['node', 'label'])
 
         prev_sum = None
         for _ in range(max_rounds):
@@ -186,13 +169,10 @@ def connected_components(pairs_ds, a='a', b='b', num_partitions=64,
             # 2) pointer jump (label-of-label) — doubles propagation
             # distance per round
             if pointer_jump:
-                jump_tagged = (
-                    labels.map_batches(tag_req, batch_format='pyarrow')
-                    .union(labels.map_batches(tag_label(1),
-                                              batch_format='pyarrow')))
-                labels = partitioned_reduce(
-                    jump_tagged, 'key', shortcut,
-                    num_partitions).materialize()
+                labels = cogroup(
+                    labels.map_batches(requests, batch_format='pyarrow'),
+                    labels.map_batches(own_labels, batch_format='pyarrow'),
+                    'key', shortcut, num_partitions).materialize()
             cur_sum = labels.sum('label')
             if cur_sum == prev_sum:
                 break
@@ -249,7 +229,7 @@ def triangle_counts(edges_ds, a='src', b='dst', num_partitions=64,
        neighbors becomes a wedge ``(x, y, witness)`` — orientation by
        node id means each triangle ``{w < x < y}`` is generated exactly
        once, from its lowest corner;
-    2. wedges + edges co-partition on ``hash(x)``: a wedge closes iff
+    2. edges and wedges ``cogroup`` on ``hash(x)``: a wedge closes iff
        ``(x, y)`` is an edge (vectorized pandas inner merge on the
        STRINGS — hashes only route); closed triangles emit one partial
        count row per corner, pre-combined map-side;
@@ -282,7 +262,7 @@ def triangle_counts(edges_ds, a='src', b='dst', num_partitions=64,
     import pandas as pd
     import ray
 
-    from yargy_ray.stages.exchange import partitioned_reduce, sum_by
+    from yargy_ray.stages.exchange import cogroup, partitioned_reduce, sum_by
 
     # ---- degree ranks: one exchange over edge endpoints -------------
     def endpoint_counts(batch: pa.Table) -> pa.Table:
@@ -369,43 +349,36 @@ def triangle_counts(edges_ds, a='src', b='dst', num_partitions=64,
         edges_ds.map_batches(ranked_edges, batch_format='pyarrow'),
         'a', wedges_fn, num_partitions)
 
-    def tag_wedge(batch: pa.Table) -> pa.Table:
-        t = batch.select(['x', 'y', 'w'])
-        return t.append_column('side', pa.array(
-            np.ones(t.num_rows, dtype=np.int8)))
-
-    def tag_edge(batch: pa.Table) -> pa.Table:
+    def oriented(batch: pa.Table) -> pa.Table:
         o = orient(batch)
-        n = o.num_rows
-        return pa.table({'x': o.column('a'), 'y': o.column('b'),
-                         'w': pa.array([''] * n, type=pa.string()),
-                         'side': pa.array(np.zeros(n, dtype=np.int8))})
+        return pa.table({'x': o.column('a'), 'y': o.column('b')})
 
-    tagged = (wedges.map_batches(tag_wedge, batch_format='pyarrow')
-              .union(edges_ds.map_batches(tag_edge,
-                                          batch_format='pyarrow')))
-
-    def close_fn(table: pa.Table) -> pa.Table:
-        df = table.select(['x', 'y', 'w', 'side']).to_pandas()
-        wdf = df[df['side'] == 1]
-        sent = wdf[wdf['x'] == _CAPPED_WEDGE_SENTINEL]
-        wdf = wdf[wdf['x'] != _CAPPED_WEDGE_SENTINEL]
-        edf = df[df['side'] == 0][['x', 'y']].drop_duplicates()
-        closed = wdf.merge(edf, on=['x', 'y'])
-        corners = pd.concat([closed['w'], closed['x'], closed['y']],
-                            ignore_index=True)
-        agg = corners.value_counts()
-        node = agg.index.to_numpy(dtype=object)
-        n = agg.to_numpy(dtype=np.int64)
-        if len(sent) and include_capped_stat:
-            # every capped node lands in ONE wedge partition, so the
-            # per-partition distinct is globally exact
-            node = np.concatenate([node, [CAPPED_WEDGE_STAT_ID]])
-            n = np.concatenate([n, [sent['y'].nunique()]])
+    def close_fn(edges: pa.Table, wedges: pa.Table) -> pa.Table:
+        node = np.array([], dtype=object)
+        n = np.array([], dtype=np.int64)
+        # wedges may be empty everywhere, then without columns (cogroup)
+        if wedges.num_rows:
+            wdf = wedges.select(['x', 'y', 'w']).to_pandas()
+            sent = wdf[wdf['x'] == _CAPPED_WEDGE_SENTINEL]
+            wdf = wdf[wdf['x'] != _CAPPED_WEDGE_SENTINEL]
+            closed = wdf.merge(edges.to_pandas().drop_duplicates(),
+                               on=['x', 'y'])
+            corners = pd.concat([closed['w'], closed['x'], closed['y']],
+                                ignore_index=True)
+            agg = corners.value_counts()
+            node = agg.index.to_numpy(dtype=object)
+            n = agg.to_numpy(dtype=np.int64)
+            if len(sent) and include_capped_stat:
+                # every capped node lands in ONE wedge partition, so
+                # the per-partition distinct is globally exact
+                node = np.concatenate([node, [CAPPED_WEDGE_STAT_ID]])
+                n = np.concatenate([n, [sent['y'].nunique()]])
         return pa.table({'node_id': pa.array(node, type=pa.string()),
                          'triangles': pa.array(n, type=pa.int64())})
 
-    partial = partitioned_reduce(tagged, 'x', close_fn, num_partitions)
+    partial = cogroup(
+        edges_ds.map_batches(oriented, batch_format='pyarrow'), wedges,
+        'x', close_fn, num_partitions)
     return sum_by(partial, 'node_id', 'triangles', num_partitions)
 
 
@@ -426,8 +399,9 @@ def two_hop_counts(edges_ds, num_partitions=64,
     """Per-node count of DISTINCT nodes reachable in exactly two
     directed hops (src -> mid -> dst, dst != src).
 
-    Scale shape: two exchanges. (1) Both edge roles are tagged and
-    co-partitioned on ``hash(mid)``; each partition joins its complete
+    Scale shape: two exchanges. (1) The two edge roles (``mid = dst``
+    of a first hop, ``mid = src`` of a second) ``cogroup`` on
+    ``hash(mid)``; each partition joins its complete
     mid-groups with one vectorized pandas merge (joining on the mid
     STRING inside the partition — the 64-bit key only routes, so hash
     collisions cannot corrupt results). (2) The (src, dst) candidate
@@ -444,25 +418,15 @@ def two_hop_counts(edges_ds, num_partitions=64,
     import numpy as np
     import pandas as pd
 
-    from yargy_ray.stages.exchange import partitioned_reduce
+    from yargy_ray.stages.exchange import cogroup, partitioned_reduce
 
-    def tag(side):
-        def fn(batch: pa.Table) -> pa.Table:
-            # side 0: edge in the first-hop role (keyed by its dst=mid)
-            # side 1: edge in the second-hop role (keyed by its src=mid)
-            mid = batch.column('dst' if side == 0 else 'src')
-            other = batch.column('src' if side == 0 else 'dst')
-            return pa.table({
-                'mid': mid,
-                'other': other,
-                'side': pa.array(np.full(batch.num_rows, side,
-                                         dtype=np.int8)),
-            })
-        return fn
+    def first_hop(batch: pa.Table) -> pa.Table:
+        return pa.table({'mid': batch.column('dst'),
+                         'src': batch.column('src')})
 
-    tagged = (edges_ds.map_batches(tag(0), batch_format='pyarrow')
-              .union(edges_ds.map_batches(tag(1),
-                                          batch_format='pyarrow')))
+    def second_hop(batch: pa.Table) -> pa.Table:
+        return pa.table({'mid': batch.column('src'),
+                         'dst': batch.column('dst')})
 
     def cap_side(frame, col):
         """First ``max_mid_degree`` distinct neighbors per mid, in
@@ -473,14 +437,10 @@ def two_hop_counts(edges_ds, num_partitions=64,
                          'mid'].unique()
         return frame[(nth < max_mid_degree).to_numpy()], over
 
-    def join_mid(table: pa.Table) -> pa.Table:
-        df = table.select(['mid', 'other', 'side']).to_pandas()
-        left = df[df['side'] == 0][['mid', 'other']].rename(
-            columns={'other': 'src'}).drop_duplicates()
-        right = df[df['side'] == 1][['mid', 'other']].rename(
-            columns={'other': 'dst'}).drop_duplicates()
-        left, over_l = cap_side(left, 'src')
-        right, over_r = cap_side(right, 'dst')
+    def join_mid(first: pa.Table, second: pa.Table) -> pa.Table:
+        left, over_l = cap_side(first.to_pandas().drop_duplicates(), 'src')
+        right, over_r = cap_side(second.to_pandas().drop_duplicates(),
+                                 'dst')
         pairs = left.merge(right, on='mid')[['src', 'dst']]
         pairs = pairs[pairs['src'] != pairs['dst']].drop_duplicates()
         capped = np.union1d(over_l, over_r)
@@ -493,7 +453,10 @@ def two_hop_counts(edges_ds, num_partitions=64,
                               'dst': capped})], ignore_index=True)
         return pa.Table.from_pandas(pairs, preserve_index=False)
 
-    pairs = partitioned_reduce(tagged, 'mid', join_mid, num_partitions)
+    pairs = cogroup(
+        edges_ds.map_batches(first_hop, batch_format='pyarrow'),
+        edges_ds.map_batches(second_hop, batch_format='pyarrow'),
+        'mid', join_mid, num_partitions)
 
     def count_fn(table: pa.Table) -> pa.Table:
         df = table.select(['src', 'dst']).to_pandas().drop_duplicates()
@@ -542,7 +505,11 @@ def pagerank(edges_ds, damping=0.85, iters=10, num_partitions=64,
     """
     import pandas as pd
 
-    from yargy_ray.stages.exchange import partitioned_reduce, with_partition
+    from yargy_ray.stages.exchange import (
+        cogroup,
+        partitioned_reduce,
+        with_partition,
+    )
 
     own_dir = edges_dir is None
     if own_dir:

@@ -6,14 +6,12 @@
   streams through ``map_batches`` with a vectorized dictionary lookup.
   No shuffle at all — the right tool whenever one side fits in a
   worker (dimension tables, gazetteers).
-* ``asof_join`` — big-big temporal join Ray Data lacks natively:
-  both sides are tagged and UNIONed so a SINGLE hash exchange on the
-  ``by`` key co-partitions them, then each partition runs a vectorized
-  ``merge_asof``. Partitioning assumption: all rows of one ``by`` key
-  fit in one partition (same contract as the dedup family).
-* For other big-big joins the engine composes groupby-cogroup
-  manually; the KG pipeline needs none (dedup/canonicalization are
-  groupbys).
+* ``hash_join``, ``asof_join``, ``interval_join`` and
+  ``interval_join_all`` — big-big joins: ONE ``exchange.cogroup`` on
+  the join (``by``) key co-partitions both sides, then each partition
+  runs a vectorized pandas merge, ``merge_asof`` or interval sweep.
+  Partitioning assumption: all rows of one key fit in one partition
+  (same contract as the dedup family).
 """
 
 from __future__ import annotations
@@ -27,12 +25,12 @@ def _nullable_int_mapper(t):
     """``Table.to_pandas`` types_mapper: integer columns -> pandas
     NULLABLE integer dtypes.
 
-    The tagged-union exchange fills the other side's columns with
-    nulls, and plain ``to_pandas`` would turn any int column containing
-    nulls into float64 — silently corrupting values above 2**53 (the
-    engine routinely carries 63-bit hash keys in int64 columns). The
-    nullable dtypes round-trip exactly: Int64 -> arrow int64 with the
-    null mask intact and no float detour.
+    Outer and as-of joins leave unmatched rows with null right
+    columns, and plain ``to_pandas`` + merge would turn any int column
+    holding nulls into float64 — silently corrupting values above
+    2**53 (the engine routinely carries 63-bit hash keys in int64
+    columns). The nullable dtypes round-trip exactly: Int64 -> arrow
+    int64 with the null mask intact and no float detour.
     """
     import pandas as pd
     return {
@@ -41,6 +39,31 @@ def _nullable_int_mapper(t):
         pa.uint8(): pd.UInt8Dtype(), pa.uint16(): pd.UInt16Dtype(),
         pa.uint32(): pd.UInt32Dtype(), pa.uint64(): pd.UInt64Dtype(),
     }.get(t)
+
+
+def _field_types(ds):
+    """Column name -> Arrow type of a Dataset's schema."""
+    schema = ds.schema()
+    base = getattr(schema, 'base_schema', schema)
+    return {n: base.field(n).type for n in schema.names}
+
+
+def _frame(table: pa.Table, names, renamed=None):
+    """``names`` of one cogroup side as a pandas frame (nullable ints),
+    columns renamed to ``renamed``."""
+    table = table.select(names)
+    if renamed is not None:
+        table = table.rename_columns(renamed)
+    return table.to_pandas(types_mapper=_nullable_int_mapper)
+
+
+def _to_arrow(frame, schema: pa.Schema) -> pa.Table:
+    """A merged frame as ``schema``; the pandas metadata is dropped so
+    the nullable Int64 working dtypes never leak into downstream
+    ``to_pandas`` conversions."""
+    return pa.Table.from_pandas(
+        frame[list(schema.names)], schema=schema,
+        preserve_index=False).replace_schema_metadata(None)
 
 
 class BroadcastLookup:
@@ -84,96 +107,53 @@ def asof_join(left_ds, right_ds, by, on, direction='backward',
     """Big-big as-of join: for each left row, attach the latest right
     row with the same ``by`` key and ``right.on <= left.on``
     ('backward'; 'forward' takes the earliest ``right.on >= left.on``).
+    Right value columns get ``suffix``.
 
-    Ray Data has no as-of join; expressing it as a composition: both
-    sides are tagged and UNIONed so ONE hash exchange on ``by``
-    co-partitions them (same partition key, same shuffle — never two),
-    then each partition runs pandas ``merge_asof`` — a vectorized
-    sorted merge, O((l+r) log(l+r)) per partition with no per-key UDF
-    calls. Right-side (by, on) pairs must be unique (pre-aggregate
-    ties); ``by`` routes by the rules of stages/exchange.py.
+    Ray Data has no as-of join; expressing it as a composition: ONE
+    ``cogroup`` on ``by`` co-partitions both sides (same partition key,
+    same shuffle — never two), then each partition runs pandas
+    ``merge_asof`` — a vectorized sorted merge, O((l+r) log(l+r)) per
+    partition with no per-key UDF calls. Right-side (by, on) pairs must
+    be unique (pre-aggregate ties); ``by`` routes by the rules of
+    stages/exchange.py.
 
     Scale shape: the only data movement is the single co-partitioning
     exchange; skewed ``by`` keys bound partition size the same way the
     dedup family does. At 100 TB both sides stream block-wise into the
     exchange and partitions reduce independently.
     """
-    import numpy as np
     import pandas as pd
 
-    from yargy_ray.stages.exchange import partitioned_reduce
+    from yargy_ray.stages.exchange import cogroup
 
-    left_schema = left_ds.schema()
-    right_schema = right_ds.schema()
-    left_names = list(left_schema.names)
-    right_vals = [n for n in right_schema.names if n not in (by, on)]
-    val_fields = [
-        pa.field(n + suffix,
-                 right_schema.base_schema.field(n).type
-                 if hasattr(right_schema, 'base_schema')
-                 else right_schema.field(n).type)
-        for n in right_vals
-    ]
-    lf = [pa.field(n, left_schema.base_schema.field(n).type
-                   if hasattr(left_schema, 'base_schema')
-                   else left_schema.field(n).type) for n in left_names]
-    out_schema = pa.schema(lf + val_fields)
-    union_schema = pa.schema(lf + [pa.field('__side', pa.int8())]
-                             + val_fields)
+    ltypes = _field_types(left_ds)
+    rtypes = _field_types(right_ds)
+    right_vals = [n for n in rtypes if n not in (by, on)]
+    out_schema = pa.schema(
+        [pa.field(n, t) for n, t in ltypes.items()]
+        + [pa.field(n + suffix, rtypes[n]) for n in right_vals])
 
-    def tag_left(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols = [batch.column(name) for name in left_names]
-        cols.append(pa.array(np.zeros(n, dtype=np.int8), type=pa.int8()))
-        cols.extend(pa.nulls(n, type=f.type) for f in val_fields)
-        return pa.Table.from_arrays(cols, schema=union_schema)
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols = []
-        for name in left_names:
-            if name in (by, on):
-                cols.append(batch.column(name))
-            else:
-                cols.append(pa.nulls(
-                    n, type=union_schema.field(name).type))
-        cols.append(pa.array(np.ones(n, dtype=np.int8), type=pa.int8()))
-        cols.extend(batch.column(n_) for n_ in right_vals)
-        return pa.Table.from_arrays(cols, schema=union_schema)
-
-    tagged = (left_ds.map_batches(tag_left, batch_format='pyarrow')
-              .union(right_ds.map_batches(tag_right,
-                                          batch_format='pyarrow')))
-
-    val_names = [f.name for f in val_fields]
-
-    def reduce_fn(table: pa.Table) -> pa.Table:
-        df = table.to_pandas(types_mapper=_nullable_int_mapper)
-        left = (df[df['__side'] == 0]
-                .drop(columns=['__side'] + val_names)
-                .sort_values([on], kind='mergesort'))
-        right = (df[df['__side'] == 1][[by, on] + val_names]
-                 .sort_values([on], kind='mergesort'))
-        if len(left) == 0:
+    def merge(left: pa.Table, right: pa.Table) -> pa.Table:
+        if left.num_rows == 0:
             return out_schema.empty_table()
-        # merge_asof requires numpy dtypes for on/by; both are null-free
-        # after the side split, so the cast back is exact
-        for frame in (left, right):
+        frames = [
+            _frame(left, list(ltypes)),
+            _frame(right, [by, on] + right_vals,
+                   [by, on] + [n + suffix for n in right_vals])]
+        for i, frame in enumerate(frames):
+            frame = frame.sort_values([on], kind='mergesort')
+            # merge_asof requires numpy dtypes for on/by; both are
+            # null-free key columns, so the cast back is exact
             for col in (on, by):
-                if isinstance(frame[col].dtype, pd.api.extensions
-                              .ExtensionDtype):
+                if isinstance(frame[col].dtype,
+                              pd.api.extensions.ExtensionDtype):
                     frame[col] = frame[col].astype(
                         frame[col].dtype.numpy_dtype)
-        merged = pd.merge_asof(left, right, on=on, by=by,
-                               direction=direction)
-        # drop the embedded pandas-dtype metadata: downstream
-        # to_pandas would otherwise resurrect the nullable Int64
-        # working dtypes instead of plain int64
-        return pa.Table.from_pandas(
-            merged[left_names + val_names], schema=out_schema,
-            preserve_index=False).replace_schema_metadata(None)
+            frames[i] = frame
+        return _to_arrow(pd.merge_asof(*frames, on=on, by=by,
+                                       direction=direction), out_schema)
 
-    return partitioned_reduce(tagged, by, reduce_fn, num_partitions)
+    return cogroup(left_ds, right_ds, by, merge, num_partitions)
 
 
 def interval_join(left_ds, right_ds, by, on, start, stop, suffix='_r',
@@ -185,8 +165,8 @@ def interval_join(left_ds, right_ds, by, on, start, stop, suffix='_r',
     validity windows) — then containment is exactly "as-of the latest
     interval start, verified against its stop", so the operator reuses
     ``asof_join``'s single co-partitioning exchange plus one vectorized
-    containment filter. Overlapping intervals need a different plan
-    (emit-all); not needed by any shipped pipeline.
+    containment filter. Overlapping intervals need the emit-all plan,
+    :func:`interval_join_all`.
     """
     import pyarrow.compute as pc
 
@@ -212,10 +192,10 @@ def interval_join(left_ds, right_ds, by, on, start, stop, suffix='_r',
 def hash_join(left_ds, right_ds, on, suffix='_r', num_partitions=64,
               how='inner'):
     """Big-big equi-join: both sides co-partitioned by the join key in
-    ONE tagged-union exchange, then a vectorized pandas merge per
-    partition. Complements ``broadcast_join`` (small side) and the
-    temporal joins; ``on`` routes by the rules of stages/exchange.py.
-    Right columns colliding with left names get ``suffix``.
+    ONE ``cogroup``, then a vectorized pandas merge per partition.
+    Complements ``broadcast_join`` (small side) and the temporal joins;
+    ``on`` routes by the rules of stages/exchange.py. Right columns
+    colliding with left names get ``suffix``.
 
     ``how``: ``'inner'`` | ``'left'`` (left outer — unmatched left rows
     survive with null right columns) | ``'semi'`` (left rows with at
@@ -223,89 +203,48 @@ def hash_join(left_ds, right_ds, on, suffix='_r', num_partitions=64,
     (left rows with NO match, left columns only). semi/anti move the
     left side plus only the right side's key column worth of data
     through the same single exchange — the key-existence checks are
-    vectorized ``Index.isin`` per partition.
+    vectorized ``Series.isin`` per partition.
 
     Scale shape: the single exchange is the only data movement; skew on
     the join key bounds partition size exactly like the dedup family.
     """
     if how not in ('inner', 'left', 'semi', 'anti'):
         raise ValueError(f'unsupported how={how!r}')
-    import numpy as np
-    import pandas as pd
+    from yargy_ray.stages.exchange import cogroup
 
-    from yargy_ray.stages.exchange import partitioned_reduce
-
-    def field_types(schema):
-        base = getattr(schema, 'base_schema', schema)
-        return {n: base.field(n).type for n in schema.names}
-
-    ltypes = field_types(left_ds.schema())
-    rtypes = field_types(right_ds.schema())
-    left_names = list(ltypes)
+    ltypes = _field_types(left_ds)
+    rtypes = _field_types(right_ds)
     # semi/anti output left columns only; the right side contributes
     # nothing but key existence, so its value columns never ship
     right_vals = [] if how in ('semi', 'anti') else \
         [n for n in rtypes if n != on]
     out_right = [n + suffix if n in ltypes else n for n in right_vals]
-    union_schema = pa.schema(
-        [pa.field(n, ltypes[n]) for n in left_names]
-        + [pa.field('__side', pa.int8())]
-        + [pa.field(n, rtypes[v])
-           for n, v in zip(out_right, right_vals)])
     out_schema = pa.schema(
-        [pa.field(n, ltypes[n]) for n in left_names]
-        + [pa.field(n, rtypes[v])
-           for n, v in zip(out_right, right_vals)])
+        [pa.field(n, t) for n, t in ltypes.items()]
+        + [pa.field(n, rtypes[v]) for n, v in zip(out_right, right_vals)])
 
-    def tag_left(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols = [batch.column(name) for name in left_names]
-        cols.append(pa.array(np.zeros(n, dtype=np.int8)))
-        cols.extend(pa.nulls(n, type=union_schema.field(nm).type)
-                    for nm in out_right)
-        return pa.Table.from_arrays(cols, schema=union_schema)
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols = []
-        for name in left_names:
-            if name == on:
-                cols.append(batch.column(on))
-            else:
-                cols.append(pa.nulls(n, type=union_schema.field(
-                    name).type))
-        cols.append(pa.array(np.ones(n, dtype=np.int8)))
-        cols.extend(batch.column(v) for v in right_vals)
-        return pa.Table.from_arrays(cols, schema=union_schema)
-
-    tagged = (left_ds.map_batches(tag_left, batch_format='pyarrow')
-              .union(right_ds.map_batches(tag_right,
-                                          batch_format='pyarrow')))
-
-    def reduce_fn(table: pa.Table) -> pa.Table:
-        import pandas as pd
-        df = table.to_pandas(types_mapper=_nullable_int_mapper)
-        left = df[df['__side'] == 0][left_names]
-        right = df[df['__side'] == 1][[on] + out_right]
-        if len(left) == 0:
+    def join(left: pa.Table, right: pa.Table) -> pa.Table:
+        if left.num_rows == 0 or (how in ('inner', 'semi')
+                                  and right.num_rows == 0):
             return out_schema.empty_table()
+        frame = _frame(left, list(ltypes))
         if how in ('semi', 'anti'):
-            mask = left[on].isin(pd.unique(right[on]))
-            merged = left[mask if how == 'semi' else ~mask]
-        elif len(right) == 0:
-            if how == 'inner':
-                return out_schema.empty_table()
-            merged = left.reindex(columns=list(out_schema.names))
+            # a 0-row right side may come without columns (cogroup)
+            keys = (_frame(right, [on])[on].unique() if right.num_rows
+                    else [])
+            mask = frame[on].isin(keys)
+            merged = frame[mask if how == 'semi' else ~mask]
+        elif right.num_rows == 0:
+            merged = frame.reindex(columns=list(out_schema.names))
         else:
-            merged = left.merge(right, on=on, how=how)
-        # metadata stripped so the nullable Int64 working dtypes never
-        # leak into downstream to_pandas conversions
-        return pa.Table.from_pandas(merged[list(out_schema.names)],
-                                    schema=out_schema,
-                                    preserve_index=False
-                                    ).replace_schema_metadata(None)
+            merged = frame.merge(
+                _frame(right, [on] + right_vals, [on] + out_right),
+                on=on, how=how)
+        return _to_arrow(merged, out_schema)
 
-    return partitioned_reduce(tagged, on, reduce_fn, num_partitions)
+    if how in ('semi', 'anti'):
+        right_ds = right_ds.select_columns([on])
+    return cogroup(left_ds, right_ds, on, join, num_partitions)
 
 
 def interval_join_all(left_ds, right_ds, by, on, start, stop,
@@ -315,69 +254,34 @@ def interval_join_all(left_ds, right_ds, by, on, start, stop,
     containing it, per ``by`` key — the emit-all plan
     :func:`interval_join`'s non-overlapping contract cannot express.
 
-    Shape: the same single tagged-union co-partitioning exchange, then
-    a vectorized per-partition sweep: left points sorted; for each
-    right interval, ``searchsorted`` finds its contained point range
-    and ``repeat``/``concatenate`` materialize the matches — per-pair
-    work is O(log L + hits), never a cross product. Output size is the
-    true match count (a point inside k intervals emits k rows); skew =
+    Shape: the same single co-partitioning ``cogroup``, then a
+    vectorized per-partition sweep: left points sorted; for each right
+    interval, ``searchsorted`` finds its contained point range and
+    ``repeat``/``concatenate`` materialize the matches — per-pair work
+    is O(log L + hits), never a cross product. Output size is the true
+    match count (a point inside k intervals emits k rows); skew =
     output skew, same contract as the dedup family.
     """
     import numpy as np
     import pandas as pd
 
-    from yargy_ray.stages.exchange import partitioned_reduce
+    from yargy_ray.stages.exchange import cogroup
 
-    def field_types(schema):
-        base = getattr(schema, 'base_schema', schema)
-        return {n: base.field(n).type for n in schema.names}
-
-    ltypes = field_types(left_ds.schema())
-    rtypes = field_types(right_ds.schema())
-    left_names = list(ltypes)
+    ltypes = _field_types(left_ds)
+    rtypes = _field_types(right_ds)
     right_vals = [n for n in rtypes if n != by]
     out_right = [n + suffix if n in ltypes else n for n in right_vals]
-    union_schema = pa.schema(
-        [pa.field(n, ltypes[n]) for n in left_names]
-        + [pa.field('__side', pa.int8())]
-        + [pa.field(n, rtypes[v]) for n, v in zip(out_right, right_vals)])
     out_schema = pa.schema(
-        [pa.field(n, ltypes[n]) for n in left_names]
+        [pa.field(n, t) for n, t in ltypes.items()]
         + [pa.field(n, rtypes[v]) for n, v in zip(out_right, right_vals)])
     start_col = start + suffix if start in ltypes else start
     stop_col = stop + suffix if stop in ltypes else stop
 
-    def tag_left(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols = [batch.column(name) for name in left_names]
-        cols.append(pa.array(np.zeros(n, dtype=np.int8)))
-        cols.extend(pa.nulls(n, type=union_schema.field(nm).type)
-                    for nm in out_right)
-        return pa.Table.from_arrays(cols, schema=union_schema)
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols = []
-        for name in left_names:
-            if name == by:
-                cols.append(batch.column(by))
-            else:
-                cols.append(pa.nulls(n, type=union_schema.field(
-                    name).type))
-        cols.append(pa.array(np.ones(n, dtype=np.int8)))
-        cols.extend(batch.column(v) for v in right_vals)
-        return pa.Table.from_arrays(cols, schema=union_schema)
-
-    tagged = (left_ds.map_batches(tag_left, batch_format='pyarrow')
-              .union(right_ds.map_batches(tag_right,
-                                          batch_format='pyarrow')))
-
-    def reduce_fn(table: pa.Table) -> pa.Table:
-        df = table.to_pandas(types_mapper=_nullable_int_mapper)
-        left = df[df['__side'] == 0][left_names]
-        right = df[df['__side'] == 1][[by] + out_right]
-        if len(left) == 0 or len(right) == 0:
+    def sweep(left: pa.Table, right: pa.Table) -> pa.Table:
+        if left.num_rows == 0 or right.num_rows == 0:
             return out_schema.empty_table()
+        left = _frame(left, list(ltypes))
+        right = _frame(right, [by] + right_vals, [by] + out_right)
         pieces = []
         # per-key slices with vectorized inner work (the co-mention
         # per-conversation pattern); right side pre-grouped once
@@ -406,10 +310,6 @@ def interval_join_all(left_ds, right_ds, by, on, start, stop,
             pieces.append(piece)
         if not pieces:
             return out_schema.empty_table()
-        merged = pd.concat(pieces, ignore_index=True)
-        return pa.Table.from_pandas(merged[list(out_schema.names)],
-                                    schema=out_schema,
-                                    preserve_index=False
-                                    ).replace_schema_metadata(None)
+        return _to_arrow(pd.concat(pieces, ignore_index=True), out_schema)
 
-    return partitioned_reduce(tagged, by, reduce_fn, num_partitions)
+    return cogroup(left_ds, right_ds, by, sweep, num_partitions)
