@@ -144,7 +144,9 @@ def run_headline(corpus_path):
     triples = extract_triples(
         turns, concurrency=max(1, NUM_CPUS - 1), batch_size=256)
     # coalesce tiny extraction output blocks before the exchange: the
-    # sort groupby's overhead scales with block COUNT (see exchange.py)
+    # sort's overhead scales with block COUNT, and the dedup runs one
+    # reduce per sorted block, so NUM_CPUS blocks = NUM_CPUS reduce
+    # calls (see exchange.py)
     deduped = dedup_triples(
         triples, prededuped=True,
         coalesce=NUM_CPUS).drop_columns(['tkey'])

@@ -1,5 +1,7 @@
-"""The exchange's routing rules, layout partition, sum reduce and
-two-sided ``cogroup`` (``stages/exchange.py``), plus the layering rules
+"""The exchange's routing rules, layout partition, sorted and
+partitioned reduces (one call per sorted block, one per partition),
+sum reduce, two-sided ``cogroup`` (``stages/exchange.py``) and which
+occurrence the triple dedup keeps, plus the layering rules
 that keep the operator layer free of pipeline imports and keep
 two-sided routing inside the exchange.
 
@@ -9,9 +11,11 @@ distributed operators map over every block.
 
 import ast
 import pathlib
+import uuid
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from yargy_ray.stages.exchange import (
@@ -21,6 +25,8 @@ from yargy_ray.stages.exchange import (
     cogroup,
     layout_partition,
     partition_ids,
+    partitioned_reduce,
+    sorted_reduce,
     sum_by,
 )
 
@@ -123,6 +129,104 @@ def test_sum_by_distributed_equals_pandas(ray_session):
     got = got.sort_values(['k', 'j']).reset_index(drop=True)
     pd.testing.assert_frame_equal(
         got, _pandas_sum(SUM_FIXTURE, ['k', 'j'], ['v']))
+
+
+def _call_recorder():
+    """A block function that returns, per distinct ``k`` of its call,
+    one row: a fresh call id, the key, its row count, and the columns
+    and distinct ``part`` values the call was handed. (Built in a
+    function, so Ray ships it by value to workers that cannot import
+    this test module.)"""
+    def record(block: pa.Table) -> pa.Table:
+        counts = pc.value_counts(block.column('k').combine_chunks())
+        n = len(counts)
+        parts = (sorted(set(block.column('part').to_pylist()))
+                 if 'part' in block.column_names else [])
+        return pa.table({
+            'call': [uuid.uuid4().hex] * n,
+            'k': counts.field('values'),
+            'n': counts.field('counts'),
+            'columns': [block.column_names] * n,
+            'parts': [parts] * n,
+        })
+    return record
+
+
+def _by_call(rows):
+    calls = {}
+    for r in rows:
+        calls.setdefault(r['call'], []).append(r)
+    return calls
+
+
+# int64 keys with negatives and a null; key 7 holds 90% of the rows
+SKEWED_KEYS = ([7] * 1800 + [-(2**40), -5, -1, 0, 1, 2**62, None]
+               + [k % 97 - 48 for k in range(193)])
+
+
+def _skewed_ds(blocks, keys=SKEWED_KEYS):
+    import ray.data
+    table = pa.table({'k': pa.array(keys, pa.int64()),
+                      'v': pa.array(range(len(keys)), pa.int64())})
+    # interleave the keys, so every input block holds some of each
+    table = table.take(pc.sort_indices(pa.array(
+        [(i * 7919) % len(keys) for i in range(len(keys))])))
+    size = -(-table.num_rows // blocks)
+    return ray.data.from_arrow(
+        [table.slice(i, size) for i in range(0, table.num_rows, size)])
+
+
+@pytest.mark.parametrize('coalesce', [1, 3])
+def test_sorted_reduce_hands_each_key_to_one_call(ray_session, coalesce):
+    rows = sorted_reduce(_skewed_ds(8), 'k', _call_recorder(),
+                         coalesce=coalesce).take_all()
+    calls = _by_call(rows)
+    assert 1 <= len(calls) <= coalesce
+    # every key, the null included, in exactly one call, with all rows
+    keys = [r['k'] for r in rows]
+    assert len(keys) == len(set(keys))
+    expected = pd.Series(SKEWED_KEYS, dtype='Int64').value_counts(
+        dropna=False)
+    assert {r['k']: r['n'] for r in rows} == {
+        (None if pd.isna(k) else int(k)): n for k, n in expected.items()}
+    # the rows arrive as they are: no partition column is added
+    assert all(r['columns'] == ['k', 'v'] for r in rows)
+
+
+def test_partitioned_reduce_calls_once_per_partition(ray_session):
+    # P=64 over 2 sorted blocks: a call never sees two partitions
+    rows = partitioned_reduce(_skewed_ds(8), 'k', _call_recorder(),
+                              num_partitions=64, coalesce=2).take_all()
+    calls = _by_call(rows)
+    assert all(len(c[0]['parts']) == 1 for c in calls.values())
+    parts = [c[0]['parts'][0] for c in calls.values()]
+    assert len(parts) == len(set(parts))
+    # a null key has no partition id: its rows make one call of their own
+    assert set(parts) == {
+        None if k is None else k % 64 for k in SKEWED_KEYS}
+    assert all(r['columns'] == ['k', 'v', 'part'] for r in rows)
+    assert sum(r['n'] for r in rows) == len(SKEWED_KEYS)
+
+
+def test_partitioned_reduce_at_one_partition_makes_one_call(ray_session):
+    # the sketches (KMV, Misra-Gries) and the fixed histogram merge
+    # everything in one call at P=1 (their keys are never null; a null
+    # integer key has no partition id and would get a call of its own)
+    keys = [k for k in SKEWED_KEYS if k is not None]
+    rows = partitioned_reduce(_skewed_ds(8, keys), 'k', _call_recorder(),
+                              num_partitions=1, coalesce=4).take_all()
+    assert len(_by_call(rows)) == 1
+    assert sum(r['n'] for r in rows) == len(keys)
+
+
+def test_reduces_of_empty_input_return_no_rows(ray_session):
+    import ray.data
+    empty = ray.data.from_arrow(pa.table({
+        'k': pa.array([], pa.int64()), 'v': pa.array([], pa.int64())}))
+    assert sorted_reduce(empty, 'k', _call_recorder(),
+                         coalesce=2).count() == 0
+    assert partitioned_reduce(empty, 'k', _call_recorder(),
+                              num_partitions=8).count() == 0
 
 
 def _cogrouped(left, right, key, num_partitions):
@@ -282,3 +386,33 @@ def test_only_the_exchange_unions_datasets():
                         and (name, owner) not in SAME_SCHEMA_UNIONS):
                     offenders.append(f'{name}:{node.lineno} {owner}')
     assert offenders == []
+
+
+def _triple_rows(rows):
+    from yargy_ray.stages.extract import TRIPLE_SCHEMA
+    return pa.Table.from_pylist(
+        [dict(zip(('subj', 'pred', 'obj', 'conv_id', 'turn_idx'), r),
+              rule='r', span_start=0, span_stop=1) for r in rows],
+        schema=TRIPLE_SCHEMA)
+
+
+@pytest.mark.parametrize('coalesce', [None, 1, 2, 'auto'])
+def test_dedup_keeps_the_first_occurrence_in_input_order(ray_session,
+                                                         coalesce):
+    # the same triples in several input blocks, each occurrence with
+    # its own provenance: the survivor of every triple is the one that
+    # comes first in block order, then row order
+    import ray.data
+    from yargy_ray.pipelines.kg import dedup_triples
+    triples = [('A', 'knows', f'B{i}') for i in range(12)]
+    blocks = [[(*t, f'conv-{b}', 10 * b + i) for i, t in enumerate(
+        triples[b::2] + triples[::3])] for b in range(4)]
+    first = {}
+    for block in blocks:
+        for row in block:
+            first.setdefault(row[:3], row[3:])
+    ds = ray.data.from_arrow([_triple_rows(b) for b in blocks])
+    got = dedup_triples(ds, coalesce=coalesce).take_all()
+    assert len(got) == len(first)
+    assert {(r['subj'], r['pred'], r['obj']): (r['conv_id'], r['turn_idx'])
+            for r in got} == first

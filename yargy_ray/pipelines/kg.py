@@ -6,7 +6,7 @@ transcripts parquet
                              straight from the interpretation payloads
                              in one map; every occurrence plus its
                              ``tkey``; per-turn, no shuffle)
-  -> exact dedup            (shuffle 1: hash partition on triple key)
+  -> exact dedup            (shuffle 1: sort on the ``tkey`` hash)
   -> node canonicalization  (shuffle 2: groupby normalized form)
   -> edge aggregation       (shuffle 3: groupby edge key)
   -> partitioned parquet writes + lineage manifests (resumable)
@@ -57,6 +57,7 @@ from yargy_ray.stages.exchange import (
     check_layout,
     layout_partition,
     partitioned_reduce,
+    sorted_reduce,
     sum_by,
 )
 from yargy_ray.stages.compute import map_cached
@@ -128,28 +129,30 @@ def _with_tkey(batch: pa.Table) -> pa.Table:
 
 
 def _dedup_block(table: pa.Table) -> pa.Table:
-    """Vectorized first-per-TRIPLE over a whole partition. The reduce
+    """Vectorized first-per-TRIPLE over a whole sorted block. The reduce
     recomputes the full identity string: ``tkey`` routed the rows here,
     but equality is decided on the values themselves."""
     return table.take(_exact_first_indices(_triple_key(table)))
 
 
-def dedup_triples(triples_ds, num_partitions=64, prededuped=False,
-                  coalesce='auto'):
-    """Exact global dedup: ONE partition-wise shuffle on ``tkey``, then
-    a vectorized first-per-triple reduce.
+def dedup_triples(triples_ds, prededuped=False, coalesce='auto'):
+    """Exact global dedup: the rows are sorted on their own ``tkey``
+    (:func:`~yargy_ray.stages.exchange.sorted_reduce`), so every
+    triple's occurrences meet in one sorted block, then ONE vectorized
+    first-per-triple reduce per block: at most ``coalesce`` reduce
+    calls, whatever the triple count.
 
+    Both the coalesce and the sort keep input order among equal keys,
+    so the survivor of a triple is its first occurrence in input order.
     The (s,p,o) triple is the unit of correctness; provenance columns of
-    the surviving row are advisory (rows in a key group are equal on the
-    key by construction).
+    the surviving row are advisory.
 
     ``prededuped=True`` means the input already carries ``tkey`` (it
     came from :func:`extract_triples`); otherwise it is appended here.
     """
     keyed = triples_ds if prededuped else triples_ds.map_batches(
         _with_tkey, batch_format='pyarrow', batch_size=8192)
-    return partitioned_reduce(keyed, 'tkey', _dedup_block,
-                              num_partitions, coalesce=coalesce)
+    return sorted_reduce(keyed, 'tkey', _dedup_block, coalesce=coalesce)
 
 
 class TripleExtractor:
@@ -206,9 +209,10 @@ def extract_triples(turns_ds, factory_paths=DEFAULT_FACTORIES,
 def distinct_triples(turns_ds, factory_paths=DEFAULT_FACTORIES,
                      concurrency=8, batch_size=256):
     """turns Dataset -> the distinct triple set, one row per (subj,
-    pred, obj) with the provenance of one occurrence: the fused
-    :func:`extract_triples` then the exact :func:`dedup_triples`. The
-    KG build, the delta merge and the ``kg_triples`` query all run
+    pred, obj) with the provenance of its first occurrence: the fused
+    :func:`extract_triples` then the exact :func:`dedup_triples`, which
+    sorts the rows on their ``tkey`` hash and reduces each sorted block.
+    The KG build, the delta merge and the ``kg_triples`` query all run
     this."""
     return dedup_triples(
         extract_triples(turns_ds, factory_paths, concurrency=concurrency,

@@ -1,12 +1,27 @@
 """The exchange: the one module that knows how rows are routed.
 
-``groupby(key).map_groups(fn)`` degenerates when groups are tiny: one
-Python UDF call + one output block PER GROUP (an exact dedup of N
-distinct rows = N calls and N single-row blocks). The fix used across
-the engine: bucket keys into ``num_partitions`` coarse partitions,
-shuffle ONCE on the partition id, then run ONE vectorized reduce per
-partition — every key's full group is guaranteed to be inside exactly
-one partition.
+Ray's per-group map (``groupby(key)``, then ``fn`` on every group)
+degenerates when groups are tiny: one Python UDF call + one output
+block PER GROUP (an exact dedup of N distinct rows = N calls and N
+single-row blocks). The engine never uses it; every reduce runs on two
+layers instead, each call vectorized over many groups:
+
+* :func:`sorted_reduce`, the bottom layer: coalesce the input to a few
+  blocks, ``sort`` them on an INTEGER routing column the rows already
+  carry, then ONE vectorized call per sorted block. A sorted block holds
+  whole ranges of the column, so all rows of one value meet in one
+  call: the invariant Ray's own per-group map rests on (it sorts, then
+  maps each block whole; ``ray/data/grouped_data.py``, Ray 2.49). Reduce
+  parallelism is the sorted block count, i.e. ``coalesce``.
+* :func:`partitioned_reduce` on top of it: route any key to a partition
+  id ``part`` in [0, P), sort on ``part``, cut each sorted block where
+  ``part`` changes and run ONE reduce per partition. P is only the
+  routing granularity of hashed keys (how coarsely keys are bucketed
+  per reduce call), not the number of tasks.
+
+Rows that already carry an integer routing key skip the routing round
+and go to :func:`sorted_reduce` directly: the triple dedup sorts on its
+64-bit ``tkey``, :func:`cogroup` on its packed rows' partition id.
 
 Routing rules (``P`` = ``num_partitions``):
 
@@ -29,9 +44,6 @@ with P a power of two (:func:`layout_partition`, checked by
 :func:`check_layout`). It equals the string routing above, because
 ``hash64`` is non-negative and ``x mod P == x & (P-1)`` for such P — so a
 reduce routed on the layout key sees whole layout partitions.
-
-P scales with the cluster (set it ~2-4x total cores); per-partition
-reduces stay pandas/numpy-vectorized regardless of group count.
 
 Two datasets co-partitioned on one key go through :func:`cogroup`, the
 only two-sided exchange: both sides route on ``key`` by the rules
@@ -125,15 +137,59 @@ def check_layout(num_partitions, base_p=None, base=None):
             f'same-key co-partitioning invariant would silently break')
 
 
+def sorted_reduce(ds, column, fn, coalesce='auto'):
+    """The bottom layer: ``repartition(coalesce)``, ``sort(column)``,
+    then ONE ``fn(block)`` call per sorted block (``map_batches`` with
+    ``batch_size=None``); ``fn`` returns a table or yields several.
+
+    ``column`` must be an INTEGER routing column the rows already carry
+    (a 64-bit hash, a partition id): Ray's sort raises on a string key
+    that holds a null. A sorted block holds whole ranges of
+    ``column``, so every value's rows reach exactly one call, and the
+    sort is stable, so they arrive in input order. The call count is
+    the sorted block count: at most ``coalesce``, whose ``'auto'``
+    resolves to :func:`auto_blocks`; ``None`` skips the coalesce and
+    keeps the input's block count."""
+    if coalesce == 'auto':
+        coalesce = auto_blocks()
+    if coalesce:
+        ds = ds.repartition(coalesce)
+    return ds.sort(column).map_batches(fn, batch_format='pyarrow',
+                                       batch_size=None)
+
+
+def _per_partition(fn, column):
+    """Block function of :func:`sorted_reduce` sorted on ``column``, a
+    partition id: cut the block where ``column`` changes and yield
+    ``fn(rows)`` once per partition, with ``part`` dropped from its
+    output. Yielding one table per partition, as Ray's per-group map
+    does, leaves it to Ray's block builder to unify partitions whose
+    outputs differ in schema (a 0-row output with null-typed or missing
+    columns, say), so no such pair can fail a concat here."""
+    def reduce_block(block: pa.Table):
+        # a null key routes to a null id; nulls sort last, so they form
+        # one run of their own (ids are >= 0)
+        ids = pc.fill_null(block.column(column), -1).to_numpy()
+        cuts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+        for start, stop in zip([0, *cuts], [*cuts, len(ids)]):
+            out = fn(block.slice(start, stop - start))
+            if 'part' in out.column_names:
+                out = out.drop_columns(['part'])
+            yield out
+    return reduce_block
+
+
 def partitioned_reduce(ds, key, reduce_fn, num_partitions=64,
                        coalesce='auto'):
     """Route rows on ``key`` (a column name or a list of them; module
-    rules), then ONE ``reduce_fn(table) -> table`` call per partition;
-    it sees complete key groups plus the ``part`` column, which is
-    dropped from its output.
+    rules) to ``part`` = :func:`partition_ids`, then ONE
+    ``reduce_fn(table) -> table`` call per partition through
+    :func:`sorted_reduce` on ``part``; it sees complete key groups plus
+    the ``part`` column, which is dropped from its output.
 
     ``coalesce=N`` repartitions the input down to N blocks before the
-    exchange. The sort-based groupby's overhead scales with input BLOCK
+    sort, and is the reduce parallelism: the N sorted blocks each hold
+    whole partitions. The sort's overhead scales with input BLOCK
     COUNT, not bytes (measured: 48MB in 256 tiny blocks -> 18s exchange;
     same data coalesced to 32 blocks -> 3s; a 4M-row asof exchange
     9.8s -> 2.5s). Map stages that emit many small blocks (e.g. one per
@@ -142,20 +198,8 @@ def partitioned_reduce(ds, key, reduce_fn, num_partitions=64,
     becomes a cheap no-op. The default ``'auto'`` resolves to
     :func:`auto_blocks` — block count tracks the cluster, never a fixed
     constant; ``None`` skips the coalesce."""
-    if coalesce == 'auto':
-        coalesce = auto_blocks()
-    if coalesce:
-        ds = ds.repartition(coalesce)
-    parted = with_partition(ds, key, num_partitions)
-
-    def reduce_partition(group: pa.Table) -> pa.Table:
-        out = reduce_fn(group)
-        if 'part' in out.column_names:
-            out = out.drop_columns(['part'])
-        return out
-
-    return parted.groupby('part').map_groups(
-        reduce_partition, batch_format='pyarrow')
+    return sorted_reduce(with_partition(ds, key, num_partitions), 'part',
+                         _per_partition(reduce_fn, 'part'), coalesce)
 
 
 def _sum_groups(table: pa.Table, keys, values) -> pa.Table:
@@ -232,11 +276,12 @@ def cogroup(left_ds, right_ds, key, fn, num_partitions=64):
     plan, arrives with no columns: ``fn`` must not index the columns
     of a 0-row side it cannot rule out being empty everywhere.
 
-    Built on :func:`partitioned_reduce` (same coalesce; a ``part``
-    column in ``fn``'s output is dropped): each side's batches are
-    packed into one row per partition before the shuffle, so the
-    exchange moves ``P`` rows per input block, whatever its row
-    count."""
+    Each side's batches are packed into one row per partition, whose
+    ``cg_part`` already is the partition id, so the packed rows go
+    straight to :func:`sorted_reduce` on ``cg_part`` (same coalesce as
+    :func:`partitioned_reduce`; a ``part`` column in ``fn``'s output is
+    dropped): the exchange moves ``P`` rows per input block, whatever
+    its row count, and runs no routing round of its own."""
     schemas = (_known_schema(left_ds), _known_schema(right_ds))
     packed = left_ds.map_batches(
         _packer(0, key, num_partitions), batch_format='pyarrow',
@@ -256,4 +301,5 @@ def cogroup(left_ds, right_ds, key, fn, num_partitions=64):
             for tables, schema in zip(sides, schemas))
         return fn(left, right)
 
-    return partitioned_reduce(packed, 'cg_part', reduce_fn, num_partitions)
+    return sorted_reduce(packed, 'cg_part',
+                         _per_partition(reduce_fn, 'cg_part'))
