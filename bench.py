@@ -54,8 +54,9 @@ def ensure_corpus(multiplier=1):
         import shutil
         from yargy_ray.sources.transcripts import write_transcripts
         shutil.rmtree(path, ignore_errors=True)
-        # fixed fine granularity regardless of generator cpus: the
-        # 32-cpu consumer needs >> 32 tasks or it runs straggler-bound
+        # fixed file granularity regardless of generator cpus, so the
+        # read parallelizes; extraction tasks are sized from the input
+        # (stages/compute.map_cached), not from this block count
         write_transcripts(path, n, giant_every=997, giant_factor=100,
                           override_num_blocks=256 * multiplier)
         open(os.path.join(path, '_DONE'), 'w').close()
@@ -133,7 +134,9 @@ def run_headline(corpus_path):
     mult = int(os.environ.get('GRAFT_CORPUS_MULT', '1'))
     turns = ray.data.read_parquet(
         corpus_path, columns=['conv_id', 'turn_idx', 'text'],
-        override_num_blocks=NUM_CPUS * 8 * mult)  # ~0.5-1s tasks pack pool
+        # read parallelism only: map_cached sizes the extraction tasks
+        # from the input (about two per slot), not one per read block
+        override_num_blocks=NUM_CPUS * 8 * mult)
     n_turns = turns.count()
 
     start = time.time()

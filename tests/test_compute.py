@@ -112,6 +112,120 @@ def test_lru_keeps_the_recent_runs(ray_session, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Task sizing: a known-size input is cut into about two tasks per slot
+# ---------------------------------------------------------------------------
+
+def _probe():
+    """A probe class (local, so Ray pickles it by value) that appends
+    ``y = x * factor``, the Ray task id of the call and its row count."""
+
+    class Probe:
+        def __init__(self, factor):
+            self.factor = factor
+
+        def __call__(self, batch):
+            import pyarrow.compute as pc
+            import ray
+            n = batch.num_rows
+            task = ray.get_runtime_context().get_task_id()
+            return (batch.append_column('y', pc.multiply(batch.column('x'),
+                                                         self.factor))
+                    .append_column('task', pa.array([task] * n))
+                    .append_column('n', pa.array([n] * n, pa.int64())))
+
+    return Probe
+
+
+BLOCKS, BLOCK_ROWS = 16, 16
+
+
+def _blocks():
+    """A 16-block input whose size Ray knows without running a plan."""
+    import ray.data
+    table = pa.table({'x': pa.array(range(BLOCKS * BLOCK_ROWS), pa.int64())})
+    return ray.data.from_arrow([table.slice(i, BLOCK_ROWS) for i in
+                                range(0, table.num_rows, BLOCK_ROWS)]), table
+
+
+def _tasks_and_calls(ds, concurrency, batch_size):
+    from yargy_ray.stages.compute import map_cached
+    out = pa.Table.from_pylist(map_cached(
+        ds, _probe(), {'factor': 3}, concurrency, batch_size).take_all())
+    calls = out.group_by(['task', 'n']).aggregate([])
+    return out, set(out.column('task').to_pylist()), calls
+
+
+@pytest.mark.parametrize('concurrency', [1, 3])
+def test_known_size_input_runs_two_tasks_per_slot(ray_session, concurrency):
+    ds, table = _blocks()
+    out, tasks, calls = _tasks_and_calls(ds, concurrency, 4)
+    assert len(tasks) <= 2 * concurrency
+    assert max(calls.column('n').to_pylist()) <= 4
+    serial = _probe()(factor=3)(table)
+    assert (sorted(zip(*out.select(['x', 'y']).to_pydict().values()))
+            == sorted(zip(*serial.select(['x', 'y']).to_pydict().values())))
+
+
+def test_unknown_size_input_keeps_one_task_per_block(ray_session):
+    from yargy_ray.stages.exchange import size_of
+    ds, _ = _blocks()
+    mapped = ds.map_batches(lambda b: b, batch_format='pyarrow')
+    assert size_of(mapped) is None
+    _, tasks, calls = _tasks_and_calls(mapped, 1, 4)
+    assert len(tasks) == BLOCKS
+    assert max(calls.column('n').to_pylist()) <= 4
+
+
+def test_block_size_target_bounds_task_rows(ray_session, monkeypatch):
+    import math
+
+    from ray.data import DataContext
+
+    from yargy_ray.stages.exchange import size_of
+    ds, _ = _blocks()
+    _, size_bytes = size_of(ds)
+    target = math.ceil(size_bytes / 6)
+    monkeypatch.setattr(DataContext.get_current(), 'target_max_block_size',
+                        target)
+    _, tasks, calls = _tasks_and_calls(ds, 1, 4)
+    # more tasks than two per slot, still fewer than one per block
+    assert 2 < math.ceil(size_bytes / target) <= len(tasks) < BLOCKS
+    assert max(calls.column('n').to_pylist()) <= 4
+
+
+def test_no_batch_size_keeps_one_call_per_block(ray_session):
+    ds, _ = _blocks()
+    _, tasks, calls = _tasks_and_calls(ds, 1, None)
+    assert len(tasks) == BLOCKS
+    assert calls.column('n').to_pylist() == [BLOCK_ROWS] * BLOCKS
+
+
+def test_size_of_reads_plan_metadata_only(ray_session, monkeypatch,
+                                          tmp_path):
+    import pyarrow.parquet as pq
+    import ray.data
+    from ray.data._internal.plan import ExecutionPlan
+
+    from yargy_ray.stages.exchange import size_of
+    table = pa.table({'x': pa.array(range(100), pa.int64())})
+    pq.write_table(table, tmp_path / 'x.parquet')
+    read = ray.data.read_parquet(str(tmp_path))
+    materialized = ray.data.from_arrow(table).map_batches(
+        lambda b: b, batch_format='pyarrow').materialize()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError('size_of executed a plan')
+
+    for name in ('execute', 'execute_to_iterator'):
+        monkeypatch.setattr(ExecutionPlan, name, refuse)
+    rows, size_bytes = size_of(read)
+    assert rows == 100 and size_bytes > 0
+    assert size_of(materialized) == (100, table.nbytes)
+    assert size_of(read.filter(expr='x > 3')) is None
+    assert size_of(read.map_batches(lambda b: b)) is None
+
+
+# ---------------------------------------------------------------------------
 # Structure: no actor pools, one broadcast site
 # ---------------------------------------------------------------------------
 

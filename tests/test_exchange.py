@@ -20,6 +20,7 @@ import pytest
 
 from yargy_ray.stages.exchange import (
     _ipc,
+    _packer,
     _sum_groups,
     check_layout,
     cogroup,
@@ -71,6 +72,26 @@ def test_integer_keys_route_by_mod_p(typ):
         got = partition_ids(pa.table({'k': pa.array(keys, typ)}), 'k', p)
         assert got.type == pa.int32()
         assert got.to_pylist() == [k % p for k in keys]
+
+
+def test_null_integer_key_routes_to_partition_zero():
+    # a null string key hashes to one fixed partition; a null integer
+    # key goes to partition 0, so every row gets an id
+    keys = pa.array([5, None, -3], pa.int64())
+    got = partition_ids(pa.table({'k': keys}), 'k', 4)
+    assert got.null_count == 0
+    assert got.to_pylist() == [1, 0, 1]
+
+
+def test_packer_packs_a_null_integer_key():
+    # the map half of cogroup: a null id once failed its bincount
+    packed = _packer(0, 'k', 4)(
+        pa.table({'k': pa.array([1, None, 3], pa.int64())}))
+    assert packed.column('cg_part').to_pylist() == [0, 1, 2, 3]
+    tables = [pa.ipc.open_stream(rows.as_py()).read_all()
+              for rows in packed.column('cg_rows')]
+    assert sum(t.num_rows for t in tables) == 3
+    assert tables[0].column('k').to_pylist() == [None]
 
 
 def test_equal_multi_column_keys_share_a_partition():
@@ -201,22 +222,20 @@ def test_partitioned_reduce_calls_once_per_partition(ray_session):
     assert all(len(c[0]['parts']) == 1 for c in calls.values())
     parts = [c[0]['parts'][0] for c in calls.values()]
     assert len(parts) == len(set(parts))
-    # a null key has no partition id: its rows make one call of their own
+    # a null key routes to partition 0, with key 0
     assert set(parts) == {
-        None if k is None else k % 64 for k in SKEWED_KEYS}
+        0 if k is None else k % 64 for k in SKEWED_KEYS}
     assert all(r['columns'] == ['k', 'v', 'part'] for r in rows)
     assert sum(r['n'] for r in rows) == len(SKEWED_KEYS)
 
 
 def test_partitioned_reduce_at_one_partition_makes_one_call(ray_session):
     # the sketches (KMV, Misra-Gries) and the fixed histogram merge
-    # everything in one call at P=1 (their keys are never null; a null
-    # integer key has no partition id and would get a call of its own)
-    keys = [k for k in SKEWED_KEYS if k is not None]
-    rows = partitioned_reduce(_skewed_ds(8, keys), 'k', _call_recorder(),
+    # everything in one call at P=1; a null integer key joins it
+    rows = partitioned_reduce(_skewed_ds(8), 'k', _call_recorder(),
                               num_partitions=1, coalesce=4).take_all()
     assert len(_by_call(rows)) == 1
-    assert sum(r['n'] for r in rows) == len(keys)
+    assert sum(r['n'] for r in rows) == len(SKEWED_KEYS)
 
 
 def test_reduces_of_empty_input_return_no_rows(ray_session):

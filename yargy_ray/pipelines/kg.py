@@ -197,9 +197,12 @@ def extract_triples(turns_ds, factory_paths=DEFAULT_FACTORIES,
                     concurrency=8, batch_size=256, max_states=None):
     """turns Dataset -> every triple occurrence (+``tkey``) in one fused
     stage of :class:`TripleExtractor` tasks on warm workers, at most
-    ``concurrency`` at a time. Occurrence counts (degrees, weights,
-    conversation counts) read it as is; the distinct set is
-    ``dedup_triples(..., prededuped=True)`` of it."""
+    ``concurrency`` at a time. Each extractor call gets at most
+    ``batch_size`` turns; when the input's size is known (a
+    ``read_parquet``, a materialized Dataset), ``map_cached`` cuts it
+    into about two tasks per slot, not one per read block. Occurrence
+    counts (degrees, weights, conversation counts) read it as is; the
+    distinct set is ``dedup_triples(..., prededuped=True)`` of it."""
     return map_cached(turns_ds, TripleExtractor,
                       {'factory_paths': tuple(factory_paths),
                        'max_states': max_states},

@@ -21,12 +21,32 @@ as Ray tasks on warm workers (the ``compute="tasks"`` default of
 
 Constructors therefore take plain values; none of them sees an
 ``ObjectRef``.
+
+How many rows a task gets: with an int ``batch_size`` and an int
+``concurrency``, and an input whose size
+:func:`~yargy_ray.stages.exchange.size_of` knows without executing its
+plan (a ``read_parquet``, a materialized Dataset), the input is cut
+into ``max(2 * concurrency, ceil(bytes / target_max_block_size))``
+tasks, not one per read block: each slot runs about two tasks, so a
+slot that finishes early or a slot Ray never grants still balances,
+and Ray's own block-size target bounds a task of a huge input. Ray's
+bundler gets the task's row count as its batch size, and
+:func:`_cached_call` cuts each such batch into ``batch_size``-row
+slices, one instance call each: every call still sees at most
+``batch_size`` rows. An input of unknown size keeps one task per input
+block (Ray's default bundling), as does ``batch_size=None`` or
+``concurrency=None``.
 """
 
 from __future__ import annotations
 
+import math
 import uuid
 from collections import OrderedDict
+
+import pyarrow as pa
+
+from yargy_ray.stages.exchange import size_of
 
 # instances one worker process keeps, least recently used evicted
 # first; a few runs cover every map of one fused task chain
@@ -36,8 +56,13 @@ WORKER_CACHE_SIZE = 4
 _WORKER_INSTANCES = OrderedDict()
 
 
-def _cached_call(batch, cls, ref, run):
+def _cached_call(batch, cls, ref, run, rows=None):
     """``cls(**ray.get(ref))(batch)`` with the instance kept per run.
+
+    With ``rows``, the batch is a whole sized task's share
+    (:func:`map_cached`): the instance is called once per ``rows``-row
+    slice and the outputs are concatenated, so no call sees more than
+    ``rows`` rows. Without it, the instance gets the batch whole.
 
     A module-level function, so Ray pickles it by reference and every
     task in a worker shares this module's LRU (a closure would carry a
@@ -51,7 +76,24 @@ def _cached_call(batch, cls, ref, run):
             _WORKER_INSTANCES.popitem(last=False)
     else:
         _WORKER_INSTANCES.move_to_end(run)
-    return instance(batch)
+    if rows is None or batch.num_rows <= rows:
+        return instance(batch)
+    return pa.concat_tables(
+        [instance(batch.slice(start, rows))
+         for start in range(0, batch.num_rows, rows)],
+        promote_options='permissive')
+
+
+def _task_rows(rows, size_bytes, concurrency, batch_size):
+    """Rows per task of a sized :func:`map_cached`: ``rows`` over
+    ``max(2 * concurrency, ceil(size_bytes / target_max_block_size))``
+    tasks, rounded up to a multiple of ``batch_size``."""
+    from ray.data import DataContext
+    tasks = 2 * concurrency
+    target = DataContext.get_current().target_max_block_size
+    if target:
+        tasks = max(tasks, math.ceil(size_bytes / target))
+    return batch_size * max(1, math.ceil(rows / (tasks * batch_size)))
 
 
 def map_cached(ds, cls, kwargs, concurrency, batch_size=None):
@@ -59,13 +101,23 @@ def map_cached(ds, cls, kwargs, concurrency, batch_size=None):
     workers, ``kwargs`` broadcast once through the object store.
 
     ``concurrency`` (an int) caps the number of concurrent tasks;
-    ``None`` leaves the task count to Ray.
+    ``None`` leaves the task count to Ray. ``batch_size`` caps the rows
+    of one instance call; ``None`` hands each call a whole input block.
+    With both ints and the input's size known, each task gets
+    :func:`_task_rows` rows (module docstring); otherwise Ray cuts one
+    task per input block.
     """
     import ray
+    fn_kwargs = {'cls': cls, 'ref': ray.put(kwargs),
+                 'run': uuid.uuid4().hex}
+    size = (None if batch_size is None or concurrency is None
+            else size_of(ds))
+    if size is not None:
+        fn_kwargs['rows'] = batch_size
+        batch_size = _task_rows(*size, concurrency, batch_size)
     return ds.map_batches(
         _cached_call,
-        fn_kwargs={'cls': cls, 'ref': ray.put(kwargs),
-                   'run': uuid.uuid4().hex},
+        fn_kwargs=fn_kwargs,
         batch_format='pyarrow',
         batch_size=batch_size,
         concurrency=concurrency,

@@ -26,7 +26,8 @@ and go to :func:`sorted_reduce` directly: the triple dedup sorts on its
 Routing rules (``P`` = ``num_partitions``):
 
 * an INTEGER key column routes by ``key mod P`` (the mathematical
-  modulus, so negative keys land in ``[0, P)`` too);
+  modulus, so negative keys land in ``[0, P)`` too); a null key routes
+  to partition 0;
 * any other key column — in practice a string — routes by
   ``hash64(key) mod P``;
 * a LIST of key columns routes by ``hash64`` of the values cast to
@@ -44,6 +45,12 @@ with P a power of two (:func:`layout_partition`, checked by
 :func:`check_layout`). It equals the string routing above, because
 ``hash64`` is non-negative and ``x mod P == x & (P-1)`` for such P — so a
 reduce routed on the layout key sees whole layout partitions.
+
+Physical choices read the input's size from :func:`size_of`: rows and
+bytes as Ray's plan metadata knows them without executing anything (a
+source, a materialized Dataset), else unknown, and the caller keeps its
+size-blind choice. Its first consumer is ``stages/compute.map_cached``,
+which sizes its tasks from it.
 
 Two datasets co-partitioned on one key go through :func:`cogroup`, the
 only two-sided exchange: both sides route on ``key`` by the rules
@@ -87,11 +94,27 @@ def auto_blocks():
     return max(8, int(ray.cluster_resources().get('CPU', 8)))
 
 
+def size_of(ds):
+    """``(rows, bytes)`` of ``ds`` from its plan metadata alone, or
+    ``None`` when either is unknown. Never executes a plan: a
+    ``read_parquet``, an in-memory source or a materialized Dataset
+    report both (read from the file footers and block metadata Ray
+    already holds); the output of a ``filter`` or a ``map_batches``
+    reports ``None``. Reads Ray 2.49's ``Dataset._meta_count`` and the
+    logical plan's ``infer_metadata``, the calls ``Dataset.count`` and
+    ``Dataset.size_bytes`` try before they fall back to executing."""
+    rows = ds._meta_count()
+    size = ds._logical_plan.dag.infer_metadata().size_bytes
+    return None if rows is None or size is None else (rows, size)
+
+
 def partition_ids(batch: pa.Table, key, num_partitions):
     """int32 partition id in [0, P) of every row of ``batch``, routed
     on ``key`` — a column name or a list of them (module rules)."""
     if isinstance(key, str) and pa.types.is_integer(batch.column(key).type):
-        value = pc.cast(batch.column(key), pa.int64())
+        # a null key routes to partition 0, as a null string's hash
+        # lands in one fixed partition
+        value = pc.fill_null(pc.cast(batch.column(key), pa.int64()), 0)
     elif isinstance(key, str):
         value = _hash64(batch.column(key))
     else:
@@ -167,9 +190,7 @@ def _per_partition(fn, column):
     outputs differ in schema (a 0-row output with null-typed or missing
     columns, say), so no such pair can fail a concat here."""
     def reduce_block(block: pa.Table):
-        # a null key routes to a null id; nulls sort last, so they form
-        # one run of their own (ids are >= 0)
-        ids = pc.fill_null(block.column(column), -1).to_numpy()
+        ids = block.column(column).to_numpy()
         cuts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
         for start, stop in zip([0, *cuts], [*cuts, len(ids)]):
             out = fn(block.slice(start, stop - start))
