@@ -54,9 +54,11 @@ def ensure_corpus(multiplier=1):
         import shutil
         from yargy_ray.sources.transcripts import write_transcripts
         shutil.rmtree(path, ignore_errors=True)
-        # fixed file granularity regardless of generator cpus, so the
-        # read parallelizes; extraction tasks are sized from the input
-        # (stages/compute.map_cached), not from this block count
+        # fixed fine granularity regardless of generator cpus: the
+        # 32-cpu consumer needs >> 32 tasks or it runs straggler-bound.
+        # map_cached sizes the extraction tasks from the input, not
+        # from this block count: about two per slot, 62 at 31 slots, a
+        # width not yet measured (ROADMAP item 9)
         write_transcripts(path, n, giant_every=997, giant_factor=100,
                           override_num_blocks=256 * multiplier)
         open(os.path.join(path, '_DONE'), 'w').close()
@@ -134,8 +136,9 @@ def run_headline(corpus_path):
     mult = int(os.environ.get('GRAFT_CORPUS_MULT', '1'))
     turns = ray.data.read_parquet(
         corpus_path, columns=['conv_id', 'turn_idx', 'text'],
-        # read parallelism only: map_cached sizes the extraction tasks
-        # from the input (about two per slot), not one per read block
+        # ~0.5-1s read blocks pack the pool; map_cached sizes the
+        # extraction tasks from the input (about two per slot), not
+        # one per read block
         override_num_blocks=NUM_CPUS * 8 * mult)
     n_turns = turns.count()
 

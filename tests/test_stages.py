@@ -658,6 +658,47 @@ def test_hash_join_variants(ray_session):
         hash_join(left, right, on='k', how='outer')
 
 
+@pytest.mark.parametrize('key_type', [pa.int64(), pa.string()])
+def test_hash_join_null_keys_match_sql(ray_session, key_type):
+    """A null join key matches nothing, as in SQL: every mode equals
+    DuckDB's answer over the same two tables, nulls on both sides."""
+    from collections import Counter
+
+    import duckdb
+    import ray.data
+
+    from yargy_ray.stages.joins import hash_join
+
+    def keys(values):
+        return pa.array([None if v is None
+                         else (v if key_type == pa.int64() else str(v))
+                         for v in values], key_type)
+
+    lt = pa.table({'k': keys([1, None, 2, None, 3]),
+                   'v': ['a', 'b', 'c', 'd', 'e']})
+    rt = pa.table({'k': keys([None, 2, None, 3, 3]),
+                   'w': ['x', 'y', 'z', 'u', 't']})
+    sql = {
+        'inner': 'SELECT l.k, l.v, r.w FROM lt l JOIN rt r ON l.k = r.k',
+        'left': 'SELECT l.k, l.v, r.w FROM lt l LEFT JOIN rt r '
+                'ON l.k = r.k',
+        'semi': 'SELECT k, v FROM lt l WHERE EXISTS '
+                '(SELECT 1 FROM rt r WHERE r.k = l.k)',
+        'anti': 'SELECT k, v FROM lt l WHERE NOT EXISTS '
+                '(SELECT 1 FROM rt r WHERE r.k = l.k)'}
+    con = duckdb.connect()
+    con.register('lt', lt)
+    con.register('rt', rt)
+    left = ray.data.from_arrow(lt)
+    right = ray.data.from_arrow(rt)
+    for how, query in sql.items():
+        got = hash_join(left, right, on='k', how=how,
+                        num_partitions=2).take_all()
+        cols = ['k', 'v'] if how in ('semi', 'anti') else ['k', 'v', 'w']
+        assert Counter(tuple(r[c] for c in cols) for r in got) == \
+            Counter(con.sql(query).fetchall()), how
+
+
 def test_joins_with_empty_right_dataset(ray_session):
     """A 0-row right Dataset: Ray Data never calls a map UDF on an
     empty block, so the right side reaches the exchange with no rows

@@ -27,11 +27,14 @@ How many rows a task gets: with an int ``batch_size`` and an int
 :func:`~yargy_ray.stages.exchange.size_of` knows without executing its
 plan (a ``read_parquet``, a materialized Dataset), the input is cut
 into ``max(2 * concurrency, ceil(bytes / target_max_block_size))``
-tasks, not one per read block: each slot runs about two tasks, so a
-slot that finishes early or a slot Ray never grants still balances,
-and Ray's own block-size target bounds a task of a huge input. Ray's
-bundler gets the task's row count as its batch size, and
-:func:`_cached_call` cuts each such batch into ``batch_size``-row
+tasks, not one per read block, and Ray's own block-size target bounds
+a task of a huge input. Fewer, larger tasks pay Ray's per-task cost
+(a scheduling gap of several ms per task and slot) fewer times, but
+leave a longer tail when the last tasks of a wide pool end unevenly:
+two tasks per slot won at one and at three slots, and whether it also
+wins at tens of slots is not yet measured (ROADMAP item 9). Ray's
+bundler gets the task's row count as its batch size,
+and :func:`_cached_call` cuts each such batch into ``batch_size``-row
 slices, one instance call each: every call still sees at most
 ``batch_size`` rows. An input of unknown size keeps one task per input
 block (Ray's default bundling), as does ``batch_size=None`` or

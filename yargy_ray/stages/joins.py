@@ -200,16 +200,19 @@ def hash_join(left_ds, right_ds, on, suffix='_r', num_partitions=64,
     ``how``: ``'inner'`` | ``'left'`` (left outer — unmatched left rows
     survive with null right columns) | ``'semi'`` (left rows with at
     least one match, left columns only, no duplication) | ``'anti'``
-    (left rows with NO match, left columns only). semi/anti move the
-    left side plus only the right side's key column worth of data
-    through the same single exchange — the key-existence checks are
-    vectorized ``Series.isin`` per partition.
+    (left rows with NO match, left columns only). A null key matches
+    nothing, as in SQL. semi/anti move the left side plus only the
+    right side's key column worth of data through the same single
+    exchange — the key-existence checks are vectorized ``Series.isin``
+    per partition.
 
     Scale shape: the single exchange is the only data movement; skew on
     the join key bounds partition size exactly like the dedup family.
     """
     if how not in ('inner', 'left', 'semi', 'anti'):
         raise ValueError(f'unsupported how={how!r}')
+    import pyarrow.compute as pc
+
     from yargy_ray.stages.exchange import cogroup
 
     ltypes = _field_types(left_ds)
@@ -224,6 +227,12 @@ def hash_join(left_ds, right_ds, on, suffix='_r', num_partitions=64,
         + [pa.field(n, rtypes[v]) for n, v in zip(out_right, right_vals)])
 
     def join(left: pa.Table, right: pa.Table) -> pa.Table:
+        # a null key matches nothing, as in SQL: pandas would match
+        # null to null, so null right keys never reach the merge, and
+        # null left keys find no partner (inner/semi drop them,
+        # left/anti keep them)
+        if right.num_rows:
+            right = right.filter(pc.is_valid(right.column(on)))
         if left.num_rows == 0 or (how in ('inner', 'semi')
                                   and right.num_rows == 0):
             return out_schema.empty_table()
